@@ -50,6 +50,7 @@ from .core import (
     from_structure,
     opaque_type,
     reset_field_checks,
+    subtype,
 )
 from .ops import (
     Projection,
@@ -76,7 +77,7 @@ __all__ = [
     "build_registry", "concat_names", "default_registry", "expr_text",
     "field_checks", "from_raw", "from_structure", "normalize",
     "opaque_type", "project_field", "raw_concat", "register_builtins",
-    "reset_field_checks", "sub_expressions", "to_centimetres",
+    "reset_field_checks", "sub_expressions", "subtype", "to_centimetres",
 ]
 
 __version__ = "0.1.0"

@@ -1,16 +1,19 @@
 """The builtin string types: structures, grammars and canonical forms.
 
-Every type here follows the same recipe. A grammar built from the
+Every root type here follows the same recipe. A grammar built from the
 combinator kernel parses the whole raw string into a small frozen
-dataclass, recording the span each named field consumed, and a cast
-function renders the canonical surface form of that structure. Subtypes
-re-use their parent's grammar with one or more field parsers swapped out
-and register exactly those fields as overridden.
+dataclass, recording the span each named field consumed (``record`` does
+both for a fixed sequence of fields), and a cast function renders the
+canonical surface form of that structure. A subtype is declared once, by
+``subtype``, as its parent plus a recognizer for each field it overrides:
+it parses with its parent's grammar and then checks those fields' spans,
+exactly as narrowing from the parent does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .combinators import (
     Failure,
@@ -24,6 +27,7 @@ from .combinators import (
     many,
     one_of,
     pattern,
+    record,
     satisfy,
     seq,
     spanned,
@@ -31,7 +35,7 @@ from .combinators import (
     times,
     token,
 )
-from .core import StringType, TypeRegistry, opaque_type
+from .core import StringType, TypeRegistry, opaque_type, subtype
 
 __all__ = [
     "CssColour", "CssUnit", "Email", "FilePath", "USPhone", "EqualAandB",
@@ -53,18 +57,9 @@ _HEX_DIGIT = satisfy(lambda c: c in "0123456789abcdefABCDEF", "a hex digit")
 _HEX_PAIR = seq(_HEX_DIGIT, _HEX_DIGIT).map(lambda t: int(t[0] + t[1], 16))
 _HEX_SHORT = _HEX_DIGIT.map(lambda c: int(c + c, 16))
 
-
-def _build_colour(parts):
-    (r, rs, re_), (g, gs, ge), (b, bs, be) = parts
-    return (CssColour(r, g, b),
-            {"red": (rs, re_), "green": (gs, ge), "blue": (bs, be)})
-
-
-_COLOUR = seq(
-    lit("#"),
-    alt(seq(spanned(_HEX_PAIR), spanned(_HEX_PAIR), spanned(_HEX_PAIR)),
-        seq(spanned(_HEX_SHORT), spanned(_HEX_SHORT), spanned(_HEX_SHORT))),
-).map(lambda t: _build_colour(t[1]))
+_COLOUR = alt(*(
+    record(CssColour, lit("#"), ("red", hex_), ("green", hex_), ("blue", hex_))
+    for hex_ in (_HEX_PAIR, _HEX_SHORT)))
 
 
 def cast_colour(c: CssColour) -> str:
@@ -90,19 +85,9 @@ def _format_number(v: float) -> str:
 
 
 _NUMBER = pattern(r"[0-9]+(\.[0-9]+)?").desc("a number").map(float)
-
-
-def _unit_grammar(suffix: Parser) -> Parser:
-    measured = seq(spanned(_NUMBER), spanned(suffix)).map(
-        lambda t: (CssUnit(t[0][0], t[1][0]),
-                   {"value": (t[0][1], t[0][2]), "unit": (t[1][1], t[1][2])}))
-    auto = spanned(lit("auto")).map(
-        lambda t: (CssUnit(None, "auto"), {"unit": (t[1], t[2])}))
-    return alt(measured, auto)
-
-
 _UNIT_SUFFIX = alt(lit("px"), lit("pt"), lit("pc"), lit("cm")).desc("a unit")
-_UNIT = _unit_grammar(_UNIT_SUFFIX)
+_UNIT = alt(record(CssUnit, ("value", _NUMBER), ("unit", _UNIT_SUFFIX)),
+            record(partial(CssUnit, value=None), ("unit", lit("auto"))))
 
 
 def cast_unit(u: CssUnit) -> str:
@@ -123,21 +108,8 @@ class Email:
 _EMAIL_NAME = pattern("[0-9a-zA-Z]+").desc("an email name")
 _DOMAIN = pattern("[0-9a-zA-Z-]+").desc("a domain name")
 _TLD = pattern("[0-9a-zA-Z-.]+").desc("a top-level domain")
-
-
-def _email_grammar(left: Parser) -> Parser:
-    return seq(
-        spanned(_EMAIL_NAME), lit("@"), spanned(left), lit("."), spanned(_TLD),
-    ).map(lambda t: (
-        Email(t[0][0], t[2][0], t[4][0]),
-        {"name": (t[0][1], t[0][2]),
-         "domain_left": (t[2][1], t[2][2]),
-         "domain_right": (t[4][1], t[4][2])},
-    ))
-
-
-_EMAIL = _email_grammar(_DOMAIN)
-_GMAIL_LEFT = lit("gmail")
+_EMAIL = record(Email, ("name", _EMAIL_NAME), lit("@"), ("domain_left", _DOMAIN),
+                lit("."), ("domain_right", _TLD))
 
 
 def cast_email(e: Email) -> str:
@@ -197,7 +169,7 @@ def _assemble_path(absolute: bool, sep_char: str | None, seg_spans, lead_start: 
     return (structure, spans)
 
 
-def _path_grammar(seps: str) -> Parser:
+def _path_grammar() -> Parser:
     """Paths whose first separator, wherever it appears, fixes the style.
 
     The style char flows through ``bind`` into the parser for the rest of
@@ -207,7 +179,7 @@ def _path_grammar(seps: str) -> Parser:
     records no separator span.
     """
     segment = spanned(_SEGMENT)
-    style = one_of(seps)
+    style = one_of("/\\")
 
     def more(c: str) -> Parser:
         return many(seq(lit(c), segment).map(lambda t: t[1]))
@@ -227,12 +199,7 @@ def _path_grammar(seps: str) -> Parser:
     return alt(absolute, segment.bind(relative_tail))
 
 
-_PATH = _path_grammar("/\\")
-_UNIX_PATH = _path_grammar("/")
-_WINDOWS_PATH = _path_grammar("\\")
-_HOME_DOT_FILE = _UNIX_PATH.where(
-    lambda out: out[0].dirs == ("home",) and out[0].file_name.startswith("."),
-    "a dot file under the home directory")
+_PATH = _path_grammar()
 
 
 def cast_path(p: FilePath) -> str:
@@ -256,14 +223,8 @@ _AREA = pattern("[2-9][0-9]{2}").map(int).desc("a valid area code")
 _OFFICE = pattern("[2-9][0-9]{2}").map(int).desc("a valid office code")
 _UNIQ = pattern("[0-9]{4}").map(int).desc("a valid identifier")
 
-_PHONE = seq(
-    spanned(_AREA), _PHONE_SEP, spanned(_OFFICE), _PHONE_SEP, spanned(_UNIQ),
-).map(lambda t: (
-    USPhone(t[0][0], t[2][0], t[4][0]),
-    {"area": (t[0][1], t[0][2]),
-     "office": (t[2][1], t[2][2]),
-     "uniq": (t[4][1], t[4][2])},
-))
+_PHONE = record(USPhone, ("area", _AREA), _PHONE_SEP, ("office", _OFFICE), _PHONE_SEP,
+                ("uniq", _UNIQ))
 
 
 def cast_phone(p: USPhone) -> str:
@@ -301,12 +262,7 @@ class InnerR:
 
 # The first "r" is the pivot: everything before it is r-free, everything
 # after it is kept verbatim.
-_INNER_R = seq(
-    spanned(pattern("[^r]*")), lit("r"), spanned(pattern(".*")),
-).map(lambda t: (
-    InnerR(t[0][0], t[2][0]),
-    {"left": (t[0][1], t[0][2]), "right": (t[2][1], t[2][2])},
-))
+_INNER_R = record(InnerR, ("left", pattern("[^r]*")), lit("r"), ("right", pattern(".*")))
 
 
 def cast_inner_r(v: InnerR) -> str:
@@ -454,10 +410,6 @@ def expr_text(e: Expr) -> str:
     return go(e, 0)
 
 
-def cast_expr(e: Expr) -> str:
-    return expr_text(e)
-
-
 # ------------------------------------------------------------ registration
 
 _SANITISED_PATTERN = "[0-9a-zA-Z _.-]+"
@@ -467,47 +419,27 @@ def register_builtins(reg: TypeRegistry) -> TypeRegistry:
     reg.register(StringType(
         "CssColour", _COLOUR, cast_colour,
         fields=("red", "green", "blue")))
-    reg.register(StringType(
+    unit = reg.register(StringType(
         "CssUnit", _UNIT, cast_unit,
         fields=("value", "unit"),
         field_recognizers={"unit": _UNIT_SUFFIX | lit("auto"),
                            "value": _NUMBER}))
-    reg.register(StringType(
-        "PxOrAuto", _unit_grammar(lit("px")), cast_unit,
-        fields=("value", "unit"), parent="CssUnit",
-        overridden=frozenset({"unit"}),
-        field_recognizers={"unit": lit("px") | lit("auto")}))
-    reg.register(StringType(
+    reg.register(subtype(unit, "PxOrAuto", unit=lit("px") | lit("auto")))
+    email = reg.register(StringType(
         "Email", _EMAIL, cast_email,
         fields=("name", "domain_left", "domain_right"),
         field_recognizers={"name": _EMAIL_NAME,
                            "domain_left": _DOMAIN,
                            "domain_right": _TLD}))
-    reg.register(StringType(
-        "Gmail", _email_grammar(_GMAIL_LEFT), cast_email,
-        fields=("name", "domain_left", "domain_right"), parent="Email",
-        overridden=frozenset({"domain_left"}),
-        field_recognizers={"domain_left": _GMAIL_LEFT}))
-    reg.register(StringType(
+    reg.register(subtype(email, "Gmail", domain_left=lit("gmail")))
+    path = reg.register(StringType(
         "FilePath", _PATH, cast_path,
         fields=("absolute", "dirs", "file_name", "ext", "separator"),
         field_recognizers={"separator": one_of("/\\"), "file_name": _SEGMENT}))
-    reg.register(StringType(
-        "UnixPath", _UNIX_PATH, cast_path,
-        fields=("absolute", "dirs", "file_name", "ext", "separator"),
-        parent="FilePath", overridden=frozenset({"separator"}),
-        field_recognizers={"separator": lit("/")}))
-    reg.register(StringType(
-        "WindowsPath", _WINDOWS_PATH, cast_path,
-        fields=("absolute", "dirs", "file_name", "ext", "separator"),
-        parent="FilePath", overridden=frozenset({"separator"}),
-        field_recognizers={"separator": lit("\\")}))
-    reg.register(StringType(
-        "HomeDotFile", _HOME_DOT_FILE, cast_path,
-        fields=("absolute", "dirs", "file_name", "ext", "separator"),
-        parent="UnixPath", overridden=frozenset({"dirs", "file_name"}),
-        field_recognizers={"dirs": lit("home"),
-                           "file_name": pattern(r"\.[^/\\]*")}))
+    unix = reg.register(subtype(path, "UnixPath", separator=lit("/")))
+    reg.register(subtype(path, "WindowsPath", separator=lit("\\")))
+    reg.register(subtype(unix, "HomeDotFile",
+                         dirs=lit("home"), file_name=pattern(r"\.[^/\\]*")))
     reg.register(StringType(
         "USPhone", _PHONE, cast_phone,
         fields=("area", "office", "uniq")))
@@ -518,7 +450,7 @@ def register_builtins(reg: TypeRegistry) -> TypeRegistry:
         "InnerR", _INNER_R, cast_inner_r,
         fields=("left", "right")))
     reg.register(StringType(
-        "Expr", _EXPR_GRAMMAR, cast_expr))
+        "Expr", _EXPR_GRAMMAR, expr_text))
     reg.register(opaque_type("Sanitised", _SANITISED_PATTERN))
     reg.register(opaque_type("UserName", _SANITISED_PATTERN))
     return reg

@@ -42,6 +42,40 @@ class _ConfigError(Exception):
     """A problem with the invocation or environment, not with the data."""
 
 
+# ---------------------------------------------------------------- input
+
+def _lines(data: bytes | str, source: str) -> list[str]:
+    """One input per line. Lines end at "\n" alone, less one trailing "\r";
+    other boundaries ``str.splitlines`` knows, such as U+2028, are data."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _ConfigError(f"cannot read {source}: {exc}") from exc
+    lines = data.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
+def _read_lines(path) -> list[str]:
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise _ConfigError(f"cannot read {path}: {exc}") from exc
+    return _lines(data, path)
+
+
+def _gather_inputs(args) -> list[str]:
+    if args.inputs:
+        return list(args.inputs)
+    if args.file is not None:
+        return _read_lines(args.file)
+    # Decoded here: in the C locale the text stream lets undecodable bytes
+    # through. A stream with no bytes underneath (a StringIO) is read as text.
+    return _lines(getattr(sys.stdin, "buffer", sys.stdin).read(), "stdin")
+
+
 # ------------------------------------------------------------- registry
 
 def _load_extra_types(reg: TypeRegistry, directory: str) -> None:
@@ -51,7 +85,7 @@ def _load_extra_types(reg: TypeRegistry, directory: str) -> None:
     for entry in sorted(root.iterdir()):
         if not entry.is_file() or entry.name.startswith("."):
             continue
-        lines = entry.read_text(encoding="utf-8").splitlines()
+        lines = _read_lines(entry)
         if len(lines) < 2 or not lines[0].strip():
             raise _ConfigError(
                 f"type file {entry} needs a name line and a pattern line")
@@ -92,20 +126,11 @@ def _parse_failure(record: dict, human: bool, raw: str, parse) -> None:
         _emit(record)
 
 
-def _gather_inputs(args) -> list[str]:
-    if args.inputs:
-        return list(args.inputs)
-    if args.file is not None:
-        try:
-            return Path(args.file).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise _ConfigError(f"cannot read {args.file}: {exc}") from exc
-    return sys.stdin.read().splitlines()
-
-
 # ------------------------------------------------------------- commands
 
-def _cmd_validate(reg, args) -> int:
+def _cmd_parse(reg, args) -> int:
+    """validate and normalize, which differ only in the --human line for an
+    accepted input: "ok" for one, the canonical form for the other."""
     worst = 0
     for raw in _gather_inputs(args):
         record = {"input": raw, "type": args.type_name}
@@ -114,24 +139,7 @@ def _cmd_validate(reg, args) -> int:
             _parse_failure(record, args.human, raw, result.error.parse)
             worst = 1
         elif args.human:
-            print("ok")
-        else:
-            record["ok"] = True
-            record["normalized"] = result.value.cast()
-            _emit(record)
-    return worst
-
-
-def _cmd_normalize(reg, args) -> int:
-    worst = 0
-    for raw in _gather_inputs(args):
-        record = {"input": raw, "type": args.type_name}
-        result = reg.from_raw(args.type_name, raw)
-        if isinstance(result, Err):
-            _parse_failure(record, args.human, raw, result.error.parse)
-            worst = 1
-        elif args.human:
-            print(result.value.cast())
+            print("ok" if args.command == "validate" else result.value.cast())
         else:
             record["ok"] = True
             record["normalized"] = result.value.cast()
@@ -322,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "normalize": _cmd_normalize,
+    "validate": _cmd_parse,
+    "normalize": _cmd_parse,
     "extract": _cmd_extract,
     "eq": _cmd_eq,
     "narrow": _cmd_narrow,

@@ -31,7 +31,7 @@ __all__ = [
     "Success", "Failure", "Parser", "NontermError", "PatternError",
     "succeed", "satisfy", "one_of", "lit", "pattern", "seq", "alt",
     "many", "some", "times", "chain_left", "bracketed", "token",
-    "spanned", "forward",
+    "spanned", "record", "forward",
     "run_to_end",
 ]
 
@@ -152,15 +152,6 @@ class Parser(Generic[A]):
                 return Success(default, pos)
             return out
         return Parser(parse, self.label)
-
-    def where(self, pred: Callable[[A], bool], label: str) -> "Parser[A]":
-        """Keep a parse only when ``pred`` holds for its value."""
-        def parse(text, pos):
-            out = self.fn(text, pos)
-            if isinstance(out, Failure) or pred(out.value):
-                return out
-            return Failure(pos, label)
-        return Parser(parse)
 
     def __or__(self, other: "Parser[B]") -> "Parser[A | B]":
         return alt(self, other)
@@ -430,6 +421,32 @@ def spanned(p: Parser[A]) -> Parser[tuple[A, int, int]]:
         if isinstance(out, Failure):
             return out
         return Success((out.value, pos, out.end), out.end)
+    return Parser(parse)
+
+
+def record(cls: Callable[..., A], *parts) -> Parser[tuple[A, dict]]:
+    """Run ``parts`` in order and build ``cls`` from the named ones.
+
+    A part is a bare parser, whose value is dropped, or a ``(field,
+    parser)`` pair. The value is ``(cls(**fields), spans)``, where
+    ``spans`` maps each field to the half-open span its parser consumed:
+    the pair a type's recognizer yields. Fails as ``seq`` over the same
+    parsers does.
+    """
+    steps = [(None, part) if isinstance(part, Parser) else part for part in parts]
+    def parse(text, pos):
+        fields = {}
+        spans = {}
+        cur = pos
+        for name, p in steps:
+            out = p.fn(text, cur)
+            if isinstance(out, Failure):
+                return out
+            if name is not None:
+                fields[name] = out.value
+                spans[name] = (cur, out.end)
+            cur = out.end
+        return Success((cls(**fields), spans), cur)
     return Parser(parse)
 
 

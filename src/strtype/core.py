@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Mapping
 
-from .combinators import Failure, Parser, pattern, run_to_end, spanned
+from .combinators import Failure, Parser, Success, pattern, record, run_to_end
 
 __all__ = [
     "RegistryError", "DuplicateTypeError", "UnknownTypeError",
@@ -31,7 +31,8 @@ __all__ = [
     "UnknownFieldError", "RegistryFrozenError", "InvalidStructureError",
     "ErrorKind", "ParseError", "OpError", "Ok", "Err",
     "Opaque", "StringType", "ParsedString", "TypeRegistry",
-    "opaque_type", "from_structure", "field_checks", "reset_field_checks",
+    "opaque_type", "subtype", "from_structure", "field_checks",
+    "reset_field_checks",
 ]
 
 
@@ -149,6 +150,25 @@ def check_field(recognizer: Parser, text: str):
     return run_to_end(recognizer, text)
 
 
+def _first_bad_field(checks: Mapping[str, Parser], source: str,
+                     spans: Mapping[str, tuple[int, int]], run):
+    """Run each field's check, in order, on the text its span covers, with
+    ``run``: ``run_to_end``, or the counted :func:`check_field`.
+
+    Returns the first failing field's name and its failure, positioned in
+    ``source``, or None. A field with no span has nothing to check.
+    """
+    for name, recognizer in checks.items():
+        span = spans.get(name)
+        if span is None:
+            continue
+        start, end = span
+        out = run(recognizer, source[start:end])
+        if isinstance(out, Failure):
+            return name, Failure(start + out.pos, out.expected)
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class ParsedString:
     """A raw string parsed through a registered type.
@@ -216,19 +236,13 @@ class ParsedString:
             for name in sorted(descriptor.overridden):
                 if name not in checks:
                     checks[name] = descriptor.field_recognizers[name]
-        source = self.raw_text()
-        for name, recognizer in checks.items():
-            span = self.spans.get(name)
-            if span is None:
-                continue
-            start, end = span
-            out = check_field(recognizer, source[start:end])
-            if isinstance(out, Failure):
-                parse = ParseError(start + out.pos, out.expected, sub_name)
-                return Err(OpError(
-                    ErrorKind.PARSE,
-                    f"field {name!r} does not satisfy {sub_name}: expected {out.expected}",
-                    parse=parse, field=name))
+        bad = _first_bad_field(checks, self.raw_text(), self.spans, check_field)
+        if bad is not None:
+            name, out = bad
+            return Err(OpError(
+                ErrorKind.PARSE,
+                f"field {name!r} does not satisfy {sub_name}: expected {out.expected}",
+                parse=ParseError(out.pos, out.expected, sub_name), field=name))
         return Ok(dataclasses.replace(self, type_name=sub_name))
 
     def widen(self, super_name: str):
@@ -371,26 +385,48 @@ def from_structure(registry: TypeRegistry, type_name: str, structure: Any) -> Pa
     return result.value
 
 
-def opaque_type(name: str, pattern_source: str, keep_raw: bool = True,
-                parent: str | None = None,
-                overridden: frozenset[str] = frozenset()) -> StringType:
+def opaque_type(name: str, pattern_source: str, keep_raw: bool = True) -> StringType:
     """A type that validates the whole string against one pattern.
 
     The structure is :class:`Opaque` and the canonical form is the string
     itself. Unsupported pattern syntax raises at construction time.
     """
-    recognizer = spanned(pattern(pattern_source)).map(
-        lambda t: (Opaque(t[0]), {"raw": (t[1], t[2])}))
-    extras = {}
-    if overridden:
-        extras = {f: pattern(pattern_source) for f in overridden}
     return StringType(
         name=name,
-        recognizer=recognizer,
+        recognizer=record(Opaque, ("raw", pattern(pattern_source))),
         cast_fn=lambda opaque: opaque.raw,
         fields=("raw",),
-        parent=parent,
-        overridden=overridden,
-        field_recognizers=extras,
         keep_raw=keep_raw,
+    )
+
+
+def subtype(parent: StringType, name: str, **overrides: Parser) -> StringType:
+    """A subtype of ``parent`` whose named fields must also match ``overrides``.
+
+    It keeps the parent's structure, fields and canonical form. Its
+    recognizer runs the parent's and then checks each overridden field's
+    span, in the order and with the reports that narrowing from the parent
+    gives: input the parent rejects gets the parent's report, and any
+    other rejected input gets the report of :meth:`ParsedString.narrow`.
+    These checks are part of parsing and are not counted as field checks.
+    """
+    checks = {field_name: overrides[field_name] for field_name in sorted(overrides)}
+    parent_fn = parent.recognizer.fn
+    def recognize(text, pos):
+        out = parent_fn(text, pos)
+        # Short of the end the parent's parse is rejected as it stands.
+        if isinstance(out, Success) and out.end == len(text):
+            bad = _first_bad_field(checks, text, out.value[1], run_to_end)
+            if bad is not None:
+                return bad[1]
+        return out
+    return StringType(
+        name=name,
+        recognizer=Parser(recognize),
+        cast_fn=parent.cast_fn,
+        fields=parent.fields,
+        parent=parent.name,
+        overridden=frozenset(overrides),
+        field_recognizers=overrides,
+        keep_raw=parent.keep_raw,
     )

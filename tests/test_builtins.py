@@ -2,10 +2,11 @@ import copy
 import dataclasses
 import pickle
 import random
+import zlib
 
 import pytest
 
-from generators import ACCEPTED_GENERATORS, gen_expr_tree
+from generators import ACCEPTED_GENERATORS, accepted_strings, gen_expr_tree
 from strtype.builtins import (
     Add,
     Const,
@@ -435,3 +436,106 @@ class TestRoundTripAllBuiltins:
             assert isinstance(second, Ok), (type_name, canonical, second)
             assert first.value.strict_eq(second.value)
             assert second.value.cast() == canonical
+
+
+def _mutations(rng, raw, alphabet, count=3):
+    """Single-character insertions, deletions and substitutions of ``raw``."""
+    out = []
+    for _ in range(count):
+        i = rng.randrange(len(raw) + 1)
+        c = rng.choice(alphabet)
+        out.append(rng.choice([raw[:i] + c + raw[i:], raw[:i] + raw[i + 1:],
+                               raw[:i] + c + raw[i + 1:]]))
+    return out
+
+
+_REGISTRY = build_registry()
+
+
+def _report(result):
+    return (result.error.parse.pos, result.error.parse.expected)
+
+
+class TestDerivedSubtypes:
+    """A subtype parses as its parent does and then narrows.
+
+    For every registered (ancestor, subtype) pair, over accepted strings of
+    both and single-character mutations of them: parsing as the subtype
+    agrees with parsing as the ancestor and narrowing, on verdict,
+    structure and spans. For the direct parent the rejection report agrees
+    too: the parent's report when the parent rejects, narrow's otherwise.
+    """
+
+    PAIRS = sorted((ancestor, sub) for sub in _REGISTRY.names()
+                   for ancestor in _REGISTRY.ancestors(sub))
+    ALPHABET = "a/\\.@#-_ 0123456789gmailhopxtr\u00e9"
+
+    def inputs(self, ancestor, sub):
+        rng = random.Random(zlib.crc32(f"{ancestor}>{sub}".encode()))
+        out = []
+        for type_name in (ancestor, sub):
+            for raw in accepted_strings(type_name, 150):
+                out.append(raw)
+                out.extend(_mutations(rng, raw, self.ALPHABET))
+        return out
+
+    def test_pairs_cover_every_subtype(self):
+        assert ("CssUnit", "PxOrAuto") in self.PAIRS
+        assert ("FilePath", "HomeDotFile") in self.PAIRS
+        assert len(self.PAIRS) == 6
+
+    @pytest.mark.parametrize("ancestor,sub", PAIRS)
+    def test_parse_agrees_with_narrow(self, reg, ancestor, sub):
+        direct = reg.get(sub).parent == ancestor
+        accepted = 0
+        for raw in self.inputs(ancestor, sub):
+            wide = reg.from_raw(ancestor, raw)
+            got = reg.from_raw(sub, raw)
+            if isinstance(wide, Err):
+                assert isinstance(got, Err), (sub, raw)
+                if direct:
+                    assert _report(got) == _report(wide), (sub, raw)
+                continue
+            want = wide.value.narrow(sub)
+            assert type(got) is type(want), (sub, raw, got, want)
+            if isinstance(want, Ok):
+                accepted += 1
+                assert got.value.structure == want.value.structure, (sub, raw)
+                assert got.value.spans == want.value.spans, (sub, raw)
+                assert got.value.cast() == want.value.cast(), (sub, raw)
+            elif direct:
+                assert _report(got) == _report(want), (sub, raw)
+        assert accepted >= 150
+
+    # A subtype's report is its parent's when the parent rejects the input,
+    # and otherwise the one narrowing from the parent gives.
+    REJECTIONS = {
+        ("PxOrAuto", "10pc"): (2, '"px" or "auto"'),
+        ("PxOrAuto", "1in"): (1, "a unit"),
+        ("Gmail", "a@hotmail.com"): (2, '"gmail"'),
+        ("Gmail", "a@gmailx.com"): (7, "end of input"),
+        ("Gmail", "a@b.c!"): (5, "end of input"),
+        ("UnixPath", "a\\b"): (1, '"/"'),
+        ("WindowsPath", "/a/b.txt"): (0, '"\\"'),
+        ("HomeDotFile", "/home/x.txt"): (6, "/\\.[^/\\\\]*/"),
+        ("HomeDotFile", "/etc/.bashrc"): (1, '"home"'),
+        ("HomeDotFile", "a\\b"): (1, '"/"'),
+    }
+
+    @pytest.mark.parametrize("sub,bad", list(REJECTIONS))
+    def test_rejections(self, reg, sub, bad):
+        assert _report(reg.from_raw(sub, bad)) == self.REJECTIONS[sub, bad]
+
+    def test_declared_by_parent_and_overrides(self, reg):
+        for _, sub in self.PAIRS:
+            descriptor = reg.get(sub)
+            parent = reg.get(descriptor.parent)
+            assert descriptor.fields == parent.fields
+            assert descriptor.cast_fn is parent.cast_fn
+            assert set(descriptor.field_recognizers) == descriptor.overridden
+
+    def test_parsing_a_subtype_counts_no_field_checks(self, reg):
+        reset_field_checks()
+        ok(reg, "HomeDotFile", "/home/.bashrc")
+        err(reg, "Gmail", "a@hotmail.com")
+        assert field_checks() == 0

@@ -15,7 +15,8 @@ def run_cli(capsys, *argv):
 
 
 def records(stdout):
-    return [json.loads(line) for line in stdout.splitlines()]
+    # Records end at "\n"; a record's strings may hold U+2028 unescaped.
+    return [json.loads(line) for line in stdout.split("\n") if line]
 
 
 class TestValidate:
@@ -62,6 +63,12 @@ class TestValidate:
         assert out == ""
         assert "unknown type" in err
 
+    def test_human_prints_ok_per_accepted_input(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--human", "#fff", "#1a2b3c",
+                               "--type", "CssColour")
+        assert code == 0
+        assert out == "ok\nok\n"
+
     def test_missing_type_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as caught:
             main(["validate", "x"])
@@ -102,6 +109,43 @@ class TestInputSources:
                                "--type", "CssColour")
         assert code == 2
         assert "cannot read" in err
+
+    # U+2028, \x0b and \x1c end a line for str.splitlines but are data
+    # here: InnerR's right field takes any character.
+    def test_file_lines_end_at_newline_only(self, capsys, tmp_path):
+        source = tmp_path / "inputs.txt"
+        source.write_bytes("ar\u2028b\x0bc\x1c\r\nxr\r\r\n\nr".encode())
+        code, out, _ = run_cli(
+            capsys, "validate", "--file", str(source), "--type", "InnerR")
+        assert [r["input"] for r in records(out)] == [
+            "ar\u2028b\x0bc\x1c", "xr\r", "", "r"]
+        assert code == 1  # the empty line has no "r"
+
+    def test_stdin_lines_end_at_newline_only(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("ar\u2028b\nxr\r\n"))
+        code, out, _ = run_cli(capsys, "validate", "--type", "InnerR")
+        assert code == 0
+        assert [r["input"] for r in records(out)] == ["ar\u2028b", "xr"]
+
+    def test_undecodable_file_is_config_error(self, capsys, tmp_path):
+        source = tmp_path / "inputs.txt"
+        source.write_bytes(b"#111\n\xff\xfe bad\n#222\n")
+        code, out, err = run_cli(
+            capsys, "validate", "--file", str(source), "--type", "CssColour")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {source}: ")
+        assert "Traceback" not in err
+
+    def test_undecodable_stdin_is_config_error(self, capsys, monkeypatch):
+        # The error handler a C locale gives stdin, which lets bytes through.
+        stream = io.TextIOWrapper(io.BytesIO(b"#111\n\xff\n"), encoding="utf-8",
+                                  errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stream)
+        code, out, err = run_cli(capsys, "validate", "--type", "CssColour")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read stdin: ")
 
 
 class TestNormalize:
@@ -306,6 +350,15 @@ class TestExtraTypes:
         code, _, err = run_cli(capsys, "list-types")
         assert code == 2
         assert "bad.def" in err
+
+    def test_undecodable_file_is_config_error(self, capsys, tmp_path,
+                                              monkeypatch):
+        (tmp_path / "bad.def").write_bytes(b"Bad\n[a-z]\xff+\n")
+        monkeypatch.setenv("STRTYPE_TYPES", str(tmp_path))
+        code, out, err = run_cli(capsys, "list-types")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read ") and "bad.def" in err
 
     def test_short_file_is_config_error(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "short.def").write_text("OnlyAName\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -17,6 +18,7 @@ from strtype.combinators import (
     many,
     one_of,
     pattern,
+    record,
     run_to_end,
     satisfy,
     seq,
@@ -252,14 +254,49 @@ class TestLabelsAndSpans:
         with pytest.raises(ValueError):
             lit("x").desc("")
 
-    def test_where_filters_values(self):
-        even = pattern("[0-9]+").map(int).where(lambda n: n % 2 == 0, "an even number")
-        assert even.run("42", 0) == Success(42, 2)
-        assert even.run("41", 0) == Failure(0, "an even number")
-
     def test_spanned_reports_consumed_range(self):
         p = lit("a").then(spanned(pattern("[0-9]+")))
         assert p.run("a123", 0) == Success(("a", ("123", 1, 4)), 4)
+
+
+@dataclass(frozen=True)
+class Pair:
+    left: str
+    right: str
+
+
+class TestRecord:
+    LEFT = pattern("[a-z]+")
+    RIGHT = pattern("[0-9]*")
+
+    def pair(self):
+        return record(Pair, ("left", self.LEFT), lit("="), ("right", self.RIGHT))
+
+    def test_fields_and_spans(self):
+        assert self.pair().run("ab=12", 0) == Success(
+            (Pair("ab", "12"), {"left": (0, 2), "right": (3, 5)}), 5)
+        assert self.pair().run("xab=", 1) == Success(
+            (Pair("ab", ""), {"left": (1, 3), "right": (4, 4)}), 4)
+
+    def test_bare_parts_are_dropped(self):
+        assert record(dict, lit("a"), lit("b")).run("abc", 0) == Success(({}, {}), 2)
+
+    def test_failure_passes_through(self):
+        assert self.pair().run("ab12", 0) == Failure(2, '"="')
+        assert self.pair().run("=1", 0) == self.LEFT.run("=1", 0)
+        labelled = record(Pair, ("left", self.LEFT.desc("a name")), ("right", self.RIGHT))
+        assert labelled.run("1", 0) == Failure(0, "a name")
+
+    def test_equals_the_seq_spanned_map_form(self):
+        q = seq(spanned(self.LEFT), lit("="), spanned(self.RIGHT)).map(lambda t: (
+            Pair(t[0][0], t[2][0]),
+            {"left": (t[0][1], t[0][2]), "right": (t[2][1], t[2][2])}))
+        p = self.pair()
+        for n in range(0, 6):
+            for chars in itertools.product("a1=", repeat=n):
+                text = "".join(chars)
+                for pos in range(0, len(text) + 1):
+                    assert p.run(text, pos) == q.run(text, pos), (text, pos)
 
 
 class TestForward:

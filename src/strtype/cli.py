@@ -5,7 +5,12 @@ stdin, in that order of preference) and writes one JSON record per line
 to stdout; ``--human`` swaps the records for readable output with a
 caret under the failure position. Exit status is 0 when every input was
 handled, 1 when any input failed to parse or violated closure, and 2
-for configuration problems such as an unknown type name.
+for configuration problems such as an unknown type name. A closed
+stdout (``| head``) ends the run quietly with exit status 1.
+
+One driver parses each input of a per-input command and ORs the exit
+statuses; two renderers, for an accepted and for a rejected input, write
+every record and every ``--human`` line, for ``eq`` too.
 
 Extra types can be supplied without touching code: point the
 ``STRTYPE_TYPES`` environment variable at a directory of definition
@@ -22,15 +27,8 @@ import sys
 from pathlib import Path
 
 from .builtins import build_registry
-from .core import (
-    Err,
-    ParsedString,
-    RegistryError,
-    TypeRegistry,
-    field_checks,
-    opaque_type,
-)
-from .ops import project_field
+from .core import (Err, ParsedString, RegistryError, TypeRegistry,
+                   field_checks, opaque_type)
 from .patterns import PatternError
 
 _EQ_MODES = {"raw": ParsedString.raw_eq,
@@ -111,40 +109,34 @@ def _emit(record: dict) -> None:
     print(json.dumps(record, ensure_ascii=False))
 
 
-def _caret(raw: str, pos: int, expected: str, prefix: str = "") -> str:
-    return (f"{prefix}{raw}\n"
-            f"{' ' * (len(prefix) + pos)}^\n"
-            f"expected {expected} at position {pos}")
+def _accepted(args, record: dict, parsed, human, **extra) -> int:
+    """Write ``record`` with ``ok``, the canonical form of ``parsed`` (if
+    given) and ``extra``; under --human, the line ``human()`` makes."""
+    if args.human:
+        print(human())
+    else:
+        record["ok"] = True
+        if parsed is not None:
+            record["normalized"] = parsed.cast()
+        record.update(extra)
+        _emit(record)
+    return 0
 
 
-def _parse_failure(record: dict, human: bool, raw: str, parse) -> None:
-    if human:
-        print(_caret(raw, parse.pos, parse.expected))
+def _rejected(args, record: dict, raw: str, parse, prefix: str = "",
+              note: str | None = None, **extra) -> int:
+    """Write ``record`` with ``ok: false`` and an error holding ``extra``;
+    under --human, ``prefix`` and input, a caret, the expectation, ``note``."""
+    if args.human:
+        print(f"{prefix}{raw}\n{' ' * (len(prefix) + parse.pos)}^\n"
+              f"expected {parse.expected} at position {parse.pos}")
+        if note is not None:
+            print(note)
     else:
         record["ok"] = False
-        record["error"] = {"pos": parse.pos, "expected": parse.expected}
+        record["error"] = dict(pos=parse.pos, expected=parse.expected, **extra)
         _emit(record)
-
-
-# ------------------------------------------------------------- commands
-
-def _cmd_parse(reg, args) -> int:
-    """validate and normalize, which differ only in the --human line for an
-    accepted input: "ok" for one, the canonical form for the other."""
-    worst = 0
-    for raw in _gather_inputs(args):
-        record = {"input": raw, "type": args.type_name}
-        result = reg.from_raw(args.type_name, raw)
-        if isinstance(result, Err):
-            _parse_failure(record, args.human, raw, result.error.parse)
-            worst = 1
-        elif args.human:
-            print("ok" if args.command == "validate" else result.value.cast())
-        else:
-            record["ok"] = True
-            record["normalized"] = result.value.cast()
-            _emit(record)
-    return worst
+    return 1
 
 
 def _json_value(value):
@@ -155,39 +147,70 @@ def _json_value(value):
     return str(value)
 
 
-def _cmd_extract(reg, args) -> int:
-    descriptor = reg.get(args.type_name)
-    if args.field is not None and args.field not in descriptor.fields:
-        raise _ConfigError(
-            f"type {args.type_name!r} has no field {args.field!r}")
-    worst = 0
-    for raw in _gather_inputs(args):
-        record = {"input": raw, "type": args.type_name}
-        if args.field is not None:
-            record["field"] = args.field
-        result = reg.from_raw(args.type_name, raw)
-        if isinstance(result, Err):
-            _parse_failure(record, args.human, raw, result.error.parse)
-            worst = 1
-            continue
-        value = result.value
-        if args.field is not None:
-            got = _json_value(project_field(value, args.field).value)
-            if args.human:
-                print(got)
+# ------------------------------------------------------------- commands
+
+def _each_input(command):
+    """The driver. ``command(reg, args)`` checks the configuration and gives
+    the type to parse as, the record's first fields and the value handler."""
+    def run(reg, args) -> int:
+        type_name, head, handle = command(reg, args)
+        status = 0
+        for raw in _gather_inputs(args):
+            record = {"input": raw, **head}
+            result = reg.from_raw(type_name, raw)
+            if isinstance(result, Err):
+                status |= _rejected(args, record, raw, result.error.parse)
             else:
-                record.update(ok=True, normalized=value.cast(), value=got)
-                _emit(record)
-        else:
-            fields = {name: _json_value(getattr(value.structure, name))
-                      for name in descriptor.fields}
-            if args.human:
-                pairs = ", ".join(f"{k}={v!r}" for k, v in fields.items())
-                print(pairs if pairs else "(no fields)")
-            else:
-                record.update(ok=True, normalized=value.cast(), fields=fields)
-                _emit(record)
-    return worst
+                status |= handle(record, raw, result.value)
+        return status
+    return run
+
+
+def _parse(reg, args):
+    """validate and normalize, which differ only in the --human line for an
+    accepted input: "ok" for one, the canonical form for the other."""
+    def handle(record: dict, raw: str, value) -> int:
+        human = (lambda: "ok") if args.command == "validate" else value.cast
+        return _accepted(args, record, value, human)
+    return args.type_name, {"type": args.type_name}, handle
+
+
+def _extract(reg, args):
+    field, fields = args.field, reg.get(args.type_name).fields
+    if field is not None and field not in fields:
+        raise _ConfigError(f"type {args.type_name!r} has no field {field!r}")
+
+    def handle(record: dict, raw: str, value) -> int:
+        if field is not None:
+            got = _json_value(getattr(value.structure, field))
+            return _accepted(args, record, value, lambda: got, value=got)
+        got = {name: _json_value(getattr(value.structure, name))
+               for name in fields}
+        return _accepted(args, record, value, lambda: ", ".join(
+            f"{k}={v!r}" for k, v in got.items()) or "(no fields)", fields=got)
+    named = {} if field is None else {"field": field}
+    return args.type_name, {"type": args.type_name, **named}, handle
+
+
+def _narrow(reg, args):
+    source, target = args.from_type, args.to
+    reg.get(source)
+    reg.get(target)
+    if not reg.is_descendant(target, source):
+        raise _ConfigError(f"{target} is not a subtype of {source}")
+
+    def handle(record: dict, raw: str, value) -> int:
+        before = field_checks()
+        narrowed = value.narrow(target)
+        checks = field_checks() - before
+        if isinstance(narrowed, Err):
+            failed = narrowed.error.field
+            return _rejected(args, record, raw, narrowed.error.parse,
+                             note=f"field {failed} failed", field=failed)
+        return _accepted(args, record, narrowed.value,
+                         lambda: f"{target}: ok ({checks} field checks)",
+                         checks=checks)
+    return source, {"from": source, "to": target}, handle
 
 
 def _cmd_eq(reg, args) -> int:
@@ -199,93 +222,48 @@ def _cmd_eq(reg, args) -> int:
     for index, raw in enumerate(inputs):
         result = reg.from_raw(args.type_name, raw)
         if isinstance(result, Err):
-            parse = result.error.parse
-            if args.human:
-                print(_caret(raw, parse.pos, parse.expected,
-                             prefix=f"input {index}: "))
-            else:
-                record["ok"] = False
-                record["error"] = {"pos": parse.pos,
-                                   "expected": parse.expected,
-                                   "index": index}
-                _emit(record)
-            return 1
+            return _rejected(args, record, raw, result.error.parse,
+                             prefix=f"input {index}: ", index=index)
         values.append(result.value)
-    equal = _EQ_MODES[args.mode](values[0], values[1])
-    if args.human:
-        print(f"{args.mode}: {'equal' if equal else 'not equal'}")
-    else:
-        record.update(ok=True, equal=equal)
-        _emit(record)
-    return 0
-
-
-def _cmd_narrow(reg, args) -> int:
-    reg.get(args.from_type)
-    reg.get(args.to)
-    if not reg.is_descendant(args.to, args.from_type):
-        raise _ConfigError(
-            f"{args.to} is not a subtype of {args.from_type}")
-    worst = 0
-    for raw in _gather_inputs(args):
-        record = {"input": raw, "from": args.from_type, "to": args.to}
-        result = reg.from_raw(args.from_type, raw)
-        if isinstance(result, Err):
-            _parse_failure(record, args.human, raw, result.error.parse)
-            worst = 1
-            continue
-        before = field_checks()
-        narrowed = result.value.narrow(args.to)
-        checks = field_checks() - before
-        if isinstance(narrowed, Err):
-            parse = narrowed.error.parse
-            if args.human:
-                print(_caret(raw, parse.pos, parse.expected))
-                print(f"field {narrowed.error.field} failed")
-            else:
-                record["ok"] = False
-                record["error"] = {"pos": parse.pos,
-                                   "expected": parse.expected,
-                                   "field": narrowed.error.field}
-                _emit(record)
-            worst = 1
-        elif args.human:
-            print(f"{args.to}: ok ({checks} field checks)")
-        else:
-            record.update(ok=True, normalized=narrowed.value.cast(),
-                          checks=checks)
-            _emit(record)
-    return worst
+    equal = _EQ_MODES[args.mode](*values)
+    return _accepted(args, record, None, lambda: f"{args.mode}: "
+                     f"{'equal' if equal else 'not equal'}", equal=equal)
 
 
 def _cmd_list_types(reg, args) -> int:
     for name in reg.names():
         descriptor = reg.get(name)
-        if args.human:
-            parts = [name]
-            if descriptor.parent is not None:
-                parts.append(f"parent={descriptor.parent}")
-            if descriptor.overridden:
-                parts.append(
-                    f"overrides=[{', '.join(sorted(descriptor.overridden))}]")
-            parts.append(f"fields=[{', '.join(descriptor.fields)}]")
-            print(" ".join(parts))
-        else:
-            _emit({"type": name,
-                   "parent": descriptor.parent,
-                   "overrides": sorted(descriptor.overridden),
+        parent, overrides = descriptor.parent, sorted(descriptor.overridden)
+        if not args.human:
+            _emit({"type": name, "parent": parent, "overrides": overrides,
                    "fields": list(descriptor.fields)})
+            continue
+        parts = [name]
+        if parent is not None:
+            parts.append(f"parent={parent}")
+        if overrides:
+            parts.append(f"overrides=[{', '.join(overrides)}]")
+        print(" ".join(parts + [f"fields=[{', '.join(descriptor.fields)}]"]))
     return 0
 
 
 # ----------------------------------------------------------- entry point
 
-def _inputs_arguments(sub) -> None:
-    sub.add_argument("inputs", nargs="*", metavar="STRING",
-                     help="input strings; falls back to --file, then stdin")
-    sub.add_argument("--file", help="read inputs from this file, one per line")
-    sub.add_argument("--human", action="store_true",
-                     help="readable output instead of JSON records")
+_TYPE = ("--type", {"dest": "type_name", "required": True})
+
+# Name, help, how to run and own arguments of each command that reads inputs.
+_INPUT_COMMANDS = (
+    ("validate", "check strings against a type", _each_input(_parse), _TYPE),
+    ("normalize", "rewrite strings into canonical form", _each_input(_parse),
+     _TYPE),
+    ("extract", "pull structure fields out of strings", _each_input(_extract),
+     _TYPE, ("--field", {"help": "extract just this field"})),
+    ("eq", "compare two strings as values of a type", _cmd_eq, _TYPE,
+     ("--mode", {"choices": sorted(_EQ_MODES), "default": "strict"})),
+    ("narrow", "re-check strings of one type as a subtype",
+     _each_input(_narrow), ("--from", {"dest": "from_type", "required": True}),
+     ("--to", {"required": True})),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,64 +271,44 @@ def build_parser() -> argparse.ArgumentParser:
         prog="strtype",
         description="validate, normalize and compare typed strings")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    validate = commands.add_parser(
-        "validate", help="check strings against a type")
-    _inputs_arguments(validate)
-    validate.add_argument("--type", dest="type_name", required=True)
-
-    normalize = commands.add_parser(
-        "normalize", help="rewrite strings into canonical form")
-    _inputs_arguments(normalize)
-    normalize.add_argument("--type", dest="type_name", required=True)
-
-    extract = commands.add_parser(
-        "extract", help="pull structure fields out of strings")
-    _inputs_arguments(extract)
-    extract.add_argument("--type", dest="type_name", required=True)
-    extract.add_argument("--field", help="extract just this field")
-
-    eq = commands.add_parser(
-        "eq", help="compare two strings as values of a type")
-    _inputs_arguments(eq)
-    eq.add_argument("--type", dest="type_name", required=True)
-    eq.add_argument("--mode", choices=sorted(_EQ_MODES), default="strict")
-
-    narrow = commands.add_parser(
-        "narrow", help="re-check strings of one type as a subtype")
-    _inputs_arguments(narrow)
-    narrow.add_argument("--from", dest="from_type", required=True)
-    narrow.add_argument("--to", required=True)
-
+    for name, summary, run, *own in _INPUT_COMMANDS:
+        sub = commands.add_parser(name, help=summary)
+        sub.set_defaults(run=run)
+        sub.add_argument(
+            "inputs", nargs="*", metavar="STRING",
+            help="input strings; falls back to --file, then stdin")
+        sub.add_argument("--file",
+                         help="read inputs from this file, one per line")
+        sub.add_argument("--human", action="store_true",
+                         help="readable output instead of JSON records")
+        for flag, options in own:
+            sub.add_argument(flag, **options)
     list_types = commands.add_parser(
         "list-types", help="show every registered type")
+    list_types.set_defaults(run=_cmd_list_types)
     list_types.add_argument("--human", action="store_true")
-
     return parser
-
-
-_COMMANDS = {
-    "validate": _cmd_parse,
-    "normalize": _cmd_parse,
-    "extract": _cmd_extract,
-    "eq": _cmd_eq,
-    "narrow": _cmd_narrow,
-    "list-types": _cmd_list_types,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        registry = _make_registry()
-        return _COMMANDS[args.command](registry, args)
+        return args.run(_make_registry(), args)
     except (_ConfigError, RegistryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script; a closed stdout ends it quietly, with status 1."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; give it a sink.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -149,12 +149,18 @@ def add_units(a: ParsedString, b: ParsedString) -> Ok | Err:
 
 
 def sub_expressions(e: Expr) -> list[Expr]:
-    """Every subtree of an expression, the tree itself first."""
-    if isinstance(e, Const):
-        return [e]
-    if isinstance(e, (Add, Mult)):
-        return [e] + sub_expressions(e.l) + sub_expressions(e.r)
-    raise TypeError(f"not an expression tree: {e!r}")
+    """Every subtree of an expression in preorder, the tree itself first.
+
+    The walk keeps its own stack, so a long sum cannot exhaust Python's."""
+    found, pending = [], [e]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (Add, Mult)):
+            pending += (node.r, node.l)
+        elif not isinstance(node, Const):
+            raise TypeError(f"not an expression tree: {node!r}")
+        found.append(node)
+    return found
 
 
 def normalize(v: ParsedString) -> str:

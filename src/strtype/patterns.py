@@ -240,11 +240,7 @@ class _State:
 
 def _build(node, start: _State) -> _State:
     """Wire ``node`` into the NFA from ``start``, returning its exit state."""
-    if isinstance(node, _Lit):
-        end = _State()
-        start.edges.append((node, end))
-        return end
-    if isinstance(node, (_Any, _Cls)):
+    if isinstance(node, (_Lit, _Any, _Cls)):
         end = _State()
         start.edges.append((node, end))
         return end

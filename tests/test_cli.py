@@ -209,6 +209,25 @@ class TestExtract:
         assert code == 1
         assert records(out)[0]["ok"] is False
 
+    def test_human_single_field(self, capsys):
+        code, out, _ = run_cli(capsys, "extract", "--human", "foo@gmail.com",
+                               "/x", "--type", "Email", "--field", "name")
+        assert code == 1
+        assert out.splitlines()[0] == "foo"
+
+    def test_human_all_fields(self, capsys):
+        code, out, _ = run_cli(capsys, "extract", "--human",
+                               "/home/user/notes.txt", "--type", "FilePath")
+        assert code == 0
+        assert out == ("absolute=True, dirs=['home', 'user'], "
+                       "file_name='notes', ext='txt', separator='/'\n")
+
+    def test_human_fieldless_type(self, capsys):
+        code, out, _ = run_cli(capsys, "extract", "--human", "3 + 4",
+                               "--type", "Expr")
+        assert code == 0
+        assert out == "(no fields)\n"
+
 
 class TestEq:
     def test_weak_equality(self, capsys):
@@ -244,6 +263,14 @@ class TestEq:
         assert record["ok"] is False
         assert record["error"]["index"] == 1
 
+    def test_human_answers(self, capsys):
+        code, out, _ = run_cli(capsys, "eq", "--human", "#111", "#111111",
+                               "--type", "CssColour")
+        assert (code, out) == (0, "strict: equal\n")
+        code, out, _ = run_cli(capsys, "eq", "--human", "#111", "#111111",
+                               "--type", "CssColour", "--mode", "raw")
+        assert (code, out) == (0, "raw: not equal\n")
+
     def test_wrong_arity_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "eq", "#111", "--type", "CssColour")
         assert code == 2
@@ -270,6 +297,27 @@ class TestNarrow:
         assert code == 1
         assert records(out)[0]["error"] == {
             "pos": 1, "expected": '"home"', "field": "dirs"}
+
+    def test_source_rejection_has_no_field(self, capsys):
+        code, out, _ = run_cli(capsys, "narrow", "nope",
+                               "--from", "Email", "--to", "Gmail")
+        assert code == 1
+        assert records(out) == [{
+            "input": "nope", "from": "Email", "to": "Gmail", "ok": False,
+            "error": {"pos": 4, "expected": '"@"'}}]
+
+    def test_human_success(self, capsys):
+        code, out, _ = run_cli(capsys, "narrow", "--human", "/home/.bashrc",
+                               "--from", "FilePath", "--to", "UnixPath")
+        assert (code, out) == (0, "UnixPath: ok (1 field checks)\n")
+
+    def test_human_failure_names_the_field(self, capsys):
+        code, out, _ = run_cli(capsys, "narrow", "--human", "/etc/passwd",
+                               "--from", "FilePath", "--to", "HomeDotFile")
+        assert code == 1
+        assert out.splitlines() == [
+            "/etc/passwd", " ^", 'expected "home" at position 1',
+            "field dirs failed"]
 
     def test_unrelated_types_are_config_errors(self, capsys):
         code, _, err = run_cli(capsys, "narrow", "/x",
@@ -385,3 +433,18 @@ class TestInstalledModule:
             capture_output=True, text=True)
         assert done.returncode == 0
         assert json.loads(done.stdout)["ok"] is True
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # 20,000 records overflow the pipe, so a write fails once it closes.
+        source = tmp_path / "colours.txt"
+        source.write_text("#1A2B3C\n" * 20000)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "strtype.cli", "normalize",
+             "--type", "CssColour", "--file", str(source)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert json.loads(proc.stdout.readline())["normalized"] == "#1a2b3c"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""

@@ -257,6 +257,28 @@ class TestSubExpressions:
         with pytest.raises(TypeError):
             sub_expressions("3 + 4")
 
+    def test_long_flat_sum(self):
+        # Left-deep, as chain_left builds "0 + 1 + ... + 4999".
+        consts = [Const(i) for i in range(5000)]
+        sums = [consts[0]]
+        for c in consts[1:]:
+            sums.append(Add(sums[-1], c))
+        subs = sub_expressions(sums[-1])
+        assert len(subs) == 2 * len(consts) - 1
+        assert all(a is b for a, b in zip(subs, sums[:0:-1] + consts))
+
+    def test_deep_right_spine(self):
+        tree, spine = Const(0), []
+        for i in range(1, 5000):
+            tree = Mult(Const(i), tree)
+            spine.append(tree)
+        subs = sub_expressions(tree)
+        assert len(subs) == 2 * len(spine) + 1
+        for depth, node in enumerate(reversed(spine)):
+            assert subs[2 * depth] is node
+            assert subs[2 * depth + 1] is node.l
+        assert subs[-1] is spine[0].r
+
 
 class TestNormalize:
     @pytest.mark.parametrize("type_name,raw,want", [

@@ -7,7 +7,7 @@ both for a fixed sequence of fields), and a cast function renders the
 canonical surface form of that structure. A subtype is declared once, by
 ``subtype``, as its parent plus a recognizer for each field it overrides:
 it parses with its parent's grammar and then checks those fields' spans,
-exactly as narrowing from the parent does.
+exactly as narrowing from any ancestor does.
 """
 
 from __future__ import annotations

@@ -233,7 +233,8 @@ def _cmd_eq(reg, args) -> int:
 def _cmd_list_types(reg, args) -> int:
     for name in reg.names():
         descriptor = reg.get(name)
-        parent, overrides = descriptor.parent, sorted(descriptor.overridden)
+        parent = descriptor.parent
+        overrides = [] if parent is None else list(descriptor.field_recognizers)
         if not args.human:
             _emit({"type": name, "parent": parent, "overrides": overrides,
                    "fields": list(descriptor.fields)})

@@ -3,11 +3,12 @@
 A string type couples a whole-string recognizer with a canonical rendering
 (``cast``). Parsing a raw string through a type yields a
 :class:`ParsedString`: the structure the recognizer produced, the spans each
-named field consumed, and (usually) the raw string itself. Subtypes are
-registered against a parent with the set of fields whose recognizers they
-override, which is what makes :meth:`ParsedString.narrow` cheap: only the
-overridden fields are re-checked, against the recorded spans, and nothing
-else is re-parsed.
+named field consumed, and (usually) the raw string itself. Subtypes come
+only from :func:`subtype`: a parent plus a recognizer for each parent field
+they override. Parsing as a subtype runs the parent's parse and then those
+field checks; :meth:`ParsedString.narrow` from any ancestor runs the same
+checks, in the same order, against the recorded spans, and re-parses
+nothing else.
 
 Failures split two ways. Anything wrong with the configuration (an unknown
 or duplicate type name, narrowing between unrelated types, a missing field)
@@ -116,18 +117,18 @@ class StringType:
     ``recognizer`` must consume the entire input and produce a pair of the
     structure and a mapping from field names to the half-open spans those
     fields consumed. ``field_recognizers`` hold whole-field parsers for the
-    fields that narrowing or field-local rewrites may need to re-check;
-    a subtype must supply one for every field it overrides.
+    fields that field-local rewrites may need to re-check. ``parent`` is
+    set only by :func:`subtype`, and a subtype's ``field_recognizers`` are
+    exactly its overrides, sorted by field name.
     """
 
     name: str
     recognizer: Parser
     cast_fn: Callable[[Any], str]
     fields: tuple[str, ...] = ()
-    parent: str | None = None
-    overridden: frozenset[str] = frozenset()
     field_recognizers: Mapping[str, Parser] = field(default_factory=dict)
     keep_raw: bool = True
+    parent: str | None = field(default=None, init=False)
 
 
 _FIELD_CHECKS = 0
@@ -216,12 +217,12 @@ class ParsedString:
         return hash((self.type_name, self.structure))
 
     def narrow(self, sub_name: str) -> Ok | Err:
-        """Rebind to a subtype after re-checking only its overridden fields.
+        """Rebind to a subtype after re-checking only the overridden fields.
 
-        Every field overridden anywhere on the chain from ``sub_name`` up to
-        this value's type is re-parsed against the span it consumed in the
-        original string, using the nearest override's recognizer. Fields that
-        never materialized in the raw string (no recorded span) have nothing
+        Each subtype on the chain from this value's type down to
+        ``sub_name`` checks its overrides against the recorded spans, in the
+        order parsing as ``sub_name`` runs them, so both routes give the
+        same verdict and report. A field with no recorded span has nothing
         to re-check. Raises :class:`NotASubtypeError` when ``sub_name`` is
         not a registered descendant of this value's type.
         """
@@ -231,18 +232,16 @@ class ParsedString:
         if chain is None:
             raise NotASubtypeError(
                 f"{sub_name!r} is not a subtype of {self.type_name!r}")
-        checks: dict[str, Parser] = {}
-        for descriptor in chain:
-            for name in sorted(descriptor.overridden):
-                if name not in checks:
-                    checks[name] = descriptor.field_recognizers[name]
-        bad = _first_bad_field(checks, self.raw_text(), self.spans, check_field)
-        if bad is not None:
-            name, out = bad
-            return Err(OpError(
-                ErrorKind.PARSE,
-                f"field {name!r} does not satisfy {sub_name}: expected {out.expected}",
-                parse=ParseError(out.pos, out.expected, sub_name), field=name))
+        raw = self.raw_text()
+        for descriptor in reversed(chain):
+            bad = _first_bad_field(descriptor.field_recognizers, raw,
+                                   self.spans, check_field)
+            if bad is not None:
+                name, out = bad
+                return Err(OpError(
+                    ErrorKind.PARSE,
+                    f"field {name!r} does not satisfy {sub_name}: expected {out.expected}",
+                    parse=ParseError(out.pos, out.expected, sub_name), field=name))
         return Ok(dataclasses.replace(self, type_name=sub_name))
 
     def widen(self, super_name: str):
@@ -282,15 +281,6 @@ class TypeRegistry:
             raise DuplicateTypeError(f"type {descriptor.name!r} already registered")
         if descriptor.parent is not None and descriptor.parent not in self._types:
             raise UnknownParentError(f"unknown parent {descriptor.parent!r}")
-        if (descriptor.parent is None) != (not descriptor.overridden):
-            raise RegistryError(
-                f"{descriptor.name!r}: subtypes override at least one field, "
-                "root types override none")
-        missing = [f for f in descriptor.overridden
-                   if f not in descriptor.field_recognizers]
-        if missing:
-            raise RegistryError(
-                f"{descriptor.name!r}: no recognizer for overridden {missing}")
         self._types[descriptor.name] = descriptor
         return descriptor
 
@@ -385,7 +375,7 @@ def from_structure(registry: TypeRegistry, type_name: str, structure: Any) -> Pa
     return result.value
 
 
-def opaque_type(name: str, pattern_source: str, keep_raw: bool = True) -> StringType:
+def opaque_type(name: str, pattern_source: str) -> StringType:
     """A type that validates the whole string against one pattern.
 
     The structure is :class:`Opaque` and the canonical form is the string
@@ -396,21 +386,28 @@ def opaque_type(name: str, pattern_source: str, keep_raw: bool = True) -> String
         recognizer=record(Opaque, ("raw", pattern(pattern_source))),
         cast_fn=lambda opaque: opaque.raw,
         fields=("raw",),
-        keep_raw=keep_raw,
     )
 
 
 def subtype(parent: StringType, name: str, **overrides: Parser) -> StringType:
     """A subtype of ``parent`` whose named fields must also match ``overrides``.
 
-    It keeps the parent's structure, fields and canonical form. Its
-    recognizer runs the parent's and then checks each overridden field's
-    span, in the order and with the reports that narrowing from the parent
-    gives: input the parent rejects gets the parent's report, and any
-    other rejected input gets the report of :meth:`ParsedString.narrow`.
+    The only way to declare a subtype. Each override must name a field of
+    the parent (:class:`UnknownFieldError` otherwise), and there must be at
+    least one. The subtype keeps the parent's structure, fields and
+    canonical form. Its recognizer runs the parent's and then checks each
+    overridden field's span, sorted by field name, as narrowing from any
+    ancestor does: input the parent rejects gets the parent's report, and
+    any other rejected input gets the report of :meth:`ParsedString.narrow`.
     These checks are part of parsing and are not counted as field checks.
     """
-    checks = {field_name: overrides[field_name] for field_name in sorted(overrides)}
+    if not overrides:
+        raise RegistryError(f"{name!r}: a subtype overrides at least one field")
+    unknown = sorted(set(overrides) - set(parent.fields))
+    if unknown:
+        raise UnknownFieldError(
+            f"{name!r}: {parent.name!r} has no field {', '.join(unknown)}")
+    checks = dict(sorted(overrides.items()))
     parent_fn = parent.recognizer.fn
     def recognize(text, pos):
         out = parent_fn(text, pos)
@@ -420,13 +417,13 @@ def subtype(parent: StringType, name: str, **overrides: Parser) -> StringType:
             if bad is not None:
                 return bad[1]
         return out
-    return StringType(
+    sub = StringType(
         name=name,
         recognizer=Parser(recognize),
         cast_fn=parent.cast_fn,
         fields=parent.fields,
-        parent=parent.name,
-        overridden=frozenset(overrides),
-        field_recognizers=overrides,
+        field_recognizers=checks,
         keep_raw=parent.keep_raw,
     )
+    object.__setattr__(sub, "parent", parent.name)
+    return sub

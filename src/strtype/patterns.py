@@ -24,8 +24,6 @@ class PatternError(ValueError):
     """Raised when a pattern uses syntax outside the supported subset."""
 
 
-_METACHARS = set("\\.*+?()[]{}|^$/- ")
-
 _DIGIT_RANGES = (("0", "9"),)
 _WORD_RANGES = (("0", "9"), ("A", "Z"), ("a", "z"), ("_", "_"))
 _SPACE_RANGES = ((" ", " "), ("\t", "\t"), ("\n", "\n"), ("\r", "\r"),

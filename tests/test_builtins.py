@@ -21,7 +21,9 @@ from strtype.builtins import (
     build_registry,
     expr_text,
 )
-from strtype.core import Err, Ok, Opaque, field_checks, reset_field_checks
+from strtype.combinators import Success, lit, run_to_end
+from strtype.core import (Err, Ok, Opaque, UnknownFieldError, field_checks,
+                          reset_field_checks, subtype)
 
 
 @pytest.fixture(scope="module")
@@ -462,8 +464,8 @@ class TestDerivedSubtypes:
     For every registered (ancestor, subtype) pair, over accepted strings of
     both and single-character mutations of them: parsing as the subtype
     agrees with parsing as the ancestor and narrowing, on verdict,
-    structure and spans. For the direct parent the rejection report agrees
-    too: the parent's report when the parent rejects, narrow's otherwise.
+    structure, spans and rejection report (the ancestor's report when the
+    ancestor rejects, narrow's otherwise).
     """
 
     PAIRS = sorted((ancestor, sub) for sub in _REGISTRY.names()
@@ -486,15 +488,13 @@ class TestDerivedSubtypes:
 
     @pytest.mark.parametrize("ancestor,sub", PAIRS)
     def test_parse_agrees_with_narrow(self, reg, ancestor, sub):
-        direct = reg.get(sub).parent == ancestor
         accepted = 0
         for raw in self.inputs(ancestor, sub):
             wide = reg.from_raw(ancestor, raw)
             got = reg.from_raw(sub, raw)
             if isinstance(wide, Err):
                 assert isinstance(got, Err), (sub, raw)
-                if direct:
-                    assert _report(got) == _report(wide), (sub, raw)
+                assert _report(got) == _report(wide), (sub, raw)
                 continue
             want = wide.value.narrow(sub)
             assert type(got) is type(want), (sub, raw, got, want)
@@ -503,9 +503,17 @@ class TestDerivedSubtypes:
                 assert got.value.structure == want.value.structure, (sub, raw)
                 assert got.value.spans == want.value.spans, (sub, raw)
                 assert got.value.cast() == want.value.cast(), (sub, raw)
-            elif direct:
+            else:
                 assert _report(got) == _report(want), (sub, raw)
         assert accepted >= 150
+
+    def test_an_override_of_an_override_runs_both_checks(self):
+        reg = build_registry()
+        reg.register(subtype(reg.get("PxOrAuto"), "Pt", unit=lit("pt")))
+        want = reg.from_raw("Pt", "12pt")
+        got = ok(reg, "CssUnit", "12pt").narrow("Pt")
+        assert isinstance(want, Err) and isinstance(got, Err)
+        assert _report(got) == _report(want) == (2, '"px" or "auto"')
 
     # A subtype's report is its parent's when the parent rejects the input,
     # and otherwise the one narrowing from the parent gives.
@@ -532,10 +540,25 @@ class TestDerivedSubtypes:
             parent = reg.get(descriptor.parent)
             assert descriptor.fields == parent.fields
             assert descriptor.cast_fn is parent.cast_fn
-            assert set(descriptor.field_recognizers) == descriptor.overridden
+            overrides = list(descriptor.field_recognizers)
+            assert overrides == sorted(overrides)
+            assert set(overrides) <= set(parent.fields)
 
     def test_parsing_a_subtype_counts_no_field_checks(self, reg):
         reset_field_checks()
         ok(reg, "HomeDotFile", "/home/.bashrc")
         err(reg, "Gmail", "a@hotmail.com")
         assert field_checks() == 0
+
+
+class TestSpansSatisfyFieldRecognizers:
+    @pytest.mark.parametrize("type_name", _REGISTRY.names())
+    def test_each_span_is_accepted_by_its_field_recognizer(self, reg, type_name):
+        for raw in accepted_strings(type_name, 300):
+            for field_name, (start, end) in ok(reg, type_name, raw).spans.items():
+                try:
+                    recognizer = reg.field_recognizer(type_name, field_name)
+                except UnknownFieldError:
+                    continue
+                out = run_to_end(recognizer, raw[start:end])
+                assert isinstance(out, Success), (type_name, raw, field_name, out)

@@ -1,10 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import strtype
 from strtype.cli import main
 
 
@@ -426,11 +429,15 @@ class TestExtraTypes:
 
 
 class TestInstalledModule:
+    # The child imports the strtype under test, installed or not.
+    ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(Path(strtype.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
+
     def test_runs_as_a_module(self):
         done = subprocess.run(
             [sys.executable, "-m", "strtype.cli", "validate", "#fff",
              "--type", "CssColour"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=self.ENV)
         assert done.returncode == 0
         assert json.loads(done.stdout)["ok"] is True
 
@@ -441,7 +448,7 @@ class TestInstalledModule:
         proc = subprocess.Popen(
             [sys.executable, "-m", "strtype.cli", "normalize",
              "--type", "CssColour", "--file", str(source)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.ENV)
         assert json.loads(proc.stdout.readline())["normalized"] == "#1a2b3c"
         proc.stdout.close()
         stderr = proc.stderr.read()

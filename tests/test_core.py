@@ -24,6 +24,7 @@ from strtype.core import (
     from_structure,
     opaque_type,
     reset_field_checks,
+    subtype,
 )
 
 
@@ -37,9 +38,9 @@ LEFT = pattern("[a-zA-Z]+")
 RIGHT = pattern("[0-9]+")
 
 
-def pair_grammar(left_parser, right_parser=RIGHT):
+def pair_grammar(left_parser):
     """left:right with the left half lowercased into the structure."""
-    return seq(spanned(left_parser), lit(":"), spanned(right_parser)).map(
+    return seq(spanned(left_parser), lit(":"), spanned(RIGHT)).map(
         lambda t: (
             Pair(t[0][0].lower(), t[2][0]),
             {"left": (t[0][1], t[0][2]), "right": (t[2][1], t[2][2])},
@@ -52,18 +53,11 @@ def cast_pair(p):
 
 def make_registry():
     reg = TypeRegistry()
-    reg.register(StringType(
+    pair = reg.register(StringType(
         "Pair", pair_grammar(LEFT), cast_pair, fields=("left", "right"),
         field_recognizers={"left": LEFT, "right": RIGHT}))
-    reg.register(StringType(
-        "HiPair", pair_grammar(lit("hi")), cast_pair, fields=("left", "right"),
-        parent="Pair", overridden=frozenset({"left"}),
-        field_recognizers={"left": lit("hi")}))
-    reg.register(StringType(
-        "HiNinePair", pair_grammar(lit("hi"), pattern("9+")), cast_pair,
-        fields=("left", "right"), parent="HiPair",
-        overridden=frozenset({"right"}),
-        field_recognizers={"right": pattern("9+")}))
+    hi = reg.register(subtype(pair, "HiPair", left=lit("hi")))
+    reg.register(subtype(hi, "HiNinePair", right=pattern("9+")))
     return reg
 
 
@@ -90,29 +84,26 @@ class TestRegistration:
             reg.register(StringType("Pair", pair_grammar(LEFT), cast_pair))
 
     def test_unknown_parent(self, reg):
+        nowhere = StringType("Nowhere", pair_grammar(LEFT), cast_pair,
+                             fields=("left", "right"))
         with pytest.raises(UnknownParentError):
-            reg.register(StringType(
-                "Orphan", pair_grammar(LEFT), cast_pair, parent="Nowhere",
-                overridden=frozenset({"left"}),
-                field_recognizers={"left": LEFT}))
-
-    def test_root_must_not_override(self, reg):
-        with pytest.raises(RegistryError):
-            reg.register(StringType(
-                "BadRoot", pair_grammar(LEFT), cast_pair,
-                overridden=frozenset({"left"}),
-                field_recognizers={"left": LEFT}))
+            reg.register(subtype(nowhere, "Orphan", left=LEFT))
 
     def test_subtype_must_override_something(self, reg):
         with pytest.raises(RegistryError):
-            reg.register(StringType(
-                "BadSub", pair_grammar(LEFT), cast_pair, parent="Pair"))
+            subtype(reg.get("Pair"), "BadSub")
 
-    def test_overridden_field_needs_recognizer(self, reg):
-        with pytest.raises(RegistryError):
-            reg.register(StringType(
-                "NoRec", pair_grammar(lit("x")), cast_pair, parent="Pair",
-                overridden=frozenset({"left"})))
+    def test_override_must_name_a_parent_field(self, reg):
+        # A misspelt field has no span, so its check would never run.
+        with pytest.raises(UnknownFieldError):
+            subtype(reg.get("Pair"), "HiPear", lfet=lit("hi"))
+        assert "HiPear" not in reg
+
+    def test_only_subtype_sets_a_parent(self, reg):
+        with pytest.raises(TypeError):
+            StringType("Pair2", pair_grammar(LEFT), cast_pair, parent="Pair")
+        hi = reg.get("HiNinePair")
+        assert (hi.parent, list(hi.field_recognizers)) == ("HiPair", ["right"])
 
     def test_frozen_registry_rejects_registration(self, reg):
         reg.freeze()
@@ -131,21 +122,6 @@ class TestRegistration:
         assert reg.ancestors("Pair") == []
         assert reg.is_descendant("HiNinePair", "Pair")
         assert not reg.is_descendant("Pair", "HiNinePair")
-
-    def test_extension_subtype_can_append_a_field(self, reg):
-        tag = pattern("[a-z]+")
-        reg.register(StringType(
-            "TaggedPair",
-            seq(pair_grammar(LEFT), lit("+"), spanned(tag)).map(
-                lambda t: ((t[0][0], t[2][0]),
-                           dict(t[0][1], tag=(t[2][1], t[2][2])))),
-            lambda s: f"{cast_pair(s[0])}+{s[1]}",
-            fields=("left", "right", "tag"), parent="Pair",
-            overridden=frozenset({"tag"}),
-            field_recognizers={"tag": tag}))
-        value = parsed(reg, "TaggedPair", "ab:1+xy")
-        assert value.structure == (Pair("ab", "1"), "xy")
-        assert isinstance(reg.from_raw("Pair", "ab:1+xy"), Err)
 
 
 class TestFromRaw:
@@ -298,7 +274,9 @@ class TestOpaqueAndRawRetention:
 
     def test_dropped_raw_reconstructs_through_cast(self):
         reg = TypeRegistry()
-        reg.register(opaque_type("Word", "[a-z]+", keep_raw=False))
+        reg.register(StringType(
+            "Word", pattern("[a-z]+").map(lambda word: (word, {})), str,
+            keep_raw=False))
         a = parsed(reg, "Word", "hello")
         b = parsed(reg, "Word", "hello")
         assert a.raw is None

@@ -126,7 +126,7 @@ class StringType:
     recognizer: Parser
     cast_fn: Callable[[Any], str]
     fields: tuple[str, ...] = ()
-    field_recognizers: Mapping[str, Parser] = field(default_factory=dict)
+    field_recognizers: Mapping[str, Parser] = field(default_factory=dict, hash=False)
     keep_raw: bool = True
     parent: str | None = field(default=None, init=False)
 

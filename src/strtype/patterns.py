@@ -10,13 +10,21 @@ Anything else (backreferences, lookaround, anchors, inline flags) raises
 Matching is anchored at a position and returns the longest match there,
 which is what a tokenizer wants.  Python's ``re`` module resolves an
 alternation by taking the first branch that matches, so it cannot serve
-as the engine here; patterns are compiled to a small NFA instead and
-simulated breadth-first, tracking the last position where an accepting
-state was alive.
+as the engine here. Patterns are compiled to a small NFA instead, and
+matching walks a DFA built lazily from it by subset construction, noting
+the last position where the state was accepting. A character's class is
+found from the pattern's range endpoints, so arbitrary Unicode adds no
+states, and a pattern's table of states is flushed once it passes a fixed
+size, so memory stays bounded. A state that loops on some classes skips
+the run of them with one ``re`` scan; ``re`` only scans a character set
+there, so the longest-match semantics are unchanged.
 """
 
 from __future__ import annotations
 
+import re
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -33,17 +41,9 @@ _MAX_COUNT = 512
 
 
 @dataclass(frozen=True)
-class _Lit:
-    char: str
-
-
-@dataclass(frozen=True)
-class _Any:
-    pass
-
-
-@dataclass(frozen=True)
 class _Cls:
+    """The characters in ``ranges``, or outside them when ``negated``; a
+    literal is a one-character class and ``.`` the negated empty one."""
     ranges: tuple[tuple[str, str], ...]
     negated: bool = False
 
@@ -161,14 +161,15 @@ class _PatternReader:
             return self.charclass()
         if ch == ".":
             self.take()
-            return _Any()
+            return _Cls((), negated=True)
         if ch == "\\":
             return self.escape()
         if ch in "*+?{":
             raise self.error("nothing to repeat")
         if ch in ")]|^$":
             raise self.error(f"unsupported use of {ch!r}")
-        return _Lit(self.take())
+        ch = self.take()
+        return _Cls(((ch, ch),))
 
     def escape(self):
         self.take()
@@ -188,7 +189,8 @@ class _PatternReader:
             raise self.error("backreferences are not supported")
         if ch.isalpha():
             raise self.error(f"unsupported escape '\\{ch}'")
-        return _Lit(self.take())
+        ch = self.take()
+        return _Cls(((ch, ch),))
 
     def charclass(self):
         self.take()
@@ -238,7 +240,7 @@ class _State:
 
 def _build(node, start: _State) -> _State:
     """Wire ``node`` into the NFA from ``start``, returning its exit state."""
-    if isinstance(node, (_Lit, _Any, _Cls)):
+    if isinstance(node, _Cls):
         end = _State()
         start.edges.append((node, end))
         return end
@@ -274,13 +276,8 @@ def _build(node, start: _State) -> _State:
     raise AssertionError(f"unknown pattern node {node!r}")
 
 
-def _edge_matches(label, ch: str) -> bool:
-    if isinstance(label, _Lit):
-        return ch == label.char
-    if isinstance(label, _Any):
-        return True
-    hit = any(low <= ch <= high for low, high in label.ranges)
-    return hit != label.negated
+def _edge_matches(label: _Cls, ch: str) -> bool:
+    return any(low <= ch <= high for low, high in label.ranges) != label.negated
 
 
 def _closure(states: set[_State]) -> set[_State]:
@@ -294,14 +291,111 @@ def _closure(states: set[_State]) -> set[_State]:
     return seen
 
 
+# A pattern's DFA table flushes once it holds more states than this, so a
+# pattern whose subset construction explodes still runs in bounded memory.
+_MAX_STATES = 10_000
+_DEAD = -1
+_TOP = 0x10FFFF
+
+
+def _labels(node) -> set[_Cls]:
+    """The character classes that label ``node``'s NFA edges."""
+    if isinstance(node, _Cls):
+        return {node}
+    children = (node.parts if isinstance(node, _Seq)
+                else node.options if isinstance(node, _Alt) else (node.node,))
+    return set().union(*map(_labels, children))
+
+
+def _scanner(spans: list[tuple[int, int]]):
+    """The ``match`` of a regex consuming a run of characters in ``spans``,
+    sorted, disjoint code point ranges.
+
+    sre expands the BMP part of a class one code point at a time, so a set
+    holding most of the BMP is written as its negated complement.
+    """
+    negated = sum(max(0, min(high, 0xFFFF) - low + 1) for low, high in spans) > 0x8000
+    if negated:
+        edges = [-1] + [c for low, high in spans for c in (low, high)] + [_TOP + 1]
+        spans = [(a + 1, b - 1) for a, b in zip(edges[::2], edges[1::2]) if a + 1 < b]
+        if not spans:
+            return re.compile("(?s:.)*").match
+    body = "".join(f"\\U{low:08x}-\\U{high:08x}" for low, high in spans)
+    return re.compile(f"[{'^' if negated else ''}{body}]*").match
+
+
+class _Table:
+    """One generation of a pattern's DFA: sets of NFA states interned to
+    ints, state 0 the start, each with its accept flag and, once visited,
+    its row and run scanner.
+
+    The lists only grow, and a state's scanner is stored before its row,
+    so a walker reading without the lock sees a finished state or none.
+    """
+
+    def __init__(self, start: frozenset, accept: _State):
+        self.accept = accept
+        self.ids: dict[frozenset, int] = {}
+        self.sets: list[frozenset] = []
+        self.accepting: list[bool] = []
+        self.rows: list[list[int] | None] = []
+        self.skips: list = []
+        self.intern(start)
+
+    def intern(self, states: frozenset) -> int:
+        sid = self.ids.get(states)
+        if sid is None:
+            sid = self.ids[states] = len(self.sets)
+            self.sets.append(states)
+            self.accepting.append(self.accept in states)
+            self.rows.append(None)
+            self.skips.append(None)
+        return sid
+
+
 class TokenPattern:
     """A compiled pattern that finds the longest match at a given position."""
 
     def __init__(self, source: str):
         self.source = source
+        tree = _PatternReader(source).parse()
         start = _State()
-        self._accept = _build(_PatternReader(source).parse(), start)
-        self._start = _closure({start})
+        self._accept = _build(tree, start)
+        self._start = frozenset(_closure({start}))
+        # Characters between two adjacent cuts meet every label alike, so
+        # a character's class is bisect_right(cuts, ord(ch)).
+        labels = _labels(tree)
+        cuts = {c for label in labels for low, high in label.ranges
+                for c in (ord(low), ord(high) + 1)}
+        self._cuts = sorted(cuts - {_TOP + 1})
+        firsts = [chr(c) for c in [0] + self._cuts]
+        self._classes = {label: [k for k, ch in enumerate(firsts) if _edge_matches(label, ch)]
+                         for label in labels}
+        self._lock = threading.Lock()
+        self._table = _Table(self._start, self._accept)
+
+    def _fill(self, table: _Table, sid: int) -> tuple[_Table, int]:
+        """Build state ``sid``'s row and run scanner, in ``table`` or, past
+        the cap, in a fresh table that replaces it."""
+        with self._lock:
+            if table.rows[sid] is not None:
+                return table, sid
+            if len(table.sets) > _MAX_STATES:
+                states = table.sets[sid]
+                table = self._table = _Table(self._start, self._accept)
+                sid = table.intern(states)
+            cuts = self._cuts
+            moved: list[set[_State]] = [set() for _ in range(len(cuts) + 1)]
+            for st in table.sets[sid]:
+                for label, tgt in st.edges:
+                    for k in self._classes[label]:
+                        moved[k].add(tgt)
+            row = [table.intern(frozenset(_closure(m))) if m else _DEAD for m in moved]
+            loop = [(cuts[k - 1] if k else 0, cuts[k] - 1 if k < len(cuts) else _TOP)
+                    for k, tgt in enumerate(row) if tgt == sid]
+            table.skips[sid] = _scanner(loop) if loop else None
+            table.rows[sid] = row
+            return table, sid
 
     def match_end(self, text: str, pos: int) -> int | None:
         """Return the end of the longest match starting at ``pos``, or None.
@@ -309,22 +403,32 @@ class TokenPattern:
         A pattern that accepts the empty string yields ``pos`` itself when
         nothing longer matches.
         """
-        current = self._start
-        accept = self._accept
-        last = pos if accept in current else None
+        table = self._table
+        rows, accepting, skips = table.rows, table.accepting, table.skips
+        cuts = self._cuts
+        sid = 0
+        last = pos if accepting[0] else None
         i = pos
         n = len(text)
-        while i < n and current:
-            ch = text[i]
-            moved = {tgt for st in current for label, tgt in st.edges
-                     if _edge_matches(label, ch)}
-            if not moved:
-                break
-            current = _closure(moved)
+        while True:
+            row = rows[sid]
+            if row is None:
+                table, sid = self._fill(table, sid)
+                rows, accepting, skips = table.rows, table.accepting, table.skips
+                row = rows[sid]
+            skip = skips[sid]
+            if skip is not None:
+                i = skip(text, i).end()
+                if accepting[sid]:
+                    last = i
+            if i >= n:
+                return last
+            sid = row[bisect_right(cuts, ord(text[i]))]
+            if sid == _DEAD:
+                return last
             i += 1
-            if accept in current:
+            if accepting[sid]:
                 last = i
-        return last
 
     def __repr__(self) -> str:
         return f"TokenPattern({self.source!r})"

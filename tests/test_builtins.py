@@ -440,6 +440,16 @@ class TestRoundTripAllBuiltins:
             assert second.value.cast() == canonical
 
 
+class TestDescriptors:
+    def test_every_descriptor_hashes_and_is_a_set_member(self, reg):
+        descriptors = [reg.get(name) for name in reg.names()]
+        members = set(descriptors)
+        assert len(members) == len(descriptors)
+        for descriptor in descriptors:
+            assert descriptor in members
+            assert hash(descriptor) == hash(reg.get(descriptor.name))
+
+
 def _mutations(rng, raw, alphabet, count=3):
     """Single-character insertions, deletions and substitutions of ``raw``."""
     out = []

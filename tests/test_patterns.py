@@ -1,6 +1,8 @@
 import itertools
 import random
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -10,11 +12,12 @@ from strtype.patterns import PatternError, TokenPattern
 def oracle_end(source, text, pos):
     """Longest match via re, tried prefix by prefix.
 
-    re shares membership semantics with the subset engine; only its search
-    strategy differs, so exhaustive fullmatch over prefixes is an independent
+    re shares membership semantics with the subset engine (given DOTALL,
+    since the engine's ``.`` matches ``\\n``); only its search strategy
+    differs, so exhaustive fullmatch over prefixes is an independent
     longest-match oracle.
     """
-    compiled = re.compile(source)
+    compiled = re.compile(source, re.DOTALL)
     best = None
     for end in range(pos, len(text) + 1):
         if compiled.fullmatch(text, pos, end):
@@ -75,6 +78,36 @@ class TestLongestMatch:
         assert TokenPattern("x").match_end("", 0) is None
 
 
+SLUG = "([a-z]+|[0-9]+)([-_.]([a-z]+|[0-9]+))*"
+# Line breaks, two- and three-byte UTF-8, an astral character and a lone
+# surrogate, beside the characters the patterns name.
+WIDE = "ab9. -r_/\\\néc中😀\ud800"
+
+
+def _run(rng, alphabet, n):
+    return "".join(rng.choice(alphabet) for _ in range(n))
+
+
+def _slug(rng):
+    words = (_run(rng, rng.choice(["abcxyz", "0123456789"]), rng.randint(1, 12))
+             for _ in range(120))
+    return "".join(rng.choice("-_.") + word for word in words)[1:]
+
+
+_NO_SEP = WIDE.replace("/", "").replace("\\", "")
+
+# pattern: (maker of a full match of about 1,000 characters, a character
+# that cannot extend any match, or None when every character can).
+LONG_MATCHES = {
+    ".*": (lambda rng: _run(rng, WIDE, 1000), None),
+    r"[^/\\]+": (lambda rng: _run(rng, _NO_SEP, 1000), "/"),
+    r"\.[^/\\]*": (lambda rng: "." + _run(rng, _NO_SEP, 1000), "\\"),
+    SLUG: (_slug, "-"),
+    "[^a-cé]+é": (lambda rng: _run(rng, "9. -r_/\n中😀\ud800", 1000) + "é", "a"),
+    "(a|b)*a(a|b){3}": (lambda rng: _run(rng, "ab", 996) + "a" + _run(rng, "ab", 3), "c"),
+}
+
+
 class TestAgainstRe:
     PATTERNS = [
         "[2-9][0-9]{2}",
@@ -91,6 +124,17 @@ class TestAgainstRe:
         ".[.].",
         r"\.[0-9]*",
         r"\d+(\.\d+)?",
+        ".*",
+        r"[^/\\]+",
+        r"\.[^/\\]*",
+        SLUG,
+        "[^a-cé]+é",
+        "(a|b)*a(a|b){3}",
+        # Run scanners over most of the BMP, up to U+10FFFF or not, and
+        # over astral characters only.
+        "[é-\U0010ffff]+",
+        "[ -\uffff]*a",
+        "[😀-\U0010ffff]*.",
     ]
 
     @pytest.mark.parametrize("source", PATTERNS)
@@ -112,7 +156,72 @@ class TestAgainstRe:
             pos = rng.randrange(0, len(text) + 1)
             assert p.match_end(text, pos) == oracle_end(source, text, pos), (source, text, pos)
 
+    @pytest.mark.parametrize("source", PATTERNS)
+    def test_random_wide_strings(self, source):
+        p = TokenPattern(source)
+        rng = random.Random(f"wide-{source}")
+        for _ in range(200):
+            text = _run(rng, WIDE, rng.randrange(0, 40))
+            pos = rng.randrange(0, len(text) + 1)
+            assert p.match_end(text, pos) == oracle_end(source, text, pos), (source, text, pos)
+
+    @pytest.mark.parametrize("source", sorted(LONG_MATCHES))
+    def test_long_runs_from_inside_the_text(self, source):
+        """Matches of about 1,000 characters, ending at the end of the text
+        or one character before it, run the engine's run scanners."""
+        p = TokenPattern(source)
+        make, stop = LONG_MATCHES[source]
+        rng = random.Random(f"long-{source}")
+        for _ in range(3):
+            prefix = _run(rng, WIDE, rng.randint(1, 20))
+            body = make(rng)
+            for tail in ["", stop] if stop else [""]:
+                text = prefix + body + tail
+                end = p.match_end(text, len(prefix))
+                assert end == len(prefix + body), (source, text)
+                assert end == oracle_end(source, text, len(prefix)), (source, text)
+
     def test_shorthand_classes(self):
         for source, text in [(r"\d+", "123x"), (r"\w+", "ab_9-"), (r"\s+", " \t\nx")]:
             p = TokenPattern(source)
             assert p.match_end(text, 0) == oracle_end(source, text, 0)
+
+
+class TestStateCache:
+    """``[ab]*a[ab]{13}`` has 2**14 DFA states, past the table's cap, so
+    matching a long a/b text flushes the table."""
+
+    SOURCE = "[ab]*a[ab]{13}"
+
+    @staticmethod
+    def expected(text, pos):
+        """The last end with an "a" 14 characters before it."""
+        ends = [e for e in range(pos + 14, len(text) + 1) if text[e - 14] == "a"]
+        return ends[-1] if ends else None
+
+    def check(self, p, seed):
+        rng = random.Random(seed)
+        text = _run(rng, "ab", 15_000) + "b" * rng.randrange(0, 20)
+        for pos in (0, 1, rng.randrange(2, 14_000)):
+            assert p.match_end(text, pos) == self.expected(text, pos), (seed, pos)
+        assert p.match_end(text[:10], 0) is None
+
+    def test_flushes_keep_longest_match(self):
+        p = TokenPattern(self.SOURCE)
+        first = p._table
+        self.check(p, "flush")
+        assert p._table is not first
+
+    def test_threads_share_one_pattern_through_flushes(self):
+        p = TokenPattern(self.SOURCE)
+        first = p._table
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(self.check, p, f"thread-{k}") for k in range(4)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert p._table is not first

@@ -389,7 +389,7 @@ def opaque_type(name: str, pattern_source: str) -> StringType:
     )
 
 
-def subtype(parent: StringType, name: str, **overrides: Parser) -> StringType:
+def subtype(parent: StringType, name: str, /, **overrides: Parser) -> StringType:
     """A subtype of ``parent`` whose named fields must also match ``overrides``.
 
     The only way to declare a subtype. Each override must name a field of
@@ -400,6 +400,8 @@ def subtype(parent: StringType, name: str, **overrides: Parser) -> StringType:
     ancestor does: input the parent rejects gets the parent's report, and
     any other rejected input gets the report of :meth:`ParsedString.narrow`.
     These checks are part of parsing and are not counted as field checks.
+    ``parent`` and ``name`` are positional-only, so a field may be called
+    ``name``.
     """
     if not overrides:
         raise RegistryError(f"{name!r}: a subtype overrides at least one field")

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 import zlib
@@ -21,7 +22,8 @@ from strtype.builtins import (
     build_registry,
     expr_text,
 )
-from strtype.combinators import Success, lit, run_to_end
+from strtype.combinators import (Failure, Success, lit, many, pattern, run_to_end,
+                                 satisfy, times)
 from strtype.core import (Err, Ok, Opaque, UnknownFieldError, field_checks,
                           reset_field_checks, subtype)
 
@@ -310,6 +312,50 @@ class TestEqualAandB:
         assert value.raw_text() == "aabb"
         assert value.raw_eq(ok(reg, "EqualAandB", "aabb"))
 
+    # The kernel form of the grammar, one parser call per character: the
+    # oracle the two-scan parser must agree with on every outcome.
+    ORACLE = many(satisfy(lambda c: c == "a", "'a'")).bind(
+        lambda run: times(satisfy(lambda c: c == "b", "'b'"), len(run)).map(
+            lambda _: (EqualAandB(len(run)), {})))
+
+    @staticmethod
+    def near_misses():
+        """a^n b^m with m within 3 of n, then a short suffix; seeded."""
+        rng = random.Random(7)
+        counts = [0, 1, 2, 3, 600] + rng.sample(range(4, 600), 40)
+        return ["a" * n + "b" * m + tail
+                for n in counts for m in range(max(n - 3, 0), n + 4)
+                for tail in ("", "a", "ba", "x", "\u00e9")]
+
+    def test_agrees_with_kernel_oracle(self, reg):
+        short = ["".join(t) for size in range(9)
+                 for t in itertools.product("abx", repeat=size)]
+        inputs = short + self.near_misses()
+        assert len(inputs) == 9_841 + 1_545
+        accepted = 0
+        for raw in inputs:
+            want = run_to_end(self.ORACLE, raw)
+            got = reg.from_raw("EqualAandB", raw)
+            if isinstance(want, Failure):
+                assert isinstance(got, Err), (raw, got)
+                assert _report(got) == (want.pos, want.expected), raw
+                continue
+            accepted += 1
+            structure, spans = want.value
+            assert isinstance(got, Ok), (raw, got)
+            assert got.value.structure == structure, raw
+            assert got.value.spans == spans, raw
+            assert got.value.cast() == raw
+        assert accepted == 5 + 45
+
+    def test_long_input_is_data(self, reg):
+        n = 100_000
+        assert ok(reg, "EqualAandB", "a" * n + "b" * n).structure == EqualAandB(n)
+        short = reg.from_raw("EqualAandB", "a" * n + "b" * (n - 1))
+        assert _report(short) == (2 * n - 1, "'b'")
+        extra = reg.from_raw("EqualAandB", "a" * n + "b" * (n + 1))
+        assert _report(extra) == (2 * n, "end of input")
+
 
 class TestInnerR:
     def test_first_r_is_the_pivot(self, reg):
@@ -553,6 +599,15 @@ class TestDerivedSubtypes:
             overrides = list(descriptor.field_recognizers)
             assert overrides == sorted(overrides)
             assert set(overrides) <= set(parent.fields)
+
+    def test_a_field_called_name_can_be_overridden(self):
+        reg = build_registry()
+        reg.register(subtype(reg.get("Email"), "Shouty", name=pattern("[A-Z!]+")))
+        assert ok(reg, "Shouty", "AB@x.com").structure == Email("AB", "x", "com")
+        want = ok(reg, "Email", "ab@x.com").narrow("Shouty")
+        got = reg.from_raw("Shouty", "ab@x.com")
+        assert isinstance(want, Err)
+        assert _report(got) == _report(want) == (0, "/[A-Z!]+/")
 
     def test_parsing_a_subtype_counts_no_field_checks(self, reg):
         reset_field_checks()

@@ -4,7 +4,10 @@ Every root type here follows the same recipe. A grammar built from the
 combinator kernel parses the whole raw string into a small frozen
 dataclass, recording the span each named field consumed (``record`` does
 both for a fixed sequence of fields), and a cast function renders the
-canonical surface form of that structure. A subtype is declared once, by
+canonical surface form of that structure. Two root types have
+hand-written parse functions instead, each agreeing with a kernel grammar
+that the tests keep as its oracle: ``EqualAandB``, which counts, and
+``Expr``, which nests without bound. A subtype is declared once, by
 ``subtype``, as its parent plus a recognizer for each field it overrides:
 it parses with its parent's grammar and then checks those fields' spans,
 exactly as narrowing from any ancestor does.
@@ -13,6 +16,7 @@ exactly as narrowing from any ancestor does.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,9 +25,6 @@ from .combinators import (
     Parser,
     Success,
     alt,
-    bracketed,
-    chain_left,
-    forward,
     lit,
     many,
     one_of,
@@ -33,7 +34,6 @@ from .combinators import (
     seq,
     spanned,
     succeed,
-    token,
 )
 from .core import StringType, TypeRegistry, opaque_type, subtype
 
@@ -357,51 +357,84 @@ class Mult(_Binary):
 
 Expr = Const | Add | Mult
 
-# Each Expr token is one step that matches, skips the whitespace after it
-# and yields a value: a number its Const, an operator the node class that
-# ``chain_left`` folds with. Tokens are most of an Expr parse, and
-# ``chain_left`` and ``bracketed`` match operators and brackets in place,
-# so they cost neither a call nor a Success of their own. A token fails at
-# its start, expecting '"s"' or "a number".
+# An Expr parse is one loop that keeps the open brackets on a list, so
+# nesting depth is limited by memory, not by Python's call stack. It
+# accepts, builds trees and reports failures exactly as the kernel grammar
+#
+#     sum = chain_left(product, "+")    product = chain_left(atom, "*")
+#     atom = alt(number, seq("(", sum, ")"))
+#
+# does, with whitespace skipped after every token; the tests keep that
+# grammar as its oracle. An operand that fails after an operator gives the
+# operator back, and its level ends before it; any other failure is the
+# report. A digit run longer than int() converts fails at its start.
 _EXPR_WS = " \t\n\r"
+# 0 means no limit, as on a Python 3.10 too old to have one.
+_int_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _number(text, pos):
-    """Digits and the whitespace after them, yielding a ``Const``."""
-    i = pos
+def _expr(text, pos):
     n = len(text)
-    while i < n and text[i] in "0123456789":
-        i += 1
-    if i == pos:
-        return Failure(pos, "a number")
-    value = Const(int(text[pos:i]))
-    while i < n and text[i] in _EXPR_WS:
-        i += 1
-    return Success(value, i)
+    limit = _int_max_digits() or n
+    stack = []  # for each open bracket, the enclosing level's (total, product, op)
+    # This level's sum so far, the product being added to it, and where the
+    # operator before the pending operand is.
+    total = product = op = None
+    while True:
+        while pos < n and text[pos] in _EXPR_WS:
+            pos += 1
+        end = pos
+        while end < n and text[end] in "0123456789":
+            end += 1
+        if pos < end <= pos + limit:
+            value = Const(int(text[pos:end]))
+            pos = end
+        elif end == pos and text.startswith("(", pos):
+            stack.append((total, product, op))
+            total = product = None
+            pos += 1
+            continue
+        else:
+            value = None
+            failure = Failure(pos, f"a number of at most {limit} digits" if end > pos
+                              else 'a number or "("')
+        # Fold the operand in, closing brackets, until an operator asks for
+        # the next operand.
+        while True:
+            if value is not None:
+                while pos < n and text[pos] in _EXPR_WS:
+                    pos += 1
+                op = pos
+                product = value if product is None else Mult(product, value)
+                if text.startswith("*", pos):
+                    pos += 1
+                    break
+            elif total is None and product is None:
+                # A level's first operand failed, and with it the bracket.
+                if not stack:
+                    return failure
+                total, product, op = stack.pop()
+                continue
+            else:
+                pos = op  # the operand after an operator failed: give it back
+            if product is not None:
+                total = product if total is None else Add(total, product)
+                product = None
+            if value is not None and text.startswith("+", pos):
+                pos += 1
+                break
+            if not stack:
+                return Success((total, {}), pos)
+            if text.startswith(")", pos):
+                value = total
+                pos += 1
+            else:
+                value = None
+                failure = Failure(pos, '")"')
+            total, product, op = stack.pop()
 
 
-_expr = forward()
-_ATOM = alt(
-    Parser(_number, "a number"),
-    bracketed("(", _expr, ")", _EXPR_WS),
-)
-_PRODUCT = chain_left(_ATOM, token("*", Mult, _EXPR_WS))
-_SUM = chain_left(_PRODUCT, token("+", Add, _EXPR_WS))
-_expr.define(_SUM)
-
-
-def _expr_grammar(text, pos):
-    """Leading whitespace, then a sum; each token skips what follows it."""
-    n = len(text)
-    while pos < n and text[pos] in _EXPR_WS:
-        pos += 1
-    out = _SUM.fn(text, pos)
-    if isinstance(out, Failure):
-        return out
-    return Success((out.value, {}), out.end)
-
-
-_EXPR_GRAMMAR = Parser(_expr_grammar)
+_EXPR = Parser(_expr)
 
 
 def expr_text(e: Expr) -> str:
@@ -462,7 +495,7 @@ def register_builtins(reg: TypeRegistry) -> TypeRegistry:
         "InnerR", _INNER_R, cast_inner_r,
         fields=("left", "right")))
     reg.register(StringType(
-        "Expr", _EXPR_GRAMMAR, expr_text))
+        "Expr", _EXPR, expr_text))
     reg.register(opaque_type("Sanitised", _SANITISED_PATTERN))
     reg.register(opaque_type("UserName", _SANITISED_PATTERN))
     return reg

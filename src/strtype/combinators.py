@@ -23,15 +23,14 @@ never terminate, so ``many``/``some``/``chain_left`` raise
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generic, TypeVar
+from typing import Callable, Generic, TypeVar
 
 from .patterns import PatternError, TokenPattern
 
 __all__ = [
     "Success", "Failure", "Parser", "NontermError", "PatternError",
     "succeed", "satisfy", "one_of", "lit", "pattern", "seq", "alt",
-    "many", "some", "times", "chain_left", "bracketed", "token",
-    "spanned", "record", "forward",
+    "many", "some", "times", "chain_left", "spanned", "record", "forward",
     "run_to_end",
 ]
 
@@ -197,41 +196,6 @@ def lit(expected: str) -> Parser[str]:
     return Parser(parse, label)
 
 
-class _Token(Parser):
-    """A parser made by :func:`token`, which keeps what it matches as data."""
-
-    __slots__ = ("symbol", "value", "skip")
-
-    def __init__(self, symbol: str, value: Any, skip: str):
-        if not symbol:
-            raise ValueError("token needs a non-empty symbol")
-        label = f'"{symbol}"'
-        width = len(symbol)
-        def parse(text, pos):
-            if not text.startswith(symbol, pos):
-                return Failure(pos, label)
-            i = pos + width
-            n = len(text)
-            while i < n and text[i] in skip:
-                i += 1
-            return Success(value, i)
-        super().__init__(parse, label)
-        self.symbol = symbol
-        self.value = value
-        self.skip = skip
-
-
-def token(symbol: str, value: Any = None, skip: str = "") -> Parser:
-    """Consume ``symbol`` and the run of ``skip`` characters after it,
-    yielding ``value``. Fails as ``lit(symbol)`` does.
-
-    A lexeme-level grammar spends most of its steps on tokens, so
-    ``chain_left`` matches a token operator in place, without a call or a
-    ``Success`` of its own.
-    """
-    return _Token(symbol, value, skip)
-
-
 def pattern(source: str) -> Parser[str]:
     """Consume the longest match of a pattern at the current position.
 
@@ -336,11 +300,8 @@ def times(p: Parser[A], n: int) -> Parser[list[A]]:
 def chain_left(operand: Parser[A], operator: Parser[Callable[[A, A], A]]) -> Parser[A]:
     """Parse ``operand (operator operand)*`` folding applications leftward.
 
-    A lone operand's own ``Success`` is returned as it is. An operator made
-    by :func:`token` is matched in place.
+    A lone operand's own ``Success`` is returned as it is.
     """
-    if isinstance(operator, _Token):
-        return _chain_left_token(operand, operator)
     def parse(text, pos):
         first = operand.fn(text, pos)
         if isinstance(first, Failure):
@@ -360,57 +321,6 @@ def chain_left(operand: Parser[A], operator: Parser[Callable[[A, A], A]]) -> Par
             acc = op.value(acc, nxt.value)
             cur = nxt.end
         return first if cur == first.end else Success(acc, cur)
-    return Parser(parse)
-
-
-def _chain_left_token(operand: Parser[A], operator: "_Token") -> Parser[A]:
-    symbol, fold, skip = operator.symbol, operator.value, operator.skip
-    width = len(symbol)
-    def parse(text, pos):
-        first = operand.fn(text, pos)
-        if isinstance(first, Failure):
-            return first
-        acc = first.value
-        cur = first.end
-        n = len(text)
-        while text.startswith(symbol, cur):
-            i = cur + width
-            while i < n and text[i] in skip:
-                i += 1
-            nxt = operand.fn(text, i)
-            if isinstance(nxt, Failure):
-                break
-            acc = fold(acc, nxt.value)
-            cur = nxt.end
-        return first if cur == first.end else Success(acc, cur)
-    return Parser(parse)
-
-
-def bracketed(open: str, p: Parser[A], close: str, skip: str = "") -> Parser[A]:
-    """``p`` between the literals ``open`` and ``close``, each followed by a
-    run of ``skip`` characters, yielding ``p``'s value.
-
-    Accepts and fails as ``seq(token(open, skip=skip), p, token(close,
-    skip=skip))`` does, with the brackets matched in place.
-    """
-    open_label, close_label = f'"{open}"', f'"{close}"'
-    def parse(text, pos):
-        if not text.startswith(open, pos):
-            return Failure(pos, open_label)
-        n = len(text)
-        i = pos + len(open)
-        while i < n and text[i] in skip:
-            i += 1
-        inner = p.fn(text, i)
-        if isinstance(inner, Failure):
-            return inner
-        i = inner.end
-        if not text.startswith(close, i):
-            return Failure(i, close_label)
-        i += len(close)
-        while i < n and text[i] in skip:
-            i += 1
-        return Success(inner.value, i)
     return Parser(parse)
 
 

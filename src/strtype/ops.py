@@ -82,20 +82,24 @@ def raw_concat(a: ParsedString, b: ParsedString) -> str:
 def append_to_name(e: ParsedString, suffix: str) -> Ok | Err:
     """Append text to an email's name, re-checking only the name field.
 
-    The rest of the value is untouched: the raw string is spliced around
-    the recorded name span and the other spans shift. The value keeps its
-    exact type, so appending to a Gmail yields a Gmail.
+    The new name is checked against every recognizer for ``name`` on the
+    value's type chain, ancestor end first. The rest of the value is
+    untouched: the raw string is spliced around the recorded name span and
+    the other spans shift. The value keeps its exact type, so appending to
+    a Gmail yields a Gmail.
     """
     _expect(e, Email, "append_to_name")
-    recognizer = e.registry.field_recognizer(e.type_name, "name")
     new_name = e.structure.name + suffix
-    out = check_field(recognizer, new_name)
-    if isinstance(out, Failure):
-        return Err(OpError(
-            ErrorKind.CLOSURE,
-            f"appending {suffix!r} takes the name out of its language: "
-            f"expected {out.expected}",
-            field="name"))
+    chain = [e.type_name] + e.registry.ancestors(e.type_name)
+    for descriptor in map(e.registry.get, reversed(chain)):
+        recognizer = descriptor.field_recognizers.get("name")
+        out = None if recognizer is None else check_field(recognizer, new_name)
+        if isinstance(out, Failure):
+            return Err(OpError(
+                ErrorKind.CLOSURE,
+                f"appending {suffix!r} takes the name out of its language: "
+                f"expected {out.expected}",
+                field="name"))
     start, end = e.spans["name"]
     delta = len(suffix)
     raw = e.raw_text()

@@ -3,11 +3,13 @@ import dataclasses
 import itertools
 import pickle
 import random
+import sys
 import zlib
 
 import pytest
 
-from generators import ACCEPTED_GENERATORS, accepted_strings, gen_expr_tree
+from generators import (ACCEPTED_GENERATORS, accepted_strings, gen_expr_tree,
+                        render_expr_loose)
 from strtype.builtins import (
     Add,
     Const,
@@ -22,8 +24,8 @@ from strtype.builtins import (
     build_registry,
     expr_text,
 )
-from strtype.combinators import (Failure, Success, lit, many, pattern, run_to_end,
-                                 satisfy, times)
+from strtype.combinators import (Failure, Success, alt, chain_left, forward, lit, many,
+                                 one_of, pattern, run_to_end, satisfy, seq, some, times)
 from strtype.core import (Err, Ok, Opaque, UnknownFieldError, field_checks,
                           reset_field_checks, subtype)
 
@@ -372,6 +374,25 @@ class TestInnerR:
             assert ok(reg, "InnerR", raw).cast() == raw
 
 
+def _kernel_expr():
+    """Expr's grammar built from the generic kernel, with whitespace skipped
+    after every token: one combinator call per token and a Python frame per
+    bracket. The oracle the one-loop parser must agree with on every outcome.
+    """
+    ws = many(one_of(" \t\n\r"))
+
+    def lexeme(p):
+        return seq(p, ws).map(lambda t: t[0])
+
+    number = lexeme(some(one_of("0123456789")).desc("a number")).map(
+        lambda digits: Const(int("".join(digits))))
+    expr = forward()
+    atom = alt(number, seq(lexeme(lit("(")), expr, lexeme(lit(")"))).map(lambda t: t[1]))
+    product = chain_left(atom, lexeme(lit("*")).map(lambda _: Mult))
+    expr.define(chain_left(product, lexeme(lit("+")).map(lambda _: Add)))
+    return seq(ws, expr).map(lambda t: (t[1], {}))
+
+
 class TestExpr:
     def test_precedence(self, reg):
         assert ok(reg, "Expr", "3 * 4 + 5").structure == Add(
@@ -456,6 +477,75 @@ class TestExpr:
             assert isinstance(result, Ok)
             assert result.value.structure == tree
 
+    ORACLE = _kernel_expr()
+
+    @staticmethod
+    def longer_inputs():
+        """20,000 seeded strings: 5,000 loose renderings of random trees, of
+        7 or more characters, each with two copies carrying one to three
+        single-character edits, and 5,000 random strings of 7 to 30
+        characters over "1+*() x"."""
+        rng = random.Random(8)
+        out = []
+        while len(out) < 15_000:
+            raw = render_expr_loose(rng, gen_expr_tree(rng, rng.randint(2, 4)))
+            if len(raw) < 7:
+                continue
+            out.append(raw)
+            for _ in range(2):
+                edited = raw
+                for _ in range(rng.randint(1, 3)):
+                    edited = _mutations(rng, edited, "1+*() x\t", count=1)[0]
+                out.append(edited)
+        out += ["".join(rng.choice("1+*() x") for _ in range(rng.randint(7, 30)))
+                for _ in range(5_000)]
+        return out
+
+    def test_agrees_with_kernel_oracle(self, reg):
+        short = ["".join(t) for size in range(7)
+                 for t in itertools.product("1+*() x", repeat=size)]
+        inputs = short + self.longer_inputs()
+        assert len(inputs) == 137_257 + 20_000
+        accepted = 0
+        for raw in inputs:
+            want = run_to_end(self.ORACLE, raw)
+            got = reg.from_raw("Expr", raw)
+            if isinstance(want, Failure):
+                assert isinstance(got, Err), (raw, got)
+                assert _report(got) == (want.pos, want.expected), raw
+                continue
+            accepted += 1
+            structure, spans = want.value
+            assert isinstance(got, Ok), (raw, got)
+            assert got.value.structure == structure, raw
+            assert got.value.spans == spans, raw
+        assert accepted == 382 + 7_661
+
+    def test_deep_nesting_is_data(self, reg):
+        n = 10 ** 5
+        assert ok(reg, "Expr", "(" * n + "7" + ")" * n).structure == Const(7)
+        assert _report(reg.from_raw("Expr", "(" * n)) == (n, 'a number or "("')
+        assert _report(reg.from_raw("Expr", "(" * n + "7" + ")" * (n - 1))) == (
+            2 * n, '")"')
+
+    def test_digit_runs_int_cannot_convert_are_rejected(self, reg):
+        saved = sys.get_int_max_str_digits()
+        try:
+            for limit in (saved, 640):
+                sys.set_int_max_str_digits(limit)
+                label = f"a number of at most {limit} digits"
+                longest = "9" * limit
+                assert ok(reg, "Expr", longest).cast() == longest
+                for raw, report in [("1" * (limit + 1), (0, label)),
+                                    (" (" + "0" * (limit + 1), (2, label)),
+                                    ("2 * " + "1" * (limit + 1), (2, "end of input")),
+                                    ("(2+" + "1" * (limit + 1) + ")", (2, '")"'))]:
+                    assert _report(reg.from_raw("Expr", raw)) == report
+            sys.set_int_max_str_digits(0)
+            assert ok(reg, "Expr", "1" * 5000).structure == Const(int("1" * 5000))
+        finally:
+            sys.set_int_max_str_digits(saved)
+
 
 class TestSanitised:
     def test_allowlist_blocks_injection_payloads(self, reg):
@@ -512,6 +602,38 @@ _REGISTRY = build_registry()
 
 def _report(result):
     return (result.error.parse.pos, result.error.parse.expected)
+
+
+def _hostile_inputs():
+    """Seeded inputs that have broken parsers before: deep or unclosed
+    brackets, long runs of one character, lone surrogates, NUL and other
+    control characters."""
+    n = 10 ** 5
+    rng = random.Random(3)
+    out = ["(" * n, "(" * n + "7", "(" * n + "7" + ")" * n, "1+(" * 3000 + "1" + ")" * 3000]
+    out += [c * n for c in "a1(/\\@.#r-\x00\u00e9\ud800"]
+    controls = "".join(map(chr, range(32))) + "\x7f\x85\u2028\ud800\udfff"
+    out += [controls, "\ud800", "a\udfffb", "\x00@\x00.\x00"]
+    out += ["".join(rng.choice(controls + "a1(") for _ in range(rng.randint(1, 40)))
+            for _ in range(20)]
+    return out, controls + "(1+*/\\.@-é"
+
+
+class TestParsingNeverRaises:
+    """ROADMAP aim 3: malformed input is data. Every registered type
+    answers ``Ok`` or ``Err`` on every hostile input, and on one-character
+    insertions into the strings it accepts."""
+
+    @pytest.mark.parametrize("type_name", _REGISTRY.names())
+    def test_hostile_inputs_are_data(self, reg, type_name):
+        inputs, alphabet = _hostile_inputs()
+        rng = random.Random(f"hostile-{type_name}")
+        for raw in accepted_strings(type_name, 50):
+            i = rng.randrange(len(raw) + 1)
+            inputs.append(raw[:i] + rng.choice(alphabet) + raw[i:])
+        for raw in inputs:
+            result = reg.from_raw(type_name, raw)
+            assert isinstance(result, (Ok, Err)), (type_name, raw[:40])
 
 
 class TestDerivedSubtypes:

@@ -7,11 +7,9 @@ import pytest
 from strtype.combinators import (
     Failure,
     NontermError,
-    Parser,
     PatternError,
     Success,
     alt,
-    bracketed,
     chain_left,
     forward,
     lit,
@@ -26,17 +24,11 @@ from strtype.combinators import (
     spanned,
     succeed,
     times,
-    token,
 )
 
 
 def outcomes(p, texts):
     return [p.run(t, 0) for t in texts]
-
-
-def opaque(p):
-    """The same parse function, which combinators can only call."""
-    return Parser(p.fn, p.label)
 
 
 class TestPrimitives:
@@ -54,27 +46,6 @@ class TestPrimitives:
     def test_outcomes_have_no_instance_dict(self):
         assert not hasattr(Success(1, 2), "__dict__")
         assert not hasattr(Failure(1, "x"), "__dict__")
-
-    def test_token_skips_what_follows_it(self):
-        plus = token("+", "plus", " \t")
-        assert plus.run("+ \t x", 0) == Success("plus", 4)
-        assert plus.run("+x", 0) == Success("plus", 1)
-        assert plus.run("x+", 0) == Failure(0, '"+"')
-        assert plus.run("", 0) == Failure(0, '"+"')
-        assert token("<=").run("<= ", 0) == Success(None, 2)
-        with pytest.raises(ValueError):
-            token("")
-
-    def test_bracketed_fails_and_accepts_as_its_sequence(self):
-        inner = pattern("[0-9]+")
-        p = bracketed("(", inner, "))", " ")
-        q = seq(token("(", skip=" "), inner, token("))", skip=" ")).map(lambda t: t[1])
-        assert p.run("( 12)) x", 0) == Success("12", 7)
-        for n in range(0, 7):
-            for chars in itertools.product("( )1", repeat=n):
-                text = "".join(chars)
-                for pos in range(0, len(text) + 1):
-                    assert p.run(text, pos) == q.run(text, pos), (text, pos)
 
     def test_succeed_consumes_nothing(self):
         assert succeed(7).run("abc", 1) == Success(7, 1)
@@ -219,18 +190,6 @@ class TestChainLeft:
         num = pattern("[0-9]+").map(int)
         plus = lit("+").map(lambda _: lambda a, b: a + b)
         assert chain_left(num, plus).run("7", 0) == Success(7, 1)
-
-    def test_token_operator_folds_as_any_operator(self):
-        num = pattern("[0-9]+").map(int)
-        pair = lambda a, b: (a, b)
-        for symbol in ("+", "+-"):
-            fast = chain_left(num, token(symbol, pair, " "))
-            plain = chain_left(num, opaque(token(symbol, pair, " ")))
-            for n in range(0, 7):
-                for chars in itertools.product("1+- ", repeat=n):
-                    text = "".join(chars)
-                    for pos in range(0, len(text) + 1):
-                        assert fast.run(text, pos) == plain.run(text, pos), (text, pos)
 
     def test_zero_width_round_is_detected(self):
         op = succeed(lambda a, b: a)

@@ -11,6 +11,7 @@ from strtype.builtins import (
     build_registry,
     expr_text,
 )
+from strtype.combinators import pattern
 from strtype.core import (
     Err,
     ErrorKind,
@@ -18,6 +19,7 @@ from strtype.core import (
     UnknownFieldError,
     field_checks,
     reset_field_checks,
+    subtype,
 )
 from strtype.ops import (
     Projection,
@@ -152,6 +154,23 @@ class TestAppendToName:
         assert result.error.kind is ErrorKind.CLOSURE
         assert result.error.field == "name"
         assert e.raw_text() == "foo@bar.com"
+
+    def test_every_name_recognizer_on_the_chain_is_checked(self):
+        # Email's name pattern rejects "AB!" and Shouty's rejects "ABc";
+        # each is checked, Email's first.
+        reg = build_registry()
+        reg.register(subtype(reg.get("Email"), "Shouty", name=pattern("[A-Z!]+")))
+        shouty = ok(reg, "Shouty", "AB@x.com")
+        for suffix, checks in (("!", 1), ("c", 2)):
+            assert isinstance(reg.from_raw("Shouty", f"AB{suffix}@x.com"), Err)
+            reset_field_checks()
+            result = append_to_name(shouty, suffix)
+            assert isinstance(result, Err), suffix
+            assert result.error.kind is ErrorKind.CLOSURE
+            assert field_checks() == checks
+        reset_field_checks()
+        assert append_to_name(shouty, "C").value.cast() == "ABC@x.com"
+        assert field_checks() == 2
 
     def test_empty_suffix_is_identity(self, reg):
         e = ok(reg, "Email", "foo@bar.com")

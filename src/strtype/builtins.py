@@ -15,6 +15,7 @@ exactly as narrowing from any ancestor does.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -84,7 +85,21 @@ def _format_number(v: float) -> str:
     return out
 
 
-_NUMBER = pattern(r"[0-9]+(\.[0-9]+)?").desc("a number").map(float)
+_DIGITS = pattern(r"[0-9]+(\.[0-9]+)?").fn
+
+
+def _finite_number(text, pos):
+    # float() of a number too large for a float is inf, which has no cast.
+    out = _DIGITS(text, pos)
+    if isinstance(out, Failure):
+        return Failure(pos, "a number")
+    value = float(out.value)
+    if value == math.inf:
+        return Failure(pos, "a finite number")
+    return Success(value, out.end)
+
+
+_NUMBER = Parser(_finite_number, "a number")
 _UNIT_SUFFIX = alt(lit("px"), lit("pt"), lit("pc"), lit("cm")).desc("a unit")
 _UNIT = alt(record(CssUnit, ("value", _NUMBER), ("unit", _UNIT_SUFFIX)),
             record(partial(CssUnit, value=None), ("unit", lit("auto"))))
@@ -240,8 +255,8 @@ class EqualAandB:
 
 # How many b's to read depends on how many a's came before, which a single
 # pattern cannot express. The count comes from two run scans, the run of
-# a's and then at most that many b's, as ``_number`` scans its digits, with
-# no call per character. It accepts and fails as the kernel form
+# a's and then at most that many b's, as ``_expr`` scans a number's digits,
+# with no call per character. It accepts and fails as the kernel form
 # ``many(a).bind(lambda run: times(b, len(run)))`` does, which the tests
 # keep as its oracle: too few b's fail at the first non-b, expecting "'b'".
 _A_RUN = re.compile("a*")

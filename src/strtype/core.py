@@ -120,6 +120,10 @@ class StringType:
     fields that field-local rewrites may need to re-check. ``parent`` is
     set only by :func:`subtype`, and a subtype's ``field_recognizers`` are
     exactly its overrides, sorted by field name.
+
+    ``checks`` (derived) holds every ``(field, recognizer)`` a value of this
+    type satisfies, ancestor end first: a root's ``field_recognizers``, or
+    its parent's ``checks`` and then its own overrides for a subtype.
     """
 
     name: str
@@ -129,6 +133,10 @@ class StringType:
     field_recognizers: Mapping[str, Parser] = field(default_factory=dict, hash=False)
     keep_raw: bool = True
     parent: str | None = field(default=None, init=False)
+    checks: tuple[tuple[str, Parser], ...] = field(default=(), init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "checks", tuple(self.field_recognizers.items()))
 
 
 _FIELD_CHECKS = 0
@@ -151,15 +159,16 @@ def check_field(recognizer: Parser, text: str):
     return run_to_end(recognizer, text)
 
 
-def _first_bad_field(checks: Mapping[str, Parser], source: str,
+def _first_bad_field(checks, source: str,
                      spans: Mapping[str, tuple[int, int]], run):
-    """Run each field's check, in order, on the text its span covers, with
-    ``run``: ``run_to_end``, or the counted :func:`check_field`.
+    """Run each ``(field, recognizer)`` pair of ``checks``, in order, on the
+    text the field's span covers, with ``run``: ``run_to_end``, or the
+    counted :func:`check_field`.
 
     Returns the first failing field's name and its failure, positioned in
     ``source``, or None. A field with no span has nothing to check.
     """
-    for name, recognizer in checks.items():
+    for name, recognizer in checks:
         span = spans.get(name)
         if span is None:
             continue
@@ -219,29 +228,29 @@ class ParsedString:
     def narrow(self, sub_name: str) -> Ok | Err:
         """Rebind to a subtype after re-checking only the overridden fields.
 
-        Each subtype on the chain from this value's type down to
-        ``sub_name`` checks its overrides against the recorded spans, in the
-        order parsing as ``sub_name`` runs them, so both routes give the
-        same verdict and report. A field with no recorded span has nothing
-        to re-check. Raises :class:`NotASubtypeError` when ``sub_name`` is
-        not a registered descendant of this value's type.
+        Runs the entries of ``sub_name``'s ``checks`` past this value's
+        type's against the recorded spans, in the order parsing as
+        ``sub_name`` runs them, so both routes give the same verdict and
+        report. A field with no recorded span has nothing to re-check.
+        Raises :class:`NotASubtypeError` when ``sub_name`` is not a
+        registered descendant of this value's type.
         """
         if sub_name == self.type_name:
             return Ok(self)
-        chain = self.registry.path_between(sub_name, self.type_name)
-        if chain is None:
-            raise NotASubtypeError(
-                f"{sub_name!r} is not a subtype of {self.type_name!r}")
-        raw = self.raw_text()
-        for descriptor in reversed(chain):
-            bad = _first_bad_field(descriptor.field_recognizers, raw,
-                                   self.spans, check_field)
-            if bad is not None:
-                name, out = bad
-                return Err(OpError(
-                    ErrorKind.PARSE,
-                    f"field {name!r} does not satisfy {sub_name}: expected {out.expected}",
-                    parse=ParseError(out.pos, out.expected, sub_name), field=name))
+        sub = source = self.registry.get(sub_name)
+        while source.name != self.type_name:
+            if source.parent is None:
+                raise NotASubtypeError(
+                    f"{sub_name!r} is not a subtype of {self.type_name!r}")
+            source = self.registry.get(source.parent)
+        bad = _first_bad_field(sub.checks[len(source.checks):], self.raw_text(),
+                               self.spans, check_field)
+        if bad is not None:
+            name, out = bad
+            return Err(OpError(
+                ErrorKind.PARSE,
+                f"field {name!r} does not satisfy {sub_name}: expected {out.expected}",
+                parse=ParseError(out.pos, out.expected, sub_name), field=name))
         return Ok(dataclasses.replace(self, type_name=sub_name))
 
     def widen(self, super_name: str):
@@ -310,27 +319,6 @@ class TypeRegistry:
 
     def is_descendant(self, sub: str, sup: str) -> bool:
         return sub == sup or sup in self.ancestors(sub)
-
-    def path_between(self, sub: str, sup: str) -> list[StringType] | None:
-        """Descriptors from ``sub`` up to but excluding ``sup``, or None."""
-        path = []
-        cur: str | None = sub
-        while cur is not None:
-            if cur == sup:
-                return path
-            descriptor = self.get(cur)
-            path.append(descriptor)
-            cur = descriptor.parent
-        return None
-
-    def field_recognizer(self, type_name: str, field_name: str) -> Parser:
-        """The recognizer for a field, resolved through the parent chain."""
-        for name in [type_name] + self.ancestors(type_name):
-            recognizers = self.get(name).field_recognizers
-            if field_name in recognizers:
-                return recognizers[field_name]
-        raise UnknownFieldError(
-            f"type {type_name!r} has no recognizer for field {field_name!r}")
 
     def from_raw(self, type_name: str, raw: str) -> Ok | Err:
         """Parse ``raw`` as ``type_name``.
@@ -409,7 +397,7 @@ def subtype(parent: StringType, name: str, /, **overrides: Parser) -> StringType
     if unknown:
         raise UnknownFieldError(
             f"{name!r}: {parent.name!r} has no field {', '.join(unknown)}")
-    checks = dict(sorted(overrides.items()))
+    checks = tuple(sorted(overrides.items()))
     parent_fn = parent.recognizer.fn
     def recognize(text, pos):
         out = parent_fn(text, pos)
@@ -424,8 +412,9 @@ def subtype(parent: StringType, name: str, /, **overrides: Parser) -> StringType
         recognizer=Parser(recognize),
         cast_fn=parent.cast_fn,
         fields=parent.fields,
-        field_recognizers=checks,
+        field_recognizers=dict(checks),
         keep_raw=parent.keep_raw,
     )
     object.__setattr__(sub, "parent", parent.name)
+    object.__setattr__(sub, "checks", parent.checks + checks)
     return sub

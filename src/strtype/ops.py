@@ -11,6 +11,7 @@ re-checked and a closure violation comes back as ``Err``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -82,18 +83,16 @@ def raw_concat(a: ParsedString, b: ParsedString) -> str:
 def append_to_name(e: ParsedString, suffix: str) -> Ok | Err:
     """Append text to an email's name, re-checking only the name field.
 
-    The new name is checked against every recognizer for ``name`` on the
-    value's type chain, ancestor end first. The rest of the value is
+    The new name is checked against every ``name`` entry of the type's
+    ``checks``, ancestor end first. The rest of the value is
     untouched: the raw string is spliced around the recorded name span and
     the other spans shift. The value keeps its exact type, so appending to
     a Gmail yields a Gmail.
     """
     _expect(e, Email, "append_to_name")
     new_name = e.structure.name + suffix
-    chain = [e.type_name] + e.registry.ancestors(e.type_name)
-    for descriptor in map(e.registry.get, reversed(chain)):
-        recognizer = descriptor.field_recognizers.get("name")
-        out = None if recognizer is None else check_field(recognizer, new_name)
+    for field_name, recognizer in e.descriptor().checks:
+        out = check_field(recognizer, new_name) if field_name == "name" else None
         if isinstance(out, Failure):
             return Err(OpError(
                 ErrorKind.CLOSURE,
@@ -140,7 +139,8 @@ def add_units(a: ParsedString, b: ParsedString) -> Ok | Err:
     """Add two lengths; the result carries the left operand's unit.
 
     ``auto`` on either side has no numeric value to add and comes back as
-    an incompatible-types error.
+    an incompatible-types error; a sum too large for a float comes back as
+    a closure violation.
     """
     _expect(a, CssUnit, "add_units")
     _expect(b, CssUnit, "add_units")
@@ -149,6 +149,9 @@ def add_units(a: ParsedString, b: ParsedString) -> Ok | Err:
         return Err(OpError(
             ErrorKind.INCOMPATIBLE, "auto has no numeric value to add"))
     value = ua.value + ub.value * (_CM_PER_UNIT[ub.unit] / _CM_PER_UNIT[ua.unit])
+    if value == math.inf:
+        return Err(OpError(
+            ErrorKind.CLOSURE, f"the sum overflows a float in {ua.unit}"))
     return Ok(from_structure(a.registry, a.type_name, CssUnit(value, ua.unit)))
 
 

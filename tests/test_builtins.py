@@ -26,7 +26,7 @@ from strtype.builtins import (
 )
 from strtype.combinators import (Failure, Success, alt, chain_left, forward, lit, many,
                                  one_of, pattern, run_to_end, satisfy, seq, some, times)
-from strtype.core import (Err, Ok, Opaque, UnknownFieldError, field_checks,
+from strtype.core import (Err, Ok, Opaque, field_checks,
                           reset_field_checks, subtype)
 
 
@@ -108,6 +108,17 @@ class TestCssUnit:
     @pytest.mark.parametrize("bad", ["cm", "1in", "-1px", "1 cm", "", "auto2", "1.px"])
     def test_rejections(self, reg, bad):
         err(reg, "CssUnit", bad)
+
+    def test_a_number_beyond_a_float_is_rejected_at_its_start(self, reg):
+        # float() of these digits is inf, which has no canonical form.
+        for raw in ["1" * 400 + "px", "9" * 309 + ".5cm", "2" + "0" * 308 + "pt"]:
+            parse = err(reg, "CssUnit", raw).parse
+            assert (parse.pos, parse.expected) == (0, 'a finite number or "auto"')
+        assert err(reg, "PxOrAuto", "1" * 400 + "px").parse.pos == 0
+        large = ok(reg, "CssUnit", "1" + "0" * 308 + "px")
+        assert ok(reg, "CssUnit", large.cast()).structure == large.structure
+        assert isinstance(run_to_end(reg.get("CssUnit").field_recognizers["value"],
+                                     "1" * 400), Failure)
 
     def test_px_or_auto_subtype(self, reg):
         assert ok(reg, "PxOrAuto", "16px").structure == CssUnit(16.0, "px")
@@ -731,6 +742,32 @@ class TestDerivedSubtypes:
         assert isinstance(want, Err)
         assert _report(got) == _report(want) == (0, "/[A-Z!]+/")
 
+    @pytest.mark.parametrize("ancestor,sub", PAIRS)
+    def test_narrow_counts_the_tail_up_to_its_first_failure(self, reg, ancestor, sub):
+        """narrow runs the entries of ``checks`` past the ancestor's that
+        have a span, stopping after the first that fails."""
+        tail = reg.get(sub).checks[len(reg.get(ancestor).checks):]
+        assert tail
+        stopped_early = 0
+        for raw in self.inputs(ancestor, sub):
+            wide = reg.from_raw(ancestor, raw)
+            if isinstance(wide, Err):
+                continue
+            want = 0
+            for field_name, recognizer in tail:
+                span = wide.value.spans.get(field_name)
+                if span is None:
+                    continue
+                want += 1
+                if isinstance(run_to_end(recognizer, raw[span[0]:span[1]]), Failure):
+                    stopped_early += want < len(tail)
+                    break
+            reset_field_checks()
+            wide.value.narrow(sub)
+            assert field_checks() == want, (ancestor, sub, raw)
+        if len(tail) > 1:
+            assert stopped_early
+
     def test_parsing_a_subtype_counts_no_field_checks(self, reg):
         reset_field_checks()
         ok(reg, "HomeDotFile", "/home/.bashrc")
@@ -739,13 +776,16 @@ class TestDerivedSubtypes:
 
 
 class TestSpansSatisfyFieldRecognizers:
+    """Every entry of a type's ``checks`` accepts the text its field's span
+    covers, at every level of the chain."""
+
     @pytest.mark.parametrize("type_name", _REGISTRY.names())
     def test_each_span_is_accepted_by_its_field_recognizer(self, reg, type_name):
+        checks = reg.get(type_name).checks
         for raw in accepted_strings(type_name, 300):
-            for field_name, (start, end) in ok(reg, type_name, raw).spans.items():
-                try:
-                    recognizer = reg.field_recognizer(type_name, field_name)
-                except UnknownFieldError:
-                    continue
-                out = run_to_end(recognizer, raw[start:end])
-                assert isinstance(out, Success), (type_name, raw, field_name, out)
+            spans = ok(reg, type_name, raw).spans
+            for field_name, recognizer in checks:
+                if field_name in spans:
+                    start, end = spans[field_name]
+                    out = run_to_end(recognizer, raw[start:end])
+                    assert isinstance(out, Success), (type_name, raw, field_name, out)

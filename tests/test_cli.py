@@ -167,6 +167,14 @@ class TestNormalize:
             _, out, _ = run_cli(capsys, "normalize", first, "--type", type_name)
             assert records(out)[0]["normalized"] == first
 
+    def test_a_number_beyond_a_float_is_a_rejection_record(self, capsys):
+        raw = "1" * 400 + "px"
+        code, out, err = run_cli(capsys, "normalize", raw, "--type", "CssUnit")
+        assert (code, err) == (1, "")
+        assert records(out) == [{
+            "input": raw, "type": "CssUnit", "ok": False,
+            "error": {"pos": 0, "expected": 'a finite number or "auto"'}}]
+
     def test_human_prints_plain_strings(self, capsys):
         code, out, _ = run_cli(capsys, "normalize", "--human",
                                "555.211.1234", "--type", "USPhone")

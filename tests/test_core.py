@@ -2,6 +2,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from strtype.builtins import build_registry
 from strtype.combinators import lit, pattern, seq, spanned
 from strtype.core import (
     DuplicateTypeError,
@@ -304,16 +305,21 @@ class TestFromStructure:
             from_structure(reg, "Pair", Pair("AB", "1"))
 
 
-class TestFieldRecognizerLookup:
-    def test_resolved_through_the_chain(self, reg):
-        assert reg.field_recognizer("HiNinePair", "left") is not None
-        assert reg.field_recognizer("HiPair", "right") is RIGHT
+class TestChecks:
+    def test_every_field_check_ancestor_end_first(self, reg):
+        assert reg.get("Pair").checks == (("left", LEFT), ("right", RIGHT))
+        hi_nine = reg.get("HiNinePair")
+        assert [name for name, _ in hi_nine.checks] == ["left", "right", "left", "right"]
+        assert hi_nine.checks[2][1].run("hi", 0).value == "hi"
+        assert hi_nine.checks[3][1].run("8", 0).expected == "/9+/"
 
-    def test_nearest_override_wins(self, reg):
-        hi_left = reg.field_recognizer("HiPair", "left")
-        assert isinstance(hi_left.run("hi", 0).value, str)
-        assert hi_left.run("ab", 0).expected == '"hi"'
-
-    def test_unknown_field(self, reg):
-        with pytest.raises(UnknownFieldError):
-            reg.field_recognizer("Pair", "middle")
+    @pytest.mark.parametrize("registry", [make_registry(), build_registry()])
+    def test_a_subtype_extends_its_parents_checks(self, registry):
+        for name in registry.names():
+            descriptor = registry.get(name)
+            own = tuple(descriptor.field_recognizers.items())
+            if descriptor.parent is None:
+                assert descriptor.checks == own
+            else:
+                inherited = registry.get(descriptor.parent).checks
+                assert descriptor.checks == inherited + own

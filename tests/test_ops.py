@@ -225,6 +225,13 @@ class TestAddUnits:
         assert isinstance(result, Err)
         assert result.error.kind is ErrorKind.INCOMPATIBLE
 
+    @pytest.mark.parametrize("unit", ["px", "pc"])
+    def test_a_sum_beyond_a_float_is_a_closure_violation(self, reg, unit):
+        big = "1" + "0" * 308  # 1e308, a float's largest power of ten
+        result = add_units(ok(reg, "CssUnit", big + "px"), ok(reg, "CssUnit", big + unit))
+        assert isinstance(result, Err)
+        assert result.error.kind is ErrorKind.CLOSURE
+
     def test_subtype_results_keep_their_type(self, reg):
         total = add_units(ok(reg, "PxOrAuto", "2px"), ok(reg, "CssUnit", "1pc"))
         assert total.value.type_name == "PxOrAuto"

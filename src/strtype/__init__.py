@@ -2,7 +2,7 @@
 
 A string type couples a grammar with a structure and a canonical surface
 form. Parsing a raw string yields a ``ParsedString`` that remembers its
-structure, the span each field consumed, and (usually) the original text;
+structure, the span each field consumed, and the original text;
 operations, comparisons, narrowing to subtypes and rendering all work on
 that value instead of on bare strings.
 

@@ -4,13 +4,14 @@ Every root type here follows the same recipe. A grammar built from the
 combinator kernel parses the whole raw string into a small frozen
 dataclass, recording the span each named field consumed (``record`` does
 both for a fixed sequence of fields), and a cast function renders the
-canonical surface form of that structure. Two root types have
+canonical surface form of that structure. Three root types have
 hand-written parse functions instead, each agreeing with a kernel grammar
-that the tests keep as its oracle: ``EqualAandB``, which counts, and
-``Expr``, which nests without bound. A subtype is declared once, by
-``subtype``, as its parent plus a recognizer for each field it overrides:
-it parses with its parent's grammar and then checks those fields' spans,
-exactly as narrowing from any ancestor does.
+that the tests keep as its oracle: ``FilePath``, whose first separator
+fixes the rest, ``EqualAandB``, which counts, and ``Expr``, which nests
+without bound. A subtype is declared once, by ``subtype``, as its parent
+plus a recognizer for each field it overrides: it parses with its
+parent's grammar and then checks those fields' spans, exactly as
+narrowing from any ancestor does.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ from .combinators import (
     Success,
     alt,
     lit,
-    many,
     one_of,
     pattern,
     record,
     satisfy,
     seq,
-    spanned,
-    succeed,
 )
 from .core import StringType, TypeRegistry, opaque_type, subtype
 
@@ -158,63 +156,49 @@ def _split_segment(segment: str) -> tuple[str, str | None]:
     return segment, None
 
 
-def _assemble_path(absolute: bool, sep_char: str | None, seg_spans, lead_start: int):
-    *dir_spans, (file_text, fs, fe) = seg_spans
-    file_name, ext = _split_segment(file_text)
-    spans: dict[str, tuple[int, int]] = {}
+_SEPARATORS = ("/", "\\")
+
+
+def _path(text, pos):
+    """Paths whose first separator, wherever it appears, fixes the style.
+
+    A leading separator makes the path absolute. Segments are taken while
+    that separator and a segment follow, so a path mixing separators stops
+    part-way. A single relative segment shows no separator: its structure
+    defaults to "/" and it records no separator span.
+    """
+    spans = {}
+    absolute = text.startswith(_SEPARATORS, pos)
+    sep = text[pos] if absolute else None
     if absolute:
-        spans["separator"] = (lead_start, lead_start + 1)
-    elif sep_char is not None:
-        first_end = seg_spans[0][2]
-        spans["separator"] = (first_end, first_end + 1)
-    spans["dirs"] = (dir_spans[0][1], dir_spans[-1][2]) if dir_spans else (fs, fs)
-    if ext is not None:
+        spans["separator"] = (pos, pos + 1)
+        pos += 1
+    out = _SEGMENT.fn(text, pos)
+    if isinstance(out, Failure):
+        return out if absolute else Failure(pos, "one of '/\\\\' or a path segment")
+    dirs = []
+    fs, fe, segment = pos, out.end, out.value
+    while text.startswith(sep or _SEPARATORS, fe):
+        out = _SEGMENT.fn(text, fe + 1)
+        if isinstance(out, Failure):
+            break
+        if sep is None:
+            sep = text[fe]
+            spans["separator"] = (fe, fe + 1)
+        dirs.append(segment)
+        fs, fe, segment = fe + 1, out.end, out.value
+    spans["dirs"] = (pos, fs - 1) if dirs else (fs, fs)
+    file_name, ext = _split_segment(segment)
+    if ext is None:
+        spans["file_name"] = (fs, fe)
+    else:
         dot = fs + len(file_name)
         spans["file_name"] = (fs, dot)
         spans["ext"] = (dot + 1, fe)
-    else:
-        spans["file_name"] = (fs, fe)
-    structure = FilePath(
-        absolute=absolute,
-        dirs=tuple(t for t, _, _ in dir_spans),
-        file_name=file_name,
-        ext=ext,
-        separator=sep_char if sep_char is not None else "/",
-    )
-    return (structure, spans)
+    return Success((FilePath(absolute, tuple(dirs), file_name, ext, sep or "/"), spans), fe)
 
 
-def _path_grammar() -> Parser:
-    """Paths whose first separator, wherever it appears, fixes the style.
-
-    The style char flows through ``bind`` into the parser for the rest of
-    the string, so a path mixing separators fails part-way instead of
-    parsing inconsistently. A relative path with a single segment carries
-    no separator evidence at all; its structure defaults to "/" and it
-    records no separator span.
-    """
-    segment = spanned(_SEGMENT)
-    style = one_of("/\\")
-
-    def more(c: str) -> Parser:
-        return many(seq(lit(c), segment).map(lambda t: t[1]))
-
-    absolute = spanned(style).bind(
-        lambda lead: segment.bind(
-            lambda first: more(lead[0]).map(
-                lambda rest: _assemble_path(True, lead[0], [first] + rest, lead[1]))))
-
-    def relative_tail(first):
-        fixed = spanned(style).bind(
-            lambda s: segment.bind(
-                lambda second: more(s[0]).map(
-                    lambda rest: _assemble_path(False, s[0], [first, second] + rest, 0))))
-        return alt(fixed, succeed(_assemble_path(False, None, [first], 0)))
-
-    return alt(absolute, segment.bind(relative_tail))
-
-
-_PATH = _path_grammar()
+_PATH = Parser(_path)
 
 
 def cast_path(p: FilePath) -> str:
@@ -342,8 +326,24 @@ class _Binary(_Node):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or (self._hash == other._hash
-                                 and self.l == other.l and self.r == other.r)
+        # Walk down left children and keep the right-child pairs still to
+        # compare on a list, so a tree of any depth or length compares
+        # without a Python frame per level.
+        pending = []
+        a, b = self, other
+        while True:
+            if a is not b:
+                if a._hash != b._hash or a.__class__ is not b.__class__:
+                    return False
+                if a.__class__ is not Const:
+                    pending.append((a.r, b.r))
+                    a, b = a.l, b.l
+                    continue
+                if a.n != b.n:
+                    return False
+            if not pending:
+                return True
+            a, b = pending.pop()
 
     __hash__ = _Node.__hash__  # defining __eq__ would otherwise unset it
 
@@ -505,7 +505,7 @@ def register_builtins(reg: TypeRegistry) -> TypeRegistry:
         fields=("area", "office", "uniq")))
     reg.register(StringType(
         "EqualAandB", _EQUAL_AB, cast_equal_ab,
-        fields=("count",), keep_raw=False))
+        fields=("count",)))
     reg.register(StringType(
         "InnerR", _INNER_R, cast_inner_r,
         fields=("left", "right")))

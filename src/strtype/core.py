@@ -3,9 +3,9 @@
 A string type couples a whole-string recognizer with a canonical rendering
 (``cast``). Parsing a raw string through a type yields a
 :class:`ParsedString`: the structure the recognizer produced, the spans each
-named field consumed, and (usually) the raw string itself. Subtypes come
-only from :func:`subtype`: a parent plus a recognizer for each parent field
-they override. Parsing as a subtype runs the parent's parse and then those
+named field consumed, and the raw string itself. Subtypes come only from
+:func:`subtype`: a parent plus a recognizer for each parent field they
+override. Parsing as a subtype runs the parent's parse and then those
 field checks; :meth:`ParsedString.narrow` from any ancestor runs the same
 checks, in the same order, against the recorded spans, and re-parses
 nothing else.
@@ -131,7 +131,6 @@ class StringType:
     cast_fn: Callable[[Any], str]
     fields: tuple[str, ...] = ()
     field_recognizers: Mapping[str, Parser] = field(default_factory=dict, hash=False)
-    keep_raw: bool = True
     parent: str | None = field(default=None, init=False)
     checks: tuple[tuple[str, Parser], ...] = field(default=(), init=False, repr=False)
 
@@ -183,16 +182,14 @@ def _first_bad_field(checks, source: str,
 class ParsedString:
     """A raw string parsed through a registered type.
 
-    ``spans`` maps field names to the half-open ranges of the raw string
-    each field consumed. ``raw`` is None for types registered with
-    ``keep_raw=False``; :meth:`raw_text` falls back to the canonical form
-    then, which for such types is the only surface the value ever had.
+    ``spans`` maps field names to the half-open ranges of ``raw``, the
+    string that was parsed, each field consumed.
     """
 
     type_name: str
     structure: Any
     spans: Mapping[str, tuple[int, int]] = field(repr=False)
-    raw: str | None = field(repr=False)
+    raw: str = field(repr=False)
     registry: "TypeRegistry" = field(repr=False)
 
     def descriptor(self) -> StringType:
@@ -203,11 +200,11 @@ class ParsedString:
         return self.descriptor().cast_fn(self.structure)
 
     def raw_text(self) -> str:
-        return self.raw if self.raw is not None else self.cast()
+        return self.raw
 
     def raw_eq(self, other: "ParsedString") -> bool:
         """Character-for-character equality of the underlying strings."""
-        return self.raw_text() == other.raw_text()
+        return self.raw == other.raw
 
     def weak_eq(self, other: "ParsedString") -> bool:
         """Equality of canonical forms; the types may differ."""
@@ -243,7 +240,7 @@ class ParsedString:
                 raise NotASubtypeError(
                     f"{sub_name!r} is not a subtype of {self.type_name!r}")
             source = self.registry.get(source.parent)
-        bad = _first_bad_field(sub.checks[len(source.checks):], self.raw_text(),
+        bad = _first_bad_field(sub.checks[len(source.checks):], self.raw,
                                self.spans, check_field)
         if bad is not None:
             name, out = bad
@@ -339,7 +336,7 @@ class TypeRegistry:
             type_name=type_name,
             structure=structure,
             spans=spans,
-            raw=raw if descriptor.keep_raw else None,
+            raw=raw,
             registry=self,
         ))
 
@@ -413,7 +410,6 @@ def subtype(parent: StringType, name: str, /, **overrides: Parser) -> StringType
         cast_fn=parent.cast_fn,
         fields=parent.fields,
         field_recognizers=dict(checks),
-        keep_raw=parent.keep_raw,
     )
     object.__setattr__(sub, "parent", parent.name)
     object.__setattr__(sub, "checks", parent.checks + checks)

@@ -21,12 +21,15 @@ from strtype.builtins import (
     InnerR,
     Mult,
     USPhone,
+    _SEGMENT,
+    _split_segment,
     build_registry,
     expr_text,
 )
-from strtype.combinators import (Failure, Success, alt, chain_left, forward, lit, many,
-                                 one_of, pattern, run_to_end, satisfy, seq, some, times)
-from strtype.core import (Err, Ok, Opaque, field_checks,
+from strtype.combinators import (Failure, Parser, Success, alt, chain_left, forward, lit,
+                                 many, one_of, pattern, run_to_end, satisfy, seq, some,
+                                 spanned, succeed, times)
+from strtype.core import (Err, Ok, Opaque, TypeRegistry, field_checks,
                           reset_field_checks, subtype)
 
 
@@ -185,6 +188,64 @@ class TestEmail:
         assert wide.structure == value.structure
 
 
+# The kernel form of FilePath's grammar, a few parsers built per parse: the
+# oracle the one-scan parser must agree with on every outcome.
+def _assemble_path(absolute: bool, sep_char: str | None, seg_spans, lead_start: int):
+    *dir_spans, (file_text, fs, fe) = seg_spans
+    file_name, ext = _split_segment(file_text)
+    spans: dict[str, tuple[int, int]] = {}
+    if absolute:
+        spans["separator"] = (lead_start, lead_start + 1)
+    elif sep_char is not None:
+        first_end = seg_spans[0][2]
+        spans["separator"] = (first_end, first_end + 1)
+    spans["dirs"] = (dir_spans[0][1], dir_spans[-1][2]) if dir_spans else (fs, fs)
+    if ext is not None:
+        dot = fs + len(file_name)
+        spans["file_name"] = (fs, dot)
+        spans["ext"] = (dot + 1, fe)
+    else:
+        spans["file_name"] = (fs, fe)
+    structure = FilePath(
+        absolute=absolute,
+        dirs=tuple(t for t, _, _ in dir_spans),
+        file_name=file_name,
+        ext=ext,
+        separator=sep_char if sep_char is not None else "/",
+    )
+    return (structure, spans)
+
+
+def _path_grammar() -> Parser:
+    """Paths whose first separator, wherever it appears, fixes the style.
+
+    The style char flows through ``bind`` into the parser for the rest of
+    the string, so a path mixing separators fails part-way instead of
+    parsing inconsistently. A relative path with a single segment carries
+    no separator evidence at all; its structure defaults to "/" and it
+    records no separator span.
+    """
+    segment = spanned(_SEGMENT)
+    style = one_of("/\\")
+
+    def more(c: str) -> Parser:
+        return many(seq(lit(c), segment).map(lambda t: t[1]))
+
+    absolute = spanned(style).bind(
+        lambda lead: segment.bind(
+            lambda first: more(lead[0]).map(
+                lambda rest: _assemble_path(True, lead[0], [first] + rest, lead[1]))))
+
+    def relative_tail(first):
+        fixed = spanned(style).bind(
+            lambda s: segment.bind(
+                lambda second: more(s[0]).map(
+                    lambda rest: _assemble_path(False, s[0], [first, second] + rest, 0))))
+        return alt(fixed, succeed(_assemble_path(False, None, [first], 0)))
+
+    return alt(absolute, segment.bind(relative_tail))
+
+
 class TestFilePath:
     def test_absolute_unix_path(self, reg):
         value = ok(reg, "FilePath", "/this/is/a/file.txt")
@@ -214,6 +275,13 @@ class TestFilePath:
     @pytest.mark.parametrize("bad", ["/a/b/", "//x", "", "/", "a//b"])
     def test_rejections(self, reg, bad):
         err(reg, "FilePath", bad)
+
+    def test_rejection_reports(self, reg):
+        assert _report(reg.from_raw("FilePath", "")) == (
+            0, "one of '/\\\\' or a path segment")
+        assert _report(reg.from_raw("FilePath", "/")) == (1, "a path segment")
+        assert _report(reg.from_raw("FilePath", "a/b\\c.txt")) == (3, "end of input")
+        assert _report(reg.from_raw("FilePath", "a/")) == (1, "end of input")
 
     def test_spans(self, reg):
         value = ok(reg, "FilePath", "/home/.bashrc")
@@ -275,6 +343,57 @@ class TestFilePath:
         assert isinstance(value.narrow("WindowsPath"), Ok)
         assert field_checks() == 0
 
+    PATH_TYPES = ("FilePath", "UnixPath", "WindowsPath", "HomeDotFile")
+
+    @staticmethod
+    def oracle_registry(reg):
+        """The four path types as registered, with FilePath's recognizer
+        swapped for the kernel grammar and each subtype re-derived from it."""
+        oracle = TypeRegistry()
+        for name in TestFilePath.PATH_TYPES:
+            declared = reg.get(name)
+            oracle.register(
+                dataclasses.replace(declared, recognizer=_path_grammar())
+                if declared.parent is None else
+                subtype(oracle.get(declared.parent), name, **declared.field_recognizers))
+        return oracle
+
+    @staticmethod
+    def path_inputs():
+        """Every string over "a./\\" of up to 7 characters, the same strings
+        of up to 4 characters under "/home/", 20,000 seeded strings of up to
+        60 characters over "ab./\\\u00e9 ", and three long paths."""
+        short = ["".join(t) for size in range(8)
+                 for t in itertools.product("a./\\", repeat=size)]
+        rng = random.Random(10)
+        seeded = ["".join(rng.choice("ab./\\\u00e9 ") for _ in range(rng.randint(0, 60)))
+                  for _ in range(20_000)]
+        long = ["a/" * 5_000 + "b.txt", "\\" + "dir\\" * 3_000 + "x", "a/" * 3_000 + "\\b"]
+        home = ["/home/" + raw for raw in short if len(raw) <= 4]
+        return short + home + seeded + long
+
+    def test_agrees_with_kernel_oracle(self, reg):
+        oracle = self.oracle_registry(reg)
+        inputs = self.path_inputs()
+        assert len(inputs) == 21_845 + 341 + 20_000 + 3
+        accepted = dict.fromkeys(self.PATH_TYPES, 0)
+        for type_name in self.PATH_TYPES:
+            for raw in inputs:
+                want = oracle.from_raw(type_name, raw)
+                got = reg.from_raw(type_name, raw)
+                if isinstance(want, Err):
+                    assert isinstance(got, Err), (type_name, raw, got)
+                    assert _report(got) == _report(want), (type_name, raw)
+                    continue
+                accepted[type_name] += 1
+                assert isinstance(got, Ok), (type_name, raw, got)
+                assert got.value.structure == want.value.structure, (type_name, raw)
+                assert got.value.spans == want.value.spans, (type_name, raw)
+                assert list(got.value.spans) == list(want.value.spans), (type_name, raw)
+                assert got.value.cast() == want.value.cast(), (type_name, raw)
+        assert accepted == {"FilePath": 4_670, "UnixPath": 2_869,
+                            "WindowsPath": 2_831, "HomeDotFile": 15}
+
 
 class TestUSPhone:
     def test_accepted_forms(self, reg):
@@ -319,9 +438,9 @@ class TestEqualAandB:
     def test_cast(self, reg):
         assert ok(reg, "EqualAandB", "aaabbb").cast() == "aaabbb"
 
-    def test_raw_is_dropped_and_reconstructed(self, reg):
+    def test_raw_is_kept(self, reg):
         value = ok(reg, "EqualAandB", "aabb")
-        assert value.raw is None
+        assert value.raw == "aabb"
         assert value.raw_text() == "aabb"
         assert value.raw_eq(ok(reg, "EqualAandB", "aabb"))
 
@@ -458,6 +577,21 @@ class TestExpr:
         assert Mult(a, b) != Add(a, b)
         assert Add(a, b) != Add(b, a)
         assert len({Add(a, b), Mult(a, b)}) == 2
+
+    def test_long_and_deep_trees_compare_without_recursion(self, reg):
+        flat = "+".join(["1"] * 20_000)
+        deep = "1+(" * 3_000 + "1" + ")" * 3_000
+        for raw in (flat, deep):
+            a, b = ok(reg, "Expr", raw), ok(reg, "Expr", raw)
+            assert a.structure is not b.structure
+            assert a.structure == b.structure and a == b
+            assert a.structure != ok(reg, "Expr", "2" + raw[1:]).structure
+
+    def test_equal_hashes_do_not_make_nodes_equal(self):
+        # hash(-1) == hash(-2), so these trees agree in every cached hash.
+        a, b = Add(Const(-1), Const(0)), Add(Const(-2), Const(0))
+        assert hash(a) == hash(b)
+        assert a != b and Mult(b, a) != Mult(a, a)
 
     def test_nodes_are_frozen(self):
         tree = Add(Const(1), Const(2))

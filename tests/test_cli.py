@@ -282,6 +282,14 @@ class TestEq:
                                "--type", "CssColour", "--mode", "raw")
         assert (code, out) == (0, "raw: not equal\n")
 
+    def test_strict_mode_on_deeply_nested_exprs(self, capsys):
+        deep = "1+(" * 3000 + "1" + ")" * 3000
+        code, out, err = run_cli(capsys, "eq", deep, deep, "--type", "Expr",
+                                 "--mode", "strict")
+        assert (code, err) == (0, "")
+        record = records(out)[0]
+        assert (record["ok"], record["mode"], record["equal"]) == (True, "strict", True)
+
     def test_wrong_arity_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "eq", "#111", "--type", "CssColour")
         assert code == 2

@@ -273,18 +273,6 @@ class TestOpaqueAndRawRetention:
         assert value.cast() == "hello"
         assert value.spans == {"raw": (0, 5)}
 
-    def test_dropped_raw_reconstructs_through_cast(self):
-        reg = TypeRegistry()
-        reg.register(StringType(
-            "Word", pattern("[a-z]+").map(lambda word: (word, {})), str,
-            keep_raw=False))
-        a = parsed(reg, "Word", "hello")
-        b = parsed(reg, "Word", "hello")
-        assert a.raw is None
-        assert a.raw_text() == "hello"
-        assert a.raw_eq(b)
-        assert a.strict_eq(b)
-
     def test_bad_pattern_fails_at_construction(self):
         with pytest.raises(ValueError):
             opaque_type("Bad", "(?=x)")

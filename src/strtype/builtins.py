@@ -35,6 +35,7 @@ from .combinators import (
     seq,
 )
 from .core import StringType, TypeRegistry, opaque_type, subtype
+from .patterns import FrozenRecord
 
 __all__ = [
     "CssColour", "CssUnit", "Email", "FilePath", "USPhone", "EqualAandB",
@@ -282,7 +283,7 @@ def cast_inner_r(v: InnerR) -> str:
 
 # ------------------------------------------------------------ expressions
 
-class _Node:
+class _Node(FrozenRecord):
     """Base of the ``Expr`` nodes: a hash cached in a slot at construction.
 
     Each node's hash is computed once, from its class and its children's
@@ -297,17 +298,12 @@ class _Node:
         return self._hash
 
 
-@dataclass(frozen=True, init=False)
 class Const(_Node):
     __slots__ = ("n",)
-    n: int
 
     def __init__(self, n: int):
         _set_n(self, n)
         _set_hash(self, hash(n))
-
-    # Named here, or the dataclass would put a field hash in its place.
-    __hash__ = _Node.__hash__
 
     def __reduce__(self):
         return Const, (self.n,)
@@ -347,6 +343,9 @@ class _Binary(_Node):
 
     __hash__ = _Node.__hash__  # defining __eq__ would otherwise unset it
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(l={self.l!r}, r={self.r!r})"
+
     def __reduce__(self):
         return type(self), (self.l, self.r)
 
@@ -356,18 +355,12 @@ _set_n = Const.n.__set__
 _set_l, _set_r = _Binary.l.__set__, _Binary.r.__set__
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class Add(_Binary):
     __slots__ = ()
-    l: "Expr"
-    r: "Expr"
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class Mult(_Binary):
     __slots__ = ()
-    l: "Expr"
-    r: "Expr"
 
 
 Expr = Const | Add | Mult

@@ -6,12 +6,13 @@ input, or ``Failure(pos, expected)`` describing what was expected and where.
 Positions are code point indices. Parsers never read past the end of the
 text and never report an end beyond ``len(text)``.
 
-Outcomes are built at every step of every parse, so they are plain
-slotted records rather than frozen dataclasses, at under half the cost to
-build. They compare by value and hash like the dataclasses did, and a
-``Success`` never equals a ``Failure``. They are not frozen: nothing stops
-an assignment to a field, and callers must treat them as read-only. No
-parser in this module changes an outcome after returning it.
+Outcomes are built at every step of every parse, so they are the
+package's plain records (``patterns.Record``), whose constructors assign
+their slots directly, not its frozen ones, which pay for an
+``object.__setattr__`` call per field. They compare by value, hash and print by their
+fields, and a ``Success`` never equals a ``Failure``. Nothing stops an
+assignment to a field, so callers must treat them as read-only. No parser
+in this module changes an outcome after returning it.
 
 Choice is ordered: ``alt`` tries branches in sequence, always from the
 position it was started at, and when every branch fails it reports the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Generic, TypeVar
 
-from .patterns import PatternError, TokenPattern
+from .patterns import PatternError, Record, TokenPattern
 
 __all__ = [
     "Success", "Failure", "Parser", "NontermError", "PatternError",
@@ -42,32 +43,7 @@ class NontermError(RuntimeError):
     """A repetition looped over a parser that consumed no input."""
 
 
-class _Outcome:
-    """Base of the two outcome records: two slots, no per-instance dict.
-
-    Equal only to an outcome of the same class with equal fields; hashed
-    and printed by those fields.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({inner})"
-
-
-class Success(_Outcome, Generic[A]):
+class Success(Record, Generic[A]):
     """The parser consumed input up to ``end`` and produced ``value``."""
 
     __slots__ = ("value", "end")
@@ -77,7 +53,7 @@ class Success(_Outcome, Generic[A]):
         self.end = end
 
 
-class Failure(_Outcome):
+class Failure(Record):
     """The parser expected ``expected`` at ``pos``."""
 
     __slots__ = ("pos", "expected")

@@ -15,16 +15,23 @@ or duplicate type name, narrowing between unrelated types, a missing field)
 raises a :class:`RegistryError` subclass. Anything wrong with the data
 (input not accepted, an operation that would leave a type's language) comes
 back as ``Err(OpError(...))`` so callers can handle it per record.
+
+Structures, such as :class:`Opaque`, are frozen dataclasses, so callers
+can list their fields and ``dataclasses.replace`` one. The records this
+module returns (:class:`ParseError`, :class:`OpError`, :class:`Ok`,
+:class:`Err`, :class:`StringType` and :class:`ParsedString`) are frozen
+slotted records (``patterns.FrozenRecord``) instead, which cost less to
+define at import; ``dataclasses.replace`` does not accept them.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping
 
 from .combinators import Failure, Parser, Success, pattern, record, run_to_end
+from .patterns import FrozenRecord
 
 __all__ = [
     "RegistryError", "DuplicateTypeError", "UnknownTypeError",
@@ -79,29 +86,43 @@ class ErrorKind(Enum):
     INCOMPATIBLE = "incompatible_types"
 
 
-@dataclass(frozen=True)
-class ParseError:
-    pos: int
-    expected: str
-    type_name: str = ""
+# Records are built on every parse: a module global is read faster than
+# the builtin ``object`` and its attribute.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class OpError:
-    kind: ErrorKind
-    detail: str
-    parse: ParseError | None = None
-    field: str | None = None
+class ParseError(FrozenRecord):
+    __slots__ = ("pos", "expected", "type_name")
+
+    def __init__(self, pos: int, expected: str, type_name: str = ""):
+        _set(self, "pos", pos)
+        _set(self, "expected", expected)
+        _set(self, "type_name", type_name)
 
 
-@dataclass(frozen=True)
-class Ok:
-    value: Any
+class OpError(FrozenRecord):
+    __slots__ = ("kind", "detail", "parse", "field")
+
+    def __init__(self, kind: ErrorKind, detail: str,
+                 parse: ParseError | None = None, field: str | None = None):
+        _set(self, "kind", kind)
+        _set(self, "detail", detail)
+        _set(self, "parse", parse)
+        _set(self, "field", field)
 
 
-@dataclass(frozen=True)
-class Err:
-    error: OpError
+class Ok(FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any):
+        _set(self, "value", value)
+
+
+class Err(FrozenRecord):
+    __slots__ = ("error",)
+
+    def __init__(self, error: OpError):
+        _set(self, "error", error)
 
 
 @dataclass(frozen=True)
@@ -110,8 +131,7 @@ class Opaque:
     raw: str
 
 
-@dataclass(frozen=True)
-class StringType:
+class StringType(FrozenRecord):
     """Descriptor tying a type name to its recognizer and canonical form.
 
     ``recognizer`` must consume the entire input and produce a pair of the
@@ -124,18 +144,35 @@ class StringType:
     ``checks`` (derived) holds every ``(field, recognizer)`` a value of this
     type satisfies, ancestor end first: a root's ``field_recognizers``, or
     its parent's ``checks`` and then its own overrides for a subtype.
+
+    Equality compares every field; the hash leaves out the
+    ``field_recognizers`` mapping, and the repr leaves out ``checks``.
     """
 
-    name: str
-    recognizer: Parser
-    cast_fn: Callable[[Any], str]
-    fields: tuple[str, ...] = ()
-    field_recognizers: Mapping[str, Parser] = field(default_factory=dict, hash=False)
-    parent: str | None = field(default=None, init=False)
-    checks: tuple[tuple[str, Parser], ...] = field(default=(), init=False, repr=False)
+    __slots__ = ("name", "recognizer", "cast_fn", "fields", "field_recognizers",
+                 "parent", "checks")
+    __match_args__ = __slots__[:5]  # the constructor's arguments
 
-    def __post_init__(self):
-        object.__setattr__(self, "checks", tuple(self.field_recognizers.items()))
+    def __init__(self, name: str, recognizer: Parser, cast_fn: Callable[[Any], str],
+                 fields: tuple[str, ...] = (),
+                 field_recognizers: Mapping[str, Parser] | None = None):
+        field_recognizers = {} if field_recognizers is None else field_recognizers
+        _set(self, "name", name)
+        _set(self, "recognizer", recognizer)
+        _set(self, "cast_fn", cast_fn)
+        _set(self, "fields", fields)
+        _set(self, "field_recognizers", field_recognizers)
+        _set(self, "parent", None)
+        _set(self, "checks", tuple(field_recognizers.items()))
+
+    def __hash__(self):
+        return hash((self.name, self.recognizer, self.cast_fn, self.fields,
+                     self.parent, self.checks))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__ if name != "checks")
+        return f"StringType({inner})"
 
 
 _FIELD_CHECKS = 0
@@ -178,19 +215,27 @@ def _first_bad_field(checks, source: str,
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class ParsedString:
+class ParsedString(FrozenRecord):
     """A raw string parsed through a registered type.
 
     ``spans`` maps field names to the half-open ranges of ``raw``, the
-    string that was parsed, each field consumed.
+    string that was parsed, each field consumed. Equal values have the same
+    type name and equal structures, and the repr shows only those two.
     """
 
-    type_name: str
-    structure: Any
-    spans: Mapping[str, tuple[int, int]] = field(repr=False)
-    raw: str = field(repr=False)
-    registry: "TypeRegistry" = field(repr=False)
+    __slots__ = ("type_name", "structure", "spans", "raw", "registry")
+
+    def __init__(self, type_name: str, structure: Any,
+                 spans: Mapping[str, tuple[int, int]], raw: str,
+                 registry: "TypeRegistry"):
+        _set(self, "type_name", type_name)
+        _set(self, "structure", structure)
+        _set(self, "spans", spans)
+        _set(self, "raw", raw)
+        _set(self, "registry", registry)
+
+    def __repr__(self) -> str:
+        return f"ParsedString(type_name={self.type_name!r}, structure={self.structure!r})"
 
     def descriptor(self) -> StringType:
         return self.registry.get(self.type_name)
@@ -248,7 +293,8 @@ class ParsedString:
                 ErrorKind.PARSE,
                 f"field {name!r} does not satisfy {sub_name}: expected {out.expected}",
                 parse=ParseError(out.pos, out.expected, sub_name), field=name))
-        return Ok(dataclasses.replace(self, type_name=sub_name))
+        return Ok(ParsedString(sub_name, self.structure, self.spans, self.raw,
+                               self.registry))
 
     def widen(self, super_name: str):
         """Rebind to a supertype; no parsing is involved.
@@ -264,7 +310,8 @@ class ParsedString:
         if not self.registry.is_descendant(self.type_name, super_name):
             raise NotASupertypeError(
                 f"{super_name!r} is not a supertype of {self.type_name!r}")
-        return dataclasses.replace(self, type_name=super_name)
+        return ParsedString(super_name, self.structure, self.spans, self.raw,
+                            self.registry)
 
 
 class TypeRegistry:
@@ -411,6 +458,6 @@ def subtype(parent: StringType, name: str, /, **overrides: Parser) -> StringType
         fields=parent.fields,
         field_recognizers=dict(checks),
     )
-    object.__setattr__(sub, "parent", parent.name)
-    object.__setattr__(sub, "checks", parent.checks + checks)
+    _set(sub, "parent", parent.name)
+    _set(sub, "checks", parent.checks + checks)
     return sub

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Any
 
 from .builtins import Add, Const, CssColour, CssUnit, Email, Expr, Mult
@@ -27,6 +26,7 @@ from .core import (
     check_field,
     from_structure,
 )
+from .patterns import FrozenRecord
 
 __all__ = [
     "Projection", "blend", "concat_names", "raw_concat", "append_to_name",
@@ -35,12 +35,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(FrozenRecord):
     """A field pulled out of a value, remembering where it came from."""
-    value: Any
-    origin_type: str
-    field_name: str
+
+    __slots__ = ("value", "origin_type", "field_name")
+
+    def __init__(self, value: Any, origin_type: str, field_name: str):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "origin_type", origin_type)
+        object.__setattr__(self, "field_name", field_name)
 
 
 def _expect(value: ParsedString, structure_type: type, op: str) -> None:
@@ -116,13 +119,12 @@ def append_to_name(e: ParsedString, suffix: str) -> Ok | Err:
 
 
 def project_field(v: ParsedString, field_name: str) -> Projection:
-    """Extract one structure field, tagged with its origin type."""
-    structure = v.structure
-    names = {f.name for f in dataclasses.fields(structure)}
-    if field_name not in names:
+    """Extract one field the value's type declares, tagged with its origin
+    type; the fields are those ``strtype extract`` accepts."""
+    if field_name not in v.descriptor().fields:
         raise UnknownFieldError(
             f"type {v.type_name!r} has no field {field_name!r}")
-    return Projection(getattr(structure, field_name), v.type_name, field_name)
+    return Projection(getattr(v.structure, field_name), v.type_name, field_name)
 
 
 _CM_PER_UNIT = {"px": 2.54 / 96, "pt": 2.54 / 72, "pc": 2.54 / 6, "cm": 1.0}

@@ -18,6 +18,11 @@ states, and a pattern's table of states is flushed once it passes a fixed
 size, so memory stays bounded. A state that loops on some classes skips
 the run of them with one ``re`` scan; ``re`` only scans a character set
 there, so the longest-match semantics are unchanged.
+
+This module also holds :class:`Record` and :class:`FrozenRecord`, the
+slotted base of every internal record in the package, because every other
+module imports this one first. They are written by hand, not generated by
+``@dataclass``, which keeps class creation, and so import, cheap.
 """
 
 from __future__ import annotations
@@ -25,7 +30,67 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
+
+
+class Record:
+    """Base of the package's records: fields in slots, no per-instance dict.
+
+    A subclass names its fields, in order, in its own ``__slots__``; they
+    become its ``__match_args__`` unless it sets those itself. A record is
+    equal only to a record of the same class with equal fields, and hashes,
+    prints as ``Name(field=value, ...)``, copies and pickles by them.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        if names:
+            if "__match_args__" not in cls.__dict__:
+                cls.__match_args__ = names
+            # The tuple of field values, read in one C call; a generator
+            # over the names makes hashing and comparing about 4x slower.
+            get = attrgetter(*names)
+            cls._fields = property(get if len(names) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._fields)
+
+
+def _rebuild(cls: type, values: tuple) -> Record:
+    """A ``cls`` record with ``values`` in its slots, its constructor unrun."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+class FrozenRecord(Record):
+    """A record whose fields cannot be assigned or deleted once set; its
+    constructor sets them with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class PatternError(ValueError):
@@ -40,29 +105,38 @@ _SPACE_RANGES = ((" ", " "), ("\t", "\t"), ("\n", "\n"), ("\r", "\r"),
 _MAX_COUNT = 512
 
 
-@dataclass(frozen=True)
-class _Cls:
+class _Cls(FrozenRecord):
     """The characters in ``ranges``, or outside them when ``negated``; a
     literal is a one-character class and ``.`` the negated empty one."""
-    ranges: tuple[tuple[str, str], ...]
-    negated: bool = False
+
+    __slots__ = ("ranges", "negated")
+
+    def __init__(self, ranges: tuple[tuple[str, str], ...], negated: bool = False):
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "negated", negated)
 
 
-@dataclass(frozen=True)
-class _Seq:
-    parts: tuple
+class _Seq(FrozenRecord):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class _Alt:
-    options: tuple
+class _Alt(FrozenRecord):
+    __slots__ = ("options",)
+
+    def __init__(self, options: tuple):
+        object.__setattr__(self, "options", options)
 
 
-@dataclass(frozen=True)
-class _Rep:
-    node: object
-    low: int
-    high: int | None
+class _Rep(FrozenRecord):
+    __slots__ = ("node", "low", "high")
+
+    def __init__(self, node: object, low: int, high: int | None):
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
 
 
 class _PatternReader:

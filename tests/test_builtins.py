@@ -29,7 +29,7 @@ from strtype.builtins import (
 from strtype.combinators import (Failure, Parser, Success, alt, chain_left, forward, lit,
                                  many, one_of, pattern, run_to_end, satisfy, seq, some,
                                  spanned, succeed, times)
-from strtype.core import (Err, Ok, Opaque, TypeRegistry, field_checks,
+from strtype.core import (Err, Ok, Opaque, StringType, TypeRegistry, field_checks,
                           reset_field_checks, subtype)
 
 
@@ -353,7 +353,8 @@ class TestFilePath:
         for name in TestFilePath.PATH_TYPES:
             declared = reg.get(name)
             oracle.register(
-                dataclasses.replace(declared, recognizer=_path_grammar())
+                StringType(name, _path_grammar(), declared.cast_fn, declared.fields,
+                           declared.field_recognizers)
                 if declared.parent is None else
                 subtype(oracle.get(declared.parent), name, **declared.field_recognizers))
         return oracle

@@ -203,6 +203,16 @@ class TestProjectField:
         name = project_field(ok(reg, "Email", "someone@email.com"), "name").value
         assert isinstance(reg.from_raw("Email", name), Err)
 
+    def test_only_declared_fields_project(self, reg):
+        # Expr declares no fields, as ``strtype extract --type Expr`` reports,
+        # although its tree nodes have attributes called l and r.
+        with pytest.raises(UnknownFieldError):
+            project_field(ok(reg, "Expr", "1+2"), "l")
+
+    def test_subtype_projects_its_parents_fields(self, reg):
+        got = project_field(ok(reg, "Gmail", "someone@gmail.com"), "name")
+        assert got == Projection("someone", "Gmail", "name")
+
 
 class TestAddUnits:
     def test_left_unit_wins(self, reg):

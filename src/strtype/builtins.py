@@ -3,15 +3,16 @@
 Every root type here follows the same recipe. A grammar built from the
 combinator kernel parses the whole raw string into a small frozen
 dataclass, recording the span each named field consumed (``record`` does
-both for a fixed sequence of fields), and a cast function renders the
-canonical surface form of that structure. Three root types have
-hand-written parse functions instead, each agreeing with a kernel grammar
-that the tests keep as its oracle: ``FilePath``, whose first separator
-fixes the rest, ``EqualAandB``, which counts, and ``Expr``, which nests
-without bound. A subtype is declared once, by ``subtype``, as its parent
-plus a recognizer for each field it overrides: it parses with its
-parent's grammar and then checks those fields' spans, exactly as
-narrowing from any ancestor does.
+both for a fixed sequence of fields, and its named parts are the type's
+fields and field recognizers), and a cast function renders the canonical
+surface form of that structure. Three root types have hand-written parse
+functions instead, and name their fields themselves; each agrees with a
+kernel grammar that the tests keep as its oracle: ``FilePath``, whose
+first separator fixes the rest, ``EqualAandB``, which counts, and
+``Expr``, which nests without bound. A subtype is declared once, by
+``subtype``, as its parent plus a recognizer for each field it
+overrides: it parses with its parent's grammar and then checks those
+fields' spans, exactly as narrowing from any ancestor does.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ def _finite_number(text, pos):
 
 
 _NUMBER = Parser(_finite_number, "a number")
-_UNIT_SUFFIX = alt(lit("px"), lit("pt"), lit("pc"), lit("cm")).desc("a unit")
+# Centimetres per unit: the unit suffixes, in the order they are tried.
+_CM_PER_UNIT = {"px": 2.54 / 96, "pt": 2.54 / 72, "pc": 2.54 / 6, "cm": 1.0}
+_UNIT_SUFFIX = alt(*map(lit, _CM_PER_UNIT)).desc("a unit")
 _UNIT = alt(record(CssUnit, ("value", _NUMBER), ("unit", _UNIT_SUFFIX)),
             record(partial(CssUnit, value=None), ("unit", lit("auto"))))
 
@@ -450,17 +453,27 @@ def expr_text(e: Expr) -> str:
 
     Both operators associate left and "*" binds tighter than "+", so a
     right child needs parentheses at its own precedence level while a left
-    child needs them only below it.
+    child needs them only below it. The walk goes down left children and
+    keeps the rest on a list, so no tree is too deep to render.
     """
-    def go(node, floor):
-        if isinstance(node, Const):
-            return str(node.n)
-        if isinstance(node, Add):
-            rendered, level = f"{go(node.l, 1)} + {go(node.r, 2)}", 1
-        else:
-            rendered, level = f"{go(node.l, 2)} * {go(node.r, 3)}", 2
-        return f"({rendered})" if level < floor else rendered
-    return go(e, 0)
+    out = []
+    pending = [("", e, 0)]  # ")" to emit, or (operator before, node, floor) to render
+    while pending:
+        item = pending.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        op, node, floor = item
+        out.append(op)
+        while node.__class__ is not Const:
+            level, op = (1, " + ") if node.__class__ is Add else (2, " * ")
+            if level < floor:
+                out.append("(")
+                pending.append(")")
+            pending.append((op, node.r, level + 1))
+            node, floor = node.l, level
+        out.append(str(node.n))
+    return "".join(out)
 
 
 # ------------------------------------------------------------ registration
@@ -469,21 +482,10 @@ _SANITISED_PATTERN = "[0-9a-zA-Z _.-]+"
 
 
 def register_builtins(reg: TypeRegistry) -> TypeRegistry:
-    reg.register(StringType(
-        "CssColour", _COLOUR, cast_colour,
-        fields=("red", "green", "blue")))
-    unit = reg.register(StringType(
-        "CssUnit", _UNIT, cast_unit,
-        fields=("value", "unit"),
-        field_recognizers={"unit": _UNIT_SUFFIX | lit("auto"),
-                           "value": _NUMBER}))
+    reg.register(StringType("CssColour", _COLOUR, cast_colour))
+    unit = reg.register(StringType("CssUnit", _UNIT, cast_unit))
     reg.register(subtype(unit, "PxOrAuto", unit=lit("px") | lit("auto")))
-    email = reg.register(StringType(
-        "Email", _EMAIL, cast_email,
-        fields=("name", "domain_left", "domain_right"),
-        field_recognizers={"name": _EMAIL_NAME,
-                           "domain_left": _DOMAIN,
-                           "domain_right": _TLD}))
+    email = reg.register(StringType("Email", _EMAIL, cast_email))
     reg.register(subtype(email, "Gmail", domain_left=lit("gmail")))
     path = reg.register(StringType(
         "FilePath", _PATH, cast_path,
@@ -493,17 +495,10 @@ def register_builtins(reg: TypeRegistry) -> TypeRegistry:
     reg.register(subtype(path, "WindowsPath", separator=lit("\\")))
     reg.register(subtype(unix, "HomeDotFile",
                          dirs=lit("home"), file_name=pattern(r"\.[^/\\]*")))
-    reg.register(StringType(
-        "USPhone", _PHONE, cast_phone,
-        fields=("area", "office", "uniq")))
-    reg.register(StringType(
-        "EqualAandB", _EQUAL_AB, cast_equal_ab,
-        fields=("count",)))
-    reg.register(StringType(
-        "InnerR", _INNER_R, cast_inner_r,
-        fields=("left", "right")))
-    reg.register(StringType(
-        "Expr", _EXPR, expr_text))
+    reg.register(StringType("USPhone", _PHONE, cast_phone))
+    reg.register(StringType("EqualAandB", _EQUAL_AB, cast_equal_ab, fields=("count",)))
+    reg.register(StringType("InnerR", _INNER_R, cast_inner_r))
+    reg.register(StringType("Expr", _EXPR, expr_text))
     reg.register(opaque_type("Sanitised", _SANITISED_PATTERN))
     reg.register(opaque_type("UserName", _SANITISED_PATTERN))
     return reg

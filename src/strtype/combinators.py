@@ -64,13 +64,18 @@ class Failure(Record):
 
 
 class Parser(Generic[A]):
-    """Wraps a parse function ``(text, pos) -> Success | Failure``."""
+    """Wraps a parse function ``(text, pos) -> Success | Failure``.
 
-    __slots__ = ("fn", "label")
+    ``parts`` maps field names to the parsers that consume them: a
+    ``record``'s named parts, merged by ``alt``; empty for other parsers.
+    """
+
+    __slots__ = ("fn", "label", "parts")
 
     def __init__(self, fn: Callable[[str, int], Success | Failure], label: str | None = None):
         self.fn = fn
         self.label = label
+        self.parts = {}
 
     def run(self, text: str, pos: int = 0) -> Success | Failure:
         return self.fn(text, pos)
@@ -209,9 +214,16 @@ def alt(*parsers: Parser) -> Parser:
 
     When every branch fails, the failure that progressed furthest is
     reported; branches that tie have their expectations joined with "or".
+    When every branch has parts, a field's part is the ``alt`` of the
+    branches' parts for it, or the one branch's part if only one has it.
     """
     if not parsers:
         raise ValueError("alt needs at least one parser")
+    merged: dict[str, list[Parser]] = {}
+    if all(p.parts for p in parsers):
+        for p in parsers:
+            for name, part in p.parts.items():
+                merged.setdefault(name, []).append(part)
     def parse(text, pos):
         best: Failure | None = None
         for p in parsers:
@@ -223,7 +235,9 @@ def alt(*parsers: Parser) -> Parser:
             elif out.pos == best.pos and out.expected != best.expected:
                 best = Failure(best.pos, f"{best.expected} or {out.expected}")
         return best
-    return Parser(parse)
+    out = Parser(parse)
+    out.parts = {name: ps[0] if len(ps) == 1 else alt(*ps) for name, ps in merged.items()}
+    return out
 
 
 def many(p: Parser[A]) -> Parser[list[A]]:
@@ -317,7 +331,7 @@ def record(cls: Callable[..., A], *parts) -> Parser[tuple[A, dict]]:
     parser)`` pair. The value is ``(cls(**fields), spans)``, where
     ``spans`` maps each field to the half-open span its parser consumed:
     the pair a type's recognizer yields. Fails as ``seq`` over the same
-    parsers does.
+    parsers does. The returned parser's ``parts`` are the named pairs.
     """
     steps = [(None, part) if isinstance(part, Parser) else part for part in parts]
     def parse(text, pos):
@@ -333,7 +347,9 @@ def record(cls: Callable[..., A], *parts) -> Parser[tuple[A, dict]]:
                 spans[name] = (cur, out.end)
             cur = out.end
         return Success((cls(**fields), spans), cur)
-    return Parser(parse)
+    out = Parser(parse)
+    out.parts = {name: p for name, p in steps if name is not None}
+    return out
 
 
 class _Forward(Parser):

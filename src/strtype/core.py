@@ -26,6 +26,7 @@ define at import; ``dataclasses.replace`` does not accept them.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping
@@ -137,16 +138,18 @@ class StringType(FrozenRecord):
     ``recognizer`` must consume the entire input and produce a pair of the
     structure and a mapping from field names to the half-open spans those
     fields consumed. ``field_recognizers`` hold whole-field parsers for the
-    fields that field-local rewrites may need to re-check. ``parent`` is
-    set only by :func:`subtype`, and a subtype's ``field_recognizers`` are
-    exactly its overrides, sorted by field name.
+    fields that field-local rewrites may need to re-check. Both it and
+    ``fields`` default to the recognizer's named ``parts``, so a ``record``
+    grammar declares them. ``parent`` is set only by :func:`subtype`, and
+    a subtype's ``field_recognizers`` are its overrides, sorted by field name.
 
     ``checks`` (derived) holds every ``(field, recognizer)`` a value of this
     type satisfies, ancestor end first: a root's ``field_recognizers``, or
     its parent's ``checks`` and then its own overrides for a subtype.
 
     Equality compares every field; the hash leaves out the
-    ``field_recognizers`` mapping, and the repr leaves out ``checks``.
+    ``field_recognizers`` mapping, and the repr leaves out ``checks``. A
+    deep copy is the descriptor itself, whose parsers are functions.
     """
 
     __slots__ = ("name", "recognizer", "cast_fn", "fields", "field_recognizers",
@@ -154,9 +157,12 @@ class StringType(FrozenRecord):
     __match_args__ = __slots__[:5]  # the constructor's arguments
 
     def __init__(self, name: str, recognizer: Parser, cast_fn: Callable[[Any], str],
-                 fields: tuple[str, ...] = (),
+                 fields: tuple[str, ...] | None = None,
                  field_recognizers: Mapping[str, Parser] | None = None):
-        field_recognizers = {} if field_recognizers is None else field_recognizers
+        if fields is None:
+            fields = tuple(recognizer.parts)
+        if field_recognizers is None:
+            field_recognizers = dict(recognizer.parts)
         _set(self, "name", name)
         _set(self, "recognizer", recognizer)
         _set(self, "cast_fn", cast_fn)
@@ -168,6 +174,9 @@ class StringType(FrozenRecord):
     def __hash__(self):
         return hash((self.name, self.recognizer, self.cast_fn, self.fields,
                      self.parent, self.checks))
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -220,7 +229,8 @@ class ParsedString(FrozenRecord):
 
     ``spans`` maps field names to the half-open ranges of ``raw``, the
     string that was parsed, each field consumed. Equal values have the same
-    type name and equal structures, and the repr shows only those two.
+    type name and equal structures, and the repr shows only those two. A
+    deep copy copies ``structure`` and ``spans`` and shares ``registry``.
     """
 
     __slots__ = ("type_name", "structure", "spans", "raw", "registry")
@@ -236,6 +246,10 @@ class ParsedString(FrozenRecord):
 
     def __repr__(self) -> str:
         return f"ParsedString(type_name={self.type_name!r}, structure={self.structure!r})"
+
+    def __deepcopy__(self, memo):
+        return ParsedString(self.type_name, deepcopy(self.structure, memo),
+                            deepcopy(self.spans, memo), self.raw, self.registry)
 
     def descriptor(self) -> StringType:
         return self.registry.get(self.type_name)
@@ -417,7 +431,6 @@ def opaque_type(name: str, pattern_source: str) -> StringType:
         name=name,
         recognizer=record(Opaque, ("raw", pattern(pattern_source))),
         cast_fn=lambda opaque: opaque.raw,
-        fields=("raw",),
     )
 
 

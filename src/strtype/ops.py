@@ -14,7 +14,7 @@ import dataclasses
 import math
 from typing import Any
 
-from .builtins import Add, Const, CssColour, CssUnit, Email, Expr, Mult
+from .builtins import _CM_PER_UNIT, Add, Const, CssColour, CssUnit, Email, Expr, Mult
 from .combinators import Failure
 from .core import (
     Err,
@@ -125,9 +125,6 @@ def project_field(v: ParsedString, field_name: str) -> Projection:
         raise UnknownFieldError(
             f"type {v.type_name!r} has no field {field_name!r}")
     return Projection(getattr(v.structure, field_name), v.type_name, field_name)
-
-
-_CM_PER_UNIT = {"px": 2.54 / 96, "pt": 2.54 / 72, "pc": 2.54 / 6, "cm": 1.0}
 
 
 def to_centimetres(u: CssUnit) -> float:

@@ -33,6 +33,19 @@ from strtype.core import (Err, Ok, Opaque, StringType, TypeRegistry, field_check
                           reset_field_checks, subtype)
 
 
+def recursive_expr_text(e):
+    """The plain recursive renderer: ``expr_text``'s oracle."""
+    def go(node, floor):
+        if isinstance(node, Const):
+            return str(node.n)
+        if isinstance(node, Add):
+            rendered, level = f"{go(node.l, 1)} + {go(node.r, 2)}", 1
+        else:
+            rendered, level = f"{go(node.l, 2)} * {go(node.r, 3)}", 2
+        return f"({rendered})" if level < floor else rendered
+    return go(e, 0)
+
+
 @pytest.fixture(scope="module")
 def reg():
     return build_registry()
@@ -623,6 +636,22 @@ class TestExpr:
             assert isinstance(result, Ok)
             assert result.value.structure == tree
 
+    def test_renderer_agrees_with_recursive_oracle(self):
+        rng = random.Random(12)
+        trees = [gen_expr_tree(rng, rng.randint(1, 9)) for _ in range(2_000)]
+        assert sum(not isinstance(tree, Const) for tree in trees) > 1_000
+        for tree in trees:
+            assert expr_text(tree) == recursive_expr_text(tree)
+
+    def test_long_and_deep_trees_render_and_parse_back(self, reg):
+        flat = "+".join(["1"] * 20_000)
+        deep = "1+(" * 3_000 + "1" + ")" * 3_000
+        for raw in (flat, deep):
+            value = ok(reg, "Expr", raw)
+            assert ok(reg, "Expr", value.cast()) == value
+            assert value.weak_eq(ok(reg, "Expr", raw))
+        assert ok(reg, "Expr", deep).cast().endswith("1 + 1" + ")" * 2_999)
+
     ORACLE = _kernel_expr()
 
     @staticmethod
@@ -723,6 +752,30 @@ class TestRoundTripAllBuiltins:
 
 
 class TestDescriptors:
+    # The roots whose grammar is a record, or an alt of records, and their
+    # structure classes.
+    RECORD_ROOTS = {"CssColour": CssColour, "CssUnit": CssUnit, "Email": Email,
+                    "InnerR": InnerR, "Sanitised": Opaque, "USPhone": USPhone,
+                    "UserName": Opaque}
+
+    def test_record_roots_are_the_roots_with_parts(self, reg):
+        assert [name for name in reg.names() if reg.get(name).parent is None
+                and reg.get(name).recognizer.parts] == sorted(self.RECORD_ROOTS)
+
+    @pytest.mark.parametrize("type_name", sorted(RECORD_ROOTS))
+    def test_record_roots_declare_fields_by_their_grammar(self, reg, type_name):
+        descriptor = reg.get(type_name)
+        structure = self.RECORD_ROOTS[type_name]
+        assert descriptor.fields == tuple(f.name for f in dataclasses.fields(structure))
+        assert list(descriptor.field_recognizers) == list(descriptor.fields)
+        assert descriptor.checks == tuple(descriptor.field_recognizers.items())
+
+    def test_css_unit_recognizers_are_its_branches_merged(self, reg):
+        unit = reg.get("CssUnit")
+        assert (unit.fields, tuple(unit.field_recognizers)) == (("value", "unit"),) * 2
+        report = run_to_end(unit.field_recognizers["unit"], "zz")
+        assert report == Failure(0, 'a unit or "auto"')
+
     def test_every_descriptor_hashes_and_is_a_set_member(self, reg):
         descriptors = [reg.get(name) for name in reg.names()]
         members = set(descriptors)

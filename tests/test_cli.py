@@ -175,6 +175,18 @@ class TestNormalize:
             "input": raw, "type": "CssUnit", "ok": False,
             "error": {"pos": 0, "expected": 'a finite number or "auto"'}}]
 
+    def test_long_and_deep_exprs_from_a_file(self, capsys, tmp_path):
+        flat = "+".join(["1"] * 20_000)
+        deep = "1+(" * 3000 + "1" + ")" * 3000
+        source = tmp_path / "exprs.txt"
+        source.write_text(f"{flat}\n{deep}\n")
+        code, out, err = run_cli(capsys, "normalize", "--file", str(source),
+                                 "--type", "Expr")
+        assert (code, err) == (0, "")
+        first, second = records(out)
+        assert first["normalized"] == " + ".join(["1"] * 20_000)
+        assert second["normalized"] == "1 + (" * 2999 + "1 + 1" + ")" * 2999
+
     def test_human_prints_plain_strings(self, capsys):
         code, out, _ = run_cli(capsys, "normalize", "--human",
                                "555.211.1234", "--type", "USPhone")
@@ -289,6 +301,14 @@ class TestEq:
         assert (code, err) == (0, "")
         record = records(out)[0]
         assert (record["ok"], record["mode"], record["equal"]) == (True, "strict", True)
+
+    def test_weak_mode_on_long_and_deep_exprs(self, capsys):
+        for raw in ("+".join(["1"] * 20_000), "1+(" * 3000 + "1" + ")" * 3000):
+            code, out, err = run_cli(capsys, "eq", raw, raw, "--type", "Expr",
+                                     "--mode", "weak")
+            assert (code, err) == (0, "")
+            record = records(out)[0]
+            assert (record["ok"], record["mode"], record["equal"]) == (True, "weak", True)
 
     def test_wrong_arity_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "eq", "#111", "--type", "CssColour")

@@ -1,6 +1,7 @@
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import pytest
 
@@ -256,6 +257,48 @@ class TestRecord:
                 text = "".join(chars)
                 for pos in range(0, len(text) + 1):
                     assert p.run(text, pos) == q.run(text, pos), (text, pos)
+
+
+class TestParts:
+    """``record`` keeps its named parts on its parser, and ``alt`` merges its
+    branches' parts field by field."""
+
+    LEFT = pattern("[a-z]+")
+    RIGHT = pattern("[0-9]+")
+
+    def test_a_record_keeps_its_named_parts_in_order(self):
+        pair = record(Pair, ("left", self.LEFT), lit("="), ("right", self.RIGHT))
+        assert list(pair.parts.items()) == [("left", self.LEFT), ("right", self.RIGHT)]
+        assert record(dict, lit("a")).parts == {}
+        assert lit("a").parts == {} and self.LEFT.parts == {}
+
+    def test_alt_of_two_records_merges_parts_per_field(self):
+        short = pattern("[a-z]")
+        p = alt(record(Pair, ("left", self.LEFT), lit("="), ("right", self.RIGHT)),
+                record(Pair, ("left", short), lit("!"), ("right", lit("x"))))
+        assert list(p.parts) == ["left", "right"]
+        assert p.parts["left"].run("ab", 0) == Success("ab", 2)
+        assert p.parts["left"].run("1", 0) == Failure(0, "/[a-z]+/ or /[a-z]/")
+        assert p.parts["right"].run("x", 0) == Success("x", 1)
+        assert p.parts["right"].run("?", 0) == Failure(0, '/[0-9]+/ or "x"')
+
+    def test_a_field_in_one_branch_keeps_its_parser(self):
+        p = self.pair_or_auto()
+        assert list(p.parts) == ["left", "right"]
+        assert p.parts["left"] is self.LEFT
+        assert p.parts["right"].run("auto", 0) == Success("auto", 4)
+        assert p.parts["right"].run("?", 0) == Failure(0, '/[0-9]+/ or "auto"')
+
+    def test_a_branch_with_no_parts_gives_the_alt_no_parts(self):
+        pair = record(Pair, ("left", self.LEFT), ("right", self.RIGHT))
+        assert alt(pair, lit("x")).parts == {}
+        assert alt(lit("x"), pair).parts == {}
+        assert alt(pair, record(dict, lit("x"))).parts == {}
+        assert (pair | lit("x")).parts == {}
+
+    def pair_or_auto(self):
+        return alt(record(Pair, ("left", self.LEFT), lit("="), ("right", self.RIGHT)),
+                   record(partial(Pair, left=""), ("right", lit("auto"))))
 
 
 class TestForward:

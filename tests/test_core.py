@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import pytest
 
 from strtype.builtins import build_registry
-from strtype.combinators import lit, pattern, seq, spanned
+from strtype.combinators import lit, pattern, record, seq, spanned
 from strtype.core import (
     DuplicateTypeError,
     Err,
@@ -123,6 +123,35 @@ class TestRegistration:
         assert reg.ancestors("Pair") == []
         assert reg.is_descendant("HiNinePair", "Pair")
         assert not reg.is_descendant("Pair", "HiNinePair")
+
+
+class TestDeclaredByRecord:
+    """A type whose grammar is a ``record`` takes its fields and field
+    recognizers from the record's named parts."""
+
+    GRAMMAR = record(Pair, ("left", LEFT), lit(":"), ("right", RIGHT))
+
+    def test_fields_and_recognizers_come_from_the_record(self):
+        pair = StringType("Pair", self.GRAMMAR, cast_pair)
+        assert pair.fields == ("left", "right")
+        assert pair.field_recognizers == {"left": LEFT, "right": RIGHT}
+        assert pair.checks == (("left", LEFT), ("right", RIGHT))
+
+    def test_explicit_arguments_win(self):
+        pair = StringType("Pair", self.GRAMMAR, cast_pair, ("right",), {"right": RIGHT})
+        assert (pair.fields, pair.field_recognizers) == (("right",), {"right": RIGHT})
+        bare = StringType("Pair", self.GRAMMAR, cast_pair, fields=(), field_recognizers={})
+        assert (bare.fields, bare.field_recognizers, bare.checks) == ((), {}, ())
+
+    def test_a_grammar_without_parts_declares_nothing(self):
+        plain = StringType("Pair", pair_grammar(LEFT), cast_pair)
+        assert (plain.fields, plain.field_recognizers, plain.checks) == ((), {}, ())
+
+    def test_opaque_types_check_their_raw_text(self):
+        word = opaque_type("Word", "[a-z]+")
+        assert word.fields == ("raw",)
+        [(name, check)] = word.checks
+        assert name == "raw" and check.run("ab1", 0).end == 2
 
 
 class TestFromRaw:

@@ -1,0 +1,38 @@
+"""The package's public names."""
+
+import strtype
+
+PUBLIC_NAMES = [
+    "Add", "Const", "CssColour", "CssUnit", "DuplicateTypeError", "Email",
+    "EqualAandB", "Err", "ErrorKind", "Expr", "Failure", "FilePath",
+    "InnerR", "InvalidStructureError", "Mult", "NontermError",
+    "NotASubtypeError", "NotASupertypeError", "Ok", "OpError", "Opaque",
+    "ParseError", "ParsedString", "Parser", "Projection", "RegistryError",
+    "RegistryFrozenError", "StringType", "Success", "TypeRegistry",
+    "USPhone", "UnknownFieldError", "UnknownParentError",
+    "UnknownTypeError", "add_units", "append_to_name", "blend",
+    "build_registry", "concat_names", "default_registry", "expr_text",
+    "field_checks", "from_raw", "from_structure", "normalize",
+    "opaque_type", "project_field", "raw_concat", "register_builtins",
+    "reset_field_checks", "sub_expressions", "subtype", "to_centimetres",
+]
+
+
+def test_all_is_pinned():
+    assert strtype.__all__ == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 53
+
+
+def test_each_public_name_resolves_on_the_package():
+    modules = (strtype.builtins, strtype.combinators, strtype.core, strtype.ops)
+    for name in PUBLIC_NAMES:
+        value = getattr(strtype, name)
+        assert name in ("default_registry", "from_raw") or any(
+            getattr(module, name, None) is value for module in modules), name
+    assert strtype.from_raw("Email", "a@b.c").value.cast() == "a@b.c"
+
+
+def test_star_import_gives_exactly_the_public_names():
+    namespace = {}
+    exec("from strtype import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)

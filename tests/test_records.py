@@ -170,10 +170,7 @@ def test_records_match_positionally():
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_copies_are_equal(name):
     record = RECORDS[name][0]()
-    # Parsers compare by identity, so a deep copy of a descriptor, which
-    # copies its recognizer, is a different type.
-    deep = () if name == "StringType" else (copy.deepcopy(record),)
-    for clone in (copy.copy(record), *deep):
+    for clone in (copy.copy(record), copy.deepcopy(record)):
         assert type(clone) is type(record)
         assert clone == record and hash(clone) == hash(record)
 
@@ -184,6 +181,15 @@ def test_pickle_round_trips(name):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         clone = pickle.loads(pickle.dumps(record, protocol))
         assert type(clone) is type(record) and clone == record
+
+
+def test_deep_copies_share_descriptors_and_the_registry():
+    assert copy.deepcopy(GMAIL) is GMAIL
+    clone = copy.deepcopy(VALUE)
+    assert clone == VALUE and clone.registry is REG
+    assert clone.spans == VALUE.spans and clone.spans is not VALUE.spans
+    tree = REG.from_raw("Expr", "1 + 2").value
+    assert copy.deepcopy(tree).structure is not tree.structure
 
 
 def test_a_copied_subtype_keeps_its_parent_and_checks():

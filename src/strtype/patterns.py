@@ -8,16 +8,22 @@ Anything else (backreferences, lookaround, anchors, inline flags) raises
 :class:`PatternError` at construction time.
 
 Matching is anchored at a position and returns the longest match there,
-which is what a tokenizer wants.  Python's ``re`` module resolves an
-alternation by taking the first branch that matches, so it cannot serve
-as the engine here. Patterns are compiled to a small NFA instead, and
-matching walks a DFA built lazily from it by subset construction, noting
-the last position where the state was accepting. A character's class is
-found from the pattern's range endpoints, so arbitrary Unicode adds no
-states, and a pattern's table of states is flushed once it passes a fixed
-size, so memory stays bounded. A state that loops on some classes skips
-the run of them with one ``re`` scan; ``re`` only scans a character set
-there, so the longest-match semantics are unchanged.
+which is what a tokenizer wants. The shorthand classes ``\\d``, ``\\w``
+and ``\\s`` are ASCII. Python's ``re`` module takes the first match its
+backtracking finds, not the longest, and may backtrack exponentially, so
+a pattern is compiled to a small NFA, and its first match chooses the
+engine once. When the NFA is unambiguous, so that a text fixes at most
+one path through it, the pattern is translated to ``re`` source with
+every class written as explicit code point ranges, and one ``re`` call
+finds the longest match in linear time (see
+:meth:`TokenPattern._choose`). Any other pattern walks a DFA built lazily
+from the NFA by subset construction, noting the last position where the
+state was accepting. A character's class is found from the pattern's
+range endpoints, so arbitrary Unicode adds no states, and a pattern's
+table of states is flushed once it passes a fixed size, so memory stays
+bounded. A state that loops on some classes skips the run of them with
+one ``re`` scan; ``re`` only scans a character set there, so the
+longest-match semantics are unchanged.
 
 This module also holds :class:`Record` and :class:`FrozenRecord`, the
 slotted base of every internal record in the package, because every other
@@ -368,6 +374,9 @@ def _closure(states: set[_State]) -> set[_State]:
 # A pattern's DFA table flushes once it holds more states than this, so a
 # pattern whose subset construction explodes still runs in bounded memory.
 _MAX_STATES = 10_000
+# The unambiguity check answers no once it has visited this many NFA
+# states, so a pattern with a large NFA walks the DFA.
+_MAX_CHECKED = 1_000
 _DEAD = -1
 _TOP = 0x10FFFF
 
@@ -381,21 +390,71 @@ def _labels(node) -> set[_Cls]:
     return set().union(*map(_labels, children))
 
 
-def _scanner(spans: list[tuple[int, int]]):
-    """The ``match`` of a regex consuming a run of characters in ``spans``,
-    sorted, disjoint code point ranges.
+def _complement(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The code points outside ``spans``, sorted, disjoint ranges."""
+    edges = [-1] + [c for low, high in spans for c in (low, high)] + [_TOP + 1]
+    return [(a + 1, b - 1) for a, b in zip(edges[::2], edges[1::2]) if a + 1 < b]
 
-    sre expands the BMP part of a class one code point at a time, so a set
-    holding most of the BMP is written as its negated complement.
+
+def _spans(label: _Cls) -> list[tuple[int, int]]:
+    """The code points ``label`` matches, as sorted, disjoint ranges."""
+    spans: list[tuple[int, int]] = []
+    for low, high in sorted((ord(low), ord(high)) for low, high in label.ranges):
+        if spans and low <= spans[-1][1] + 1:
+            spans[-1] = (spans[-1][0], max(high, spans[-1][1]))
+        else:
+            spans.append((low, high))
+    return _complement(spans) if label.negated else spans
+
+
+def _charset(spans: list[tuple[int, int]]) -> str:
+    """``re`` source, for use under ``re.DOTALL``, matching one character
+    in ``spans``, sorted, disjoint code point ranges.
+
+    Every range is written as explicit code points, never as a shorthand
+    class, which ``re`` reads as Unicode. sre expands the BMP part of a
+    class one code point at a time, so a set holding most of the BMP is
+    written as its negated complement.
     """
-    negated = sum(max(0, min(high, 0xFFFF) - low + 1) for low, high in spans) > 0x8000
+    negated = not spans or sum(max(0, min(high, 0xFFFF) - low + 1)
+                               for low, high in spans) > 0x8000
     if negated:
-        edges = [-1] + [c for low, high in spans for c in (low, high)] + [_TOP + 1]
-        spans = [(a + 1, b - 1) for a, b in zip(edges[::2], edges[1::2]) if a + 1 < b]
+        spans = _complement(spans)
         if not spans:
-            return re.compile("(?s:.)*").match
+            return "."
     body = "".join(f"\\U{low:08x}-\\U{high:08x}" for low, high in spans)
-    return re.compile(f"[{'^' if negated else ''}{body}]*").match
+    return f"[{'^' if negated else ''}{body}]"
+
+
+def _nullable(node) -> bool:
+    """Whether ``node`` matches the empty string."""
+    if isinstance(node, _Cls):
+        return False
+    if isinstance(node, _Seq):
+        return all(map(_nullable, node.parts))
+    if isinstance(node, _Alt):
+        return any(map(_nullable, node.options))
+    return node.low == 0 or _nullable(node.node)
+
+
+def _regex_source(node) -> str:
+    """``re`` source for ``node``, for use under ``re.DOTALL``.
+
+    In an unambiguous pattern at most one option of an alternation is
+    nullable; it goes last, so that, as at every other choice, ``re``
+    tries each option that must consume a character before the one that
+    may stop.
+    """
+    if isinstance(node, _Cls):
+        return _charset(_spans(node))
+    if isinstance(node, _Seq):
+        return "".join(map(_regex_source, node.parts))
+    if isinstance(node, _Alt):
+        return f"(?:{'|'.join(map(_regex_source, sorted(node.options, key=_nullable)))})"
+    body = _regex_source(node.node)
+    if not isinstance(node.node, _Cls):
+        body = f"(?:{body})"
+    return f"{body}{{{node.low},{'' if node.high is None else node.high}}}"
 
 
 class _Table:
@@ -428,12 +487,20 @@ class _Table:
 
 
 class TokenPattern:
-    """A compiled pattern that finds the longest match at a given position."""
+    """A compiled pattern that finds the longest match at a given position.
+
+    Nothing is compiled beyond the NFA until the first match: that call
+    chooses between ``re`` and the lazy DFA.
+    """
 
     def __init__(self, source: str):
         self.source = source
         tree = _PatternReader(source).parse()
         start = _State()
+        self._tree, self._nfa = tree, start
+        # None until the first match chooses the engine: then the compiled
+        # regex's match, or False for the DFA.
+        self._match = None
         self._accept = _build(tree, start)
         self._start = frozenset(_closure({start}))
         # Characters between two adjacent cuts meet every label alike, so
@@ -467,9 +534,53 @@ class TokenPattern:
             row = [table.intern(frozenset(_closure(m))) if m else _DEAD for m in moved]
             loop = [(cuts[k - 1] if k else 0, cuts[k] - 1 if k < len(cuts) else _TOP)
                     for k, tgt in enumerate(row) if tgt == sid]
-            table.skips[sid] = _scanner(loop) if loop else None
+            table.skips[sid] = (re.compile(_charset(loop) + "*", re.DOTALL).match
+                                if loop else None)
             table.rows[sid] = row
             return table, sid
+
+    def _unambiguous(self) -> bool:
+        """Whether every text fixes at most one path through the NFA.
+
+        It does when the start state, and every state a consuming step
+        reaches, has an epsilon closure that is a tree (no state reached
+        twice, so no epsilon cycle) and no character leaves that closure
+        on two edges. Past ``_MAX_CHECKED`` visited states the answer is no.
+        """
+        todo, reached, budget = [self._nfa], {self._nfa}, _MAX_CHECKED
+        while todo:
+            stack, seen, taken = [todo.pop()], set(), set()
+            while stack:
+                state = stack.pop()
+                budget -= 1
+                if state in seen or budget < 0:
+                    return False
+                seen.add(state)
+                stack.extend(state.eps)
+                for label, target in state.edges:
+                    classes = self._classes[label]
+                    if not taken.isdisjoint(classes):
+                        return False
+                    taken.update(classes)
+                    if target not in reached:
+                        reached.add(target)
+                        todo.append(target)
+        return True
+
+    def _choose(self):
+        """Choose the engine, once: ``re`` for an unambiguous pattern.
+
+        There the text fixes one NFA path. At each choice ``re`` tries the
+        options that must consume a character before the one that may
+        stop, and a stop succeeds only at an accepting point, so its first
+        success is the longest match; each choice point is retried at most
+        once, so the time is linear.
+        """
+        with self._lock:
+            if self._match is None:
+                self._match = self._unambiguous() and re.compile(
+                    _regex_source(self._tree), re.DOTALL).match
+            return self._match
 
     def match_end(self, text: str, pos: int) -> int | None:
         """Return the end of the longest match starting at ``pos``, or None.
@@ -477,6 +588,16 @@ class TokenPattern:
         A pattern that accepts the empty string yields ``pos`` itself when
         nothing longer matches.
         """
+        match = self._match
+        if match is None:
+            match = self._choose()
+        if match is False:
+            return self._dfa_end(text, pos)
+        found = match(text, pos)
+        return None if found is None else found.end()
+
+    def _dfa_end(self, text: str, pos: int) -> int | None:
+        """:meth:`match_end` by walking the lazy DFA."""
         table = self._table
         rows, accepting, skips = table.rows, table.accepting, table.skips
         cuts = self._cuts

@@ -1,28 +1,49 @@
+import ast
+import inspect
 import itertools
 import random
 import re
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import strtype.builtins
 from strtype.patterns import PatternError, TokenPattern
 
 
 def oracle_end(source, text, pos):
     """Longest match via re, tried prefix by prefix.
 
-    re shares membership semantics with the subset engine (given DOTALL,
-    since the engine's ``.`` matches ``\\n``); only its search strategy
-    differs, so exhaustive fullmatch over prefixes is an independent
-    longest-match oracle.
+    re shares membership semantics with the engine given DOTALL, since the
+    engine's ``.`` matches ``\\n``, and ASCII, since the engine's ``\\d``,
+    ``\\w`` and ``\\s`` are ASCII; only its search strategy differs, so
+    exhaustive fullmatch over prefixes is an independent longest-match
+    oracle.
     """
-    compiled = re.compile(source, re.DOTALL)
+    compiled = re.compile(source, re.DOTALL | re.ASCII)
     best = None
     for end in range(pos, len(text) + 1):
         if compiled.fullmatch(text, pos, end):
             best = end
     return best
+
+
+def ends(p, text, pos):
+    """``p``'s match end from the engine it chose, checked against its DFA
+    walk, which every pattern has."""
+    end = p.match_end(text, pos)
+    assert end == p._dfa_end(text, pos), (p, text, pos)
+    return end
+
+
+def takes_re(p):
+    """Whether ``p``'s first call chose ``re`` over the DFA."""
+    p.match_end("", 0)
+    return p._match is not False
 
 
 class TestConstruction:
@@ -80,8 +101,11 @@ class TestLongestMatch:
 
 SLUG = "([a-z]+|[0-9]+)([-_.]([a-z]+|[0-9]+))*"
 # Line breaks, two- and three-byte UTF-8, an astral character and a lone
-# surrogate, beside the characters the patterns name.
-WIDE = "ab9. -r_/\\\néc中😀\ud800"
+# surrogate, beside the characters the patterns name; and a digit, a letter
+# and three spaces that are Unicode but not ASCII, so that \\d, \\w and \\s
+# read as Unicode would match them.
+UNICODE_ONLY = "٣é\x85\xa0\x1c"
+WIDE = "ab9. -r_/\\\néc中😀\ud800٣\x85\xa0\x1c"
 
 
 def _run(rng, alphabet, n):
@@ -124,6 +148,7 @@ class TestAgainstRe:
         ".[.].",
         r"\.[0-9]*",
         r"\d+(\.\d+)?",
+        r"\w+(\s+\w+)*",
         ".*",
         r"[^/\\]+",
         r"\.[^/\\]*",
@@ -135,6 +160,9 @@ class TestAgainstRe:
         "[é-\U0010ffff]+",
         "[ -\uffff]*a",
         "[😀-\U0010ffff]*.",
+        # Classes of every character and of none.
+        "[\x00-\U0010ffff]*",
+        "[^\x00-\U0010ffff]?x",
     ]
 
     @pytest.mark.parametrize("source", PATTERNS)
@@ -144,7 +172,7 @@ class TestAgainstRe:
         for n in range(0, 4):
             for chars in itertools.product(alphabet, repeat=n):
                 text = "".join(chars)
-                assert p.match_end(text, 0) == oracle_end(source, text, 0), (source, text)
+                assert ends(p, text, 0) == oracle_end(source, text, 0), (source, text)
 
     @pytest.mark.parametrize("source", PATTERNS)
     def test_random_longer_strings(self, source):
@@ -154,7 +182,7 @@ class TestAgainstRe:
         for _ in range(200):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 12)))
             pos = rng.randrange(0, len(text) + 1)
-            assert p.match_end(text, pos) == oracle_end(source, text, pos), (source, text, pos)
+            assert ends(p, text, pos) == oracle_end(source, text, pos), (source, text, pos)
 
     @pytest.mark.parametrize("source", PATTERNS)
     def test_random_wide_strings(self, source):
@@ -163,7 +191,7 @@ class TestAgainstRe:
         for _ in range(200):
             text = _run(rng, WIDE, rng.randrange(0, 40))
             pos = rng.randrange(0, len(text) + 1)
-            assert p.match_end(text, pos) == oracle_end(source, text, pos), (source, text, pos)
+            assert ends(p, text, pos) == oracle_end(source, text, pos), (source, text, pos)
 
     @pytest.mark.parametrize("source", sorted(LONG_MATCHES))
     def test_long_runs_from_inside_the_text(self, source):
@@ -177,14 +205,16 @@ class TestAgainstRe:
             body = make(rng)
             for tail in ["", stop] if stop else [""]:
                 text = prefix + body + tail
-                end = p.match_end(text, len(prefix))
+                end = ends(p, text, len(prefix))
                 assert end == len(prefix + body), (source, text)
                 assert end == oracle_end(source, text, len(prefix)), (source, text)
 
     def test_shorthand_classes(self):
         for source, text in [(r"\d+", "123x"), (r"\w+", "ab_9-"), (r"\s+", " \t\nx")]:
             p = TokenPattern(source)
-            assert p.match_end(text, 0) == oracle_end(source, text, 0)
+            assert ends(p, text, 0) == oracle_end(source, text, 0)
+            for ch in UNICODE_ONLY:
+                assert ends(p, ch, 0) is None, (source, ch)
 
 
 class TestStateCache:
@@ -225,3 +255,118 @@ class TestStateCache:
         finally:
             sys.setswitchinterval(interval)
         assert p._table is not first
+
+
+def _sources(source, call):
+    """The string arguments of each ``call(...)`` in a module's source."""
+    return {node.args[0].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == call
+            and node.args and isinstance(node.args[0], ast.Constant)}
+
+
+_BENCH_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+
+
+class TestEngineChoice:
+    """An unambiguous pattern, where each text fixes one NFA path, is matched
+    by one ``re`` call; every other pattern walks the DFA."""
+
+    BUILTIN = sorted(_sources(inspect.getsource(strtype.builtins), "pattern"))
+
+    def test_builtin_patterns_are_found(self):
+        assert len(self.BUILTIN) >= 9, self.BUILTIN
+
+    @pytest.mark.parametrize("source", BUILTIN)
+    def test_builtin_patterns_take_re(self, source):
+        assert takes_re(TokenPattern(source))
+
+    def test_bench_slug_pattern_takes_re(self):
+        tree = ast.parse(_BENCH_GEN.read_text(encoding="utf-8"))
+        slug = next(node.value.value for node in tree.body if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "SLUG_PATTERN")
+        assert slug == SLUG
+        assert takes_re(TokenPattern(slug))
+
+    @pytest.mark.parametrize("source", ["a*a?", "a{0,512}", "[ab]*a[ab]{13}", "(a*)*b",
+                                        "(a?)*b", "(x(a?|b?)y)*z", "x?|y?"])
+    def test_ambiguous_patterns_walk_the_dfa(self, source):
+        assert not takes_re(TokenPattern(source))
+
+    def test_construction_chooses_nothing(self):
+        p = TokenPattern(SLUG)
+        assert p._match is None
+        assert p.match_end("ab-1", 0) == 4
+        assert p._match is not None
+
+    def test_nested_star_rejects_a_long_run_quickly(self):
+        # re alone backtracks exponentially here.
+        p = TokenPattern("(a*)*b")
+        start = time.perf_counter()
+        assert p.match_end("a" * 5000 + "c", 0) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_nullable_options_of_an_alternation(self):
+        # re stops in the first option that matches. One nullable option
+        # is tried last; with two, the pattern walks the DFA.
+        p = TokenPattern("(x?|y)z?")
+        assert takes_re(p)
+        assert [ends(p, text, 0) for text in ["y", "yz", "x", "z", ""]] == [1, 2, 1, 1, 0]
+        assert TokenPattern("x?|y?").match_end("y", 0) == 1
+
+
+_ATOMS = ["a", "b", "c", "[ab]", "[^a]", ".", "[a-c]"]
+_REPEATS = ["*", "+", "?", "{2}", "{1,2}", "{0,3}", "{2,}"]
+
+
+def _random_pattern(rng, depth=2):
+    """A pattern over ``_ATOMS`` with repeats, groups, ``|`` and empty options."""
+    options = []
+    for _ in range(rng.choice([1, 1, 1, 2, 3])):
+        parts = []
+        for _ in range(rng.choice([0, 1, 1, 2, 2, 3])):
+            part = (f"({_random_pattern(rng, depth - 1)})" if depth and rng.random() < 0.3
+                    else rng.choice(_ATOMS))
+            if rng.random() < 0.4:
+                part += rng.choice(_REPEATS)
+            parts.append(part)
+        options.append("".join(parts))
+    return "|".join(options)
+
+
+class TestRandomPatterns:
+    # Every string over abcd up to this length: 1,365 of them.
+    TEXTS = ["".join(chars) for n in range(6) for chars in itertools.product("abcd", repeat=n)]
+
+    def test_re_path_agrees_with_the_dfa(self):
+        rng = random.Random(13)
+        sources = {_random_pattern(rng) for _ in range(2000)}
+        eligible = [p for p in map(TokenPattern, sorted(sources)) if takes_re(p)]
+        for p in eligible:
+            for text in self.TEXTS:
+                for pos in (0, 1)[:len(text) + 1]:
+                    assert p.match_end(text, pos) == p._dfa_end(text, pos), (p, text, pos)
+        assert len(eligible) >= 200, len(eligible)
+
+
+class TestFirstCall:
+    def test_threads_share_the_deciding_call(self):
+        p = TokenPattern(SLUG)
+        rng = random.Random("decide")
+        texts = [_slug(rng)[:300] + tail for tail in ["", "-", "A", "--"]]
+        barrier = threading.Barrier(4)
+
+        def run(pos):
+            barrier.wait(timeout=60)
+            return [p.match_end(text, pos) for text in texts]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, k % 2) for k in range(4)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, got in enumerate(results):
+            assert got == [oracle_end(SLUG, text, k % 2) for text in texts], k
+        assert p._match is not False

@@ -77,12 +77,15 @@ class CssUnit:
 
 
 def _format_number(v: float) -> str:
+    """``v`` in positional notation, in ``repr``'s shortest round-trip digits."""
     if v == int(v):
         return str(int(v))
-    out = repr(v)
-    if "e" in out or "E" in out:
-        out = f"{v:.17f}".rstrip("0").rstrip(".")
-    return out
+    out = repr(abs(v))
+    if "e" in out:
+        # Only a fraction has an exponent here: 1.5e-05 is 0.000015.
+        mantissa, exponent = out.split("e")
+        out = f"0.{'0' * (-int(exponent) - 1)}{mantissa.replace('.', '')}"
+    return "-" * (v < 0) + out
 
 
 _DIGITS = pattern(r"[0-9]+(\.[0-9]+)?").fn

@@ -3,9 +3,11 @@
 Each operation takes parsed values (or expression trees) and produces
 results that are guaranteed, or checked, to stay in their type's language.
 Where closure holds by construction (blending colours, concatenating
-alphanumeric names) no re-validation is needed; where it depends on the
-data (appending arbitrary text to a name) the single affected field is
-re-checked and a closure violation comes back as ``Err``.
+alphanumeric names) the result is built by :func:`~strtype.core.from_structure`,
+which parses its cast once more to recover the field spans and raises if
+closure fails after all; where it depends on the data (appending
+arbitrary text to a name) the single affected field is re-checked and a
+closure violation comes back as ``Err``.
 """
 
 from __future__ import annotations

@@ -9,21 +9,25 @@ Anything else (backreferences, lookaround, anchors, inline flags) raises
 
 Matching is anchored at a position and returns the longest match there,
 which is what a tokenizer wants. The shorthand classes ``\\d``, ``\\w``
-and ``\\s`` are ASCII. Python's ``re`` module takes the first match its
-backtracking finds, not the longest, and may backtrack exponentially, so
-a pattern is compiled to a small NFA, and its first match chooses the
-engine once. When the NFA is unambiguous, so that a text fixes at most
-one path through it, the pattern is translated to ``re`` source with
-every class written as explicit code point ranges, and one ``re`` call
-finds the longest match in linear time (see
-:meth:`TokenPattern._choose`). Any other pattern walks a DFA built lazily
-from the NFA by subset construction, noting the last position where the
-state was accepting. A character's class is found from the pattern's
-range endpoints, so arbitrary Unicode adds no states, and a pattern's
-table of states is flushed once it passes a fixed size, so memory stays
-bounded. A state that loops on some classes skips the run of them with
-one ``re`` scan; ``re`` only scans a character set there, so the
-longest-match semantics are unchanged.
+and ``\\s`` are ASCII. The reader writes every character class once, as
+sorted code point spans with negation and ``.`` already applied, and
+everything below reads those spans. Python's ``re`` module takes the
+first match its backtracking finds, not the longest, and may backtrack
+exponentially, so a pattern is compiled to a small NFA, and its first
+match chooses the engine once. When the NFA is unambiguous, so that a
+text fixes at most one path through it, the pattern is translated to
+``re`` source with every class written as explicit code point ranges,
+and one ``re`` call finds the longest match in linear time (see
+:meth:`TokenPattern._choose`). A bounded repeat ``X{1,3}`` is wired as
+``X(X(X)?)?``, not ``XX?X?``, so that a text fixes how many copies of
+``X`` it takes. Any other pattern walks a DFA built lazily from the NFA
+by subset construction, noting the last position where the state was
+accepting. A character's class is found from the spans' endpoints, so
+arbitrary Unicode adds no states, and a pattern's table of states is
+flushed once it passes a fixed size, so memory stays bounded. A state
+that loops on some classes skips the run of them with one ``re`` scan;
+``re`` only scans a character set there, so the longest-match semantics
+are unchanged.
 
 This module also holds :class:`Record` and :class:`FrozenRecord`, the
 slotted base of every internal record in the package, because every other
@@ -103,23 +107,30 @@ class PatternError(ValueError):
     """Raised when a pattern uses syntax outside the supported subset."""
 
 
-_DIGIT_RANGES = (("0", "9"),)
-_WORD_RANGES = (("0", "9"), ("A", "Z"), ("a", "z"), ("_", "_"))
-_SPACE_RANGES = ((" ", " "), ("\t", "\t"), ("\n", "\n"), ("\r", "\r"),
-                 ("\x0b", "\x0b"), ("\x0c", "\x0c"))
+_TOP = 0x10FFFF
+_DIGITS = ((0x30, 0x39),)
+_WORD = ((0x30, 0x39), (0x41, 0x5A), (0x5F, 0x5F), (0x61, 0x7A))
+_SPACE = ((0x09, 0x0D), (0x20, 0x20))
+_ANY = ((0, _TOP),)
 
 _MAX_COUNT = 512
 
 
+def _complement(spans) -> list[tuple[int, int]]:
+    """The code points outside ``spans``, sorted, disjoint ranges."""
+    edges = [-1] + [c for low, high in spans for c in (low, high)] + [_TOP + 1]
+    return [(a + 1, b - 1) for a, b in zip(edges[::2], edges[1::2]) if a + 1 < b]
+
+
 class _Cls(FrozenRecord):
-    """The characters in ``ranges``, or outside them when ``negated``; a
-    literal is a one-character class and ``.`` the negated empty one."""
+    """One character from ``spans``: sorted, disjoint, non-adjacent code
+    point ranges. A literal is a one-point class, ``.`` the class of every
+    code point, and a negated class holds its complement."""
 
-    __slots__ = ("ranges", "negated")
+    __slots__ = ("spans",)
 
-    def __init__(self, ranges: tuple[tuple[str, str], ...], negated: bool = False):
-        object.__setattr__(self, "ranges", ranges)
-        object.__setattr__(self, "negated", negated)
+    def __init__(self, spans: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "spans", spans)
 
 
 class _Seq(FrozenRecord):
@@ -220,7 +231,7 @@ class _PatternReader:
 
     def number(self) -> int:
         digits = ""
-        while (ch := self.peek()) is not None and ch.isdigit():
+        while (ch := self.peek()) is not None and "0" <= ch <= "9":
             digits += self.take()
         if not digits:
             raise self.error("expected a repetition count")
@@ -241,36 +252,31 @@ class _PatternReader:
             return self.charclass()
         if ch == ".":
             self.take()
-            return _Cls((), negated=True)
+            return _Cls(_ANY)
         if ch == "\\":
             return self.escape()
         if ch in "*+?{":
             raise self.error("nothing to repeat")
         if ch in ")]|^$":
             raise self.error(f"unsupported use of {ch!r}")
-        ch = self.take()
-        return _Cls(((ch, ch),))
+        code = ord(self.take())
+        return _Cls(((code, code),))
 
     def escape(self):
         self.take()
         ch = self.peek()
         if ch is None:
             raise self.error("dangling escape")
-        if ch == "d":
+        shorthand = {"d": _DIGITS, "w": _WORD, "s": _SPACE}.get(ch)
+        if shorthand:
             self.take()
-            return _Cls(_DIGIT_RANGES)
-        if ch == "w":
-            self.take()
-            return _Cls(_WORD_RANGES)
-        if ch == "s":
-            self.take()
-            return _Cls(_SPACE_RANGES)
+            return _Cls(shorthand)
         if ch.isdigit():
             raise self.error("backreferences are not supported")
         if ch.isalpha():
             raise self.error(f"unsupported escape '\\{ch}'")
-        ch = self.take()
-        return _Cls(((ch, ch),))
+        code = ord(self.take())
+        return _Cls(((code, code),))
 
     def charclass(self):
         self.take()
@@ -278,7 +284,7 @@ class _PatternReader:
         if self.peek() == "^":
             self.take()
             negated = True
-        ranges: list[tuple[str, str]] = []
+        ranges: list[tuple[int, int]] = []
         while True:
             ch = self.peek()
             if ch is None:
@@ -287,27 +293,32 @@ class _PatternReader:
                 if not ranges:
                     raise self.error("empty character class")
                 self.take()
-                return _Cls(tuple(ranges), negated)
-            low = self.class_char()
+                break
+            low = high = self.class_char()
             if self.peek() == "-" and self.src[self.i + 1 : self.i + 2] not in ("]", ""):
                 self.take()
                 high = self.class_char()
                 if high < low:
                     raise self.error("character range out of order")
-                ranges.append((low, high))
+            ranges.append((low, high))
+        spans: list[tuple[int, int]] = []
+        for low, high in sorted(ranges):
+            if spans and low <= spans[-1][1] + 1:
+                spans[-1] = (spans[-1][0], max(high, spans[-1][1]))
             else:
-                ranges.append((low, low))
+                spans.append((low, high))
+        return _Cls(tuple(_complement(spans) if negated else spans))
 
-    def class_char(self) -> str:
+    def class_char(self) -> int:
         ch = self.take()
         if ch != "\\":
-            return ch
+            return ord(ch)
         nxt = self.peek()
         if nxt is None:
             raise self.error("dangling escape")
         if nxt.isalnum():
             raise self.error(f"unsupported escape '\\{nxt}' in character class")
-        return self.take()
+        return ord(self.take())
 
 
 class _State:
@@ -318,46 +329,45 @@ class _State:
         self.edges: list[tuple[object, _State]] = []
 
 
-def _build(node, start: _State) -> _State:
-    """Wire ``node`` into the NFA from ``start``, returning its exit state."""
+def _build(node, start: _State, labels: set[_Cls]) -> _State:
+    """Wire ``node`` into the NFA from ``start``, adding the classes on its
+    edges to ``labels``, and return its exit state."""
     if isinstance(node, _Cls):
         end = _State()
         start.edges.append((node, end))
+        labels.add(node)
         return end
     if isinstance(node, _Seq):
         cur = start
         for part in node.parts:
-            cur = _build(part, cur)
+            cur = _build(part, cur, labels)
         return cur
     if isinstance(node, _Alt):
         end = _State()
         for option in node.options:
             head = _State()
             start.eps.append(head)
-            _build(option, head).eps.append(end)
+            _build(option, head, labels).eps.append(end)
         return end
     if isinstance(node, _Rep):
         cur = start
         for _ in range(node.low):
-            cur = _build(node.node, cur)
+            cur = _build(node.node, cur, labels)
+        end = _State()
         if node.high is None:
             loop = _State()
-            end = _State()
             cur.eps.append(loop)
-            body_end = _build(node.node, loop)
-            body_end.eps.append(loop)
+            _build(node.node, loop, labels).eps.append(loop)
             loop.eps.append(end)
             return end
+        # X{1,3} is X(X(X)?)?, not XX?X?: before each optional copy the
+        # path may leave for the one exit, so a text fixes the copies taken.
         for _ in range(node.high - node.low):
-            nxt = _build(node.node, cur)
-            cur.eps.append(nxt)
-            cur = nxt
-        return cur
+            cur.eps.append(end)
+            cur = _build(node.node, cur, labels)
+        cur.eps.append(end)
+        return end
     raise AssertionError(f"unknown pattern node {node!r}")
-
-
-def _edge_matches(label: _Cls, ch: str) -> bool:
-    return any(low <= ch <= high for low, high in label.ranges) != label.negated
 
 
 def _closure(states: set[_State]) -> set[_State]:
@@ -378,36 +388,9 @@ _MAX_STATES = 10_000
 # states, so a pattern with a large NFA walks the DFA.
 _MAX_CHECKED = 1_000
 _DEAD = -1
-_TOP = 0x10FFFF
 
 
-def _labels(node) -> set[_Cls]:
-    """The character classes that label ``node``'s NFA edges."""
-    if isinstance(node, _Cls):
-        return {node}
-    children = (node.parts if isinstance(node, _Seq)
-                else node.options if isinstance(node, _Alt) else (node.node,))
-    return set().union(*map(_labels, children))
-
-
-def _complement(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The code points outside ``spans``, sorted, disjoint ranges."""
-    edges = [-1] + [c for low, high in spans for c in (low, high)] + [_TOP + 1]
-    return [(a + 1, b - 1) for a, b in zip(edges[::2], edges[1::2]) if a + 1 < b]
-
-
-def _spans(label: _Cls) -> list[tuple[int, int]]:
-    """The code points ``label`` matches, as sorted, disjoint ranges."""
-    spans: list[tuple[int, int]] = []
-    for low, high in sorted((ord(low), ord(high)) for low, high in label.ranges):
-        if spans and low <= spans[-1][1] + 1:
-            spans[-1] = (spans[-1][0], max(high, spans[-1][1]))
-        else:
-            spans.append((low, high))
-    return _complement(spans) if label.negated else spans
-
-
-def _charset(spans: list[tuple[int, int]]) -> str:
+def _charset(spans) -> str:
     """``re`` source, for use under ``re.DOTALL``, matching one character
     in ``spans``, sorted, disjoint code point ranges.
 
@@ -446,7 +429,7 @@ def _regex_source(node) -> str:
     may stop.
     """
     if isinstance(node, _Cls):
-        return _charset(_spans(node))
+        return _charset(node.spans)
     if isinstance(node, _Seq):
         return "".join(map(_regex_source, node.parts))
     if isinstance(node, _Alt):
@@ -501,16 +484,17 @@ class TokenPattern:
         # None until the first match chooses the engine: then the compiled
         # regex's match, or False for the DFA.
         self._match = None
-        self._accept = _build(tree, start)
+        labels: set[_Cls] = set()
+        self._accept = _build(tree, start, labels)
         self._start = frozenset(_closure({start}))
         # Characters between two adjacent cuts meet every label alike, so
-        # a character's class is bisect_right(cuts, ord(ch)).
-        labels = _labels(tree)
-        cuts = {c for label in labels for low, high in label.ranges
-                for c in (ord(low), ord(high) + 1)}
-        self._cuts = sorted(cuts - {_TOP + 1})
-        firsts = [chr(c) for c in [0] + self._cuts]
-        self._classes = {label: [k for k, ch in enumerate(firsts) if _edge_matches(label, ch)]
+        # a character's class is bisect_right(cuts, ord(ch)), and a span
+        # covers the classes of its two ends and those between.
+        cuts = {c for label in labels for low, high in label.spans for c in (low, high + 1)}
+        self._cuts = cuts = sorted(cuts - {0, _TOP + 1})
+        self._classes = {label: [k for low, high in label.spans
+                                 for k in range(bisect_right(cuts, low),
+                                                bisect_right(cuts, high) + 1)]
                          for label in labels}
         self._lock = threading.Lock()
         self._table = _Table(self._start, self._accept)

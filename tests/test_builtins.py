@@ -30,7 +30,7 @@ from strtype.combinators import (Failure, Parser, Success, alt, chain_left, forw
                                  many, one_of, pattern, run_to_end, satisfy, seq, some,
                                  spanned, succeed, times)
 from strtype.core import (Err, Ok, Opaque, StringType, TypeRegistry, field_checks,
-                          reset_field_checks, subtype)
+                          from_structure, reset_field_checks, subtype)
 
 
 def recursive_expr_text(e):
@@ -135,6 +135,18 @@ class TestCssUnit:
         assert ok(reg, "CssUnit", large.cast()).structure == large.structure
         assert isinstance(run_to_end(reg.get("CssUnit").field_recognizers["value"],
                                      "1" * 400), Failure)
+
+    def test_cast_writes_small_values_out_in_full(self, reg):
+        # repr writes these with an exponent, which the grammar has no room for.
+        value = ok(reg, "CssUnit", "0.000000000000000001px")
+        assert value.cast() == "0.000000000000000001px"
+        assert ok(reg, "CssUnit", "0.000015cm").cast() == "0.000015cm"
+
+    def test_every_float_survives_its_cast(self, reg):
+        rng = random.Random(1)
+        for _ in range(20_000):
+            v = rng.uniform(0, 1) * 10 ** rng.randint(-30, 15)
+            assert from_structure(reg, "CssUnit", CssUnit(v, "px")).structure.value == v, v
 
     def test_px_or_auto_subtype(self, reg):
         assert ok(reg, "PxOrAuto", "16px").structure == CssUnit(16.0, "px")

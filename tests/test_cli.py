@@ -431,6 +431,16 @@ class TestExtraTypes:
         _, out, _ = run_cli(capsys, "list-types")
         assert "Hex8" in [r["type"] for r in records(out)]
 
+    def test_dotfiles_and_subdirectories_are_skipped(self, capsys, tmp_path, monkeypatch):
+        # Either would be a config error if it were read as a definition.
+        (tmp_path / ".hidden.def").write_text("Bad\n[unclosed\n")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "word.def").write_text("Word\n[a-z]+\n")
+        monkeypatch.setenv("STRTYPE_TYPES", str(tmp_path))
+        code, out, _ = run_cli(capsys, "list-types")
+        assert code == 0
+        assert "Word" in [r["type"] for r in records(out)]
+
     def test_bad_pattern_is_config_error(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "bad.def").write_text("Bad\n[unclosed\n")
         monkeypatch.setenv("STRTYPE_TYPES", str(tmp_path))

@@ -124,6 +124,10 @@ class TestChoice:
         p = alt(lit("x"), lit("x"))
         assert p.run("z", 0) == Failure(0, '"x"')
 
+    def test_a_choice_of_nothing_is_refused(self):
+        with pytest.raises(ValueError):
+            alt()
+
     def test_fallback_yields_default_without_consuming(self):
         sep = one_of(" ./-").fallback("")
         assert sep.run("5", 0) == Success("", 0)

@@ -282,6 +282,10 @@ class TestNarrowWiden:
         assert isinstance(back, Ok)
         assert back.value.strict_eq(narrow)
 
+    def test_widen_to_own_type_is_the_value_itself(self, reg):
+        value = parsed(reg, "HiPair", "hi:1")
+        assert value.widen("HiPair") is value
+
     def test_widen_to_plain_string_is_the_cast(self, reg):
         value = parsed(reg, "HiPair", "hi:1")
         assert value.widen("string") == "hi:1"

@@ -214,6 +214,12 @@ class TestProjectField:
         assert got == Projection("someone", "Gmail", "name")
 
 
+class TestToCentimetres:
+    def test_auto_has_no_length(self, reg):
+        with pytest.raises(ValueError, match="auto"):
+            to_centimetres(ok(reg, "CssUnit", "auto").structure)
+
+
 class TestAddUnits:
     def test_left_unit_wins(self, reg):
         total = add_units(ok(reg, "CssUnit", "1pc"), ok(reg, "CssUnit", "16px"))
@@ -241,6 +247,12 @@ class TestAddUnits:
         result = add_units(ok(reg, "CssUnit", big + "px"), ok(reg, "CssUnit", big + unit))
         assert isinstance(result, Err)
         assert result.error.kind is ErrorKind.CLOSURE
+
+    def test_a_tiny_sum_keeps_its_digits(self, reg):
+        tiny = ok(reg, "CssUnit", "0.000000000000000001px")
+        total = add_units(tiny, ok(reg, "CssUnit", "0px"))
+        assert isinstance(total, Ok), total
+        assert total.value.structure == CssUnit(1e-18, "px")
 
     def test_subtype_results_keep_their_type(self, reg):
         total = add_units(ok(reg, "PxOrAuto", "2px"), ok(reg, "CssUnit", "1pc"))

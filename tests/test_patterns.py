@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import strtype.builtins
-from strtype.patterns import PatternError, TokenPattern
+from strtype.patterns import PatternError, TokenPattern, _Alt, _Cls, _Seq
 
 
 def oracle_end(source, text, pos):
@@ -64,6 +64,9 @@ class TestConstruction:
         "a$",
         "a\\",
         "a{x}",
+        # re reads a non-ASCII digit in braces as literal text.
+        "a{٣}",
+        "a{1,٣}",
     ])
     def test_unsupported_syntax_is_rejected(self, bad):
         with pytest.raises(PatternError):
@@ -287,10 +290,17 @@ class TestEngineChoice:
         assert slug == SLUG
         assert takes_re(TokenPattern(slug))
 
+    # a{0,512} is unambiguous, but its NFA is past the check's budget of
+    # _MAX_CHECKED states, so the check answers no.
     @pytest.mark.parametrize("source", ["a*a?", "a{0,512}", "[ab]*a[ab]{13}", "(a*)*b",
                                         "(a?)*b", "(x(a?|b?)y)*z", "x?|y?"])
     def test_ambiguous_patterns_walk_the_dfa(self, source):
         assert not takes_re(TokenPattern(source))
+
+    @pytest.mark.parametrize("source", ["a{0,3}", "[0-9a-f]{1,8}", r"\d{1,3}(\.\d{1,3}){3}"])
+    def test_bounded_repeats_of_an_unambiguous_body_take_re(self, source):
+        # X{0,3} is wired as (X(X(X)?)?)?, so a text fixes how many copies it takes.
+        assert takes_re(TokenPattern(source))
 
     def test_construction_chooses_nothing(self):
         p = TokenPattern(SLUG)
@@ -370,3 +380,53 @@ class TestFirstCall:
         for k, got in enumerate(results):
             assert got == [oracle_end(SLUG, text, k % 2) for text in texts], k
         assert p._match is not False
+
+
+def _sample(node, rng):
+    """A random string that the pattern tree ``node`` matches whole.
+
+    A class draws from its spans, mostly their ASCII part; an unbounded
+    repeat takes at most 3 copies beyond its minimum. Raises IndexError
+    when ``node`` matches nothing.
+    """
+    if isinstance(node, _Cls):
+        low, high = rng.choice(node.spans)
+        if rng.random() < 0.8:
+            high = min(high, max(low, 0x7F))
+        return chr(rng.randint(low, high))
+    if isinstance(node, _Seq):
+        return "".join(_sample(part, rng) for part in node.parts)
+    if isinstance(node, _Alt):
+        return _sample(rng.choice(node.options), rng)
+    high = node.low + 3 if node.high is None else node.high
+    try:
+        return "".join(_sample(node.node, rng) for _ in range(rng.randint(node.low, high)))
+    except IndexError:
+        if node.low:
+            raise
+        return ""
+
+
+class TestSampledStrings:
+    """Strings drawn from each pattern's tree match it whole on both engines
+    and in ``re``, and their one-character edits agree with the oracle."""
+
+    # One level of groups: the re oracle backtracks exponentially on
+    # repeats nested two deep.
+    SOURCES = TestAgainstRe.PATTERNS + sorted(
+        {_random_pattern(random.Random(f"sample-{k}"), depth=1) for k in range(360)})
+
+    def test_samples_match_whole_and_edits_agree(self):
+        rng = random.Random(14)
+        for source in self.SOURCES:
+            p = TokenPattern(source)
+            compiled = re.compile(source, re.DOTALL | re.ASCII)
+            for _ in range(4):
+                text = _sample(p._tree, rng)
+                assert p.match_end(text, 0) == p._dfa_end(text, 0) == len(text), (source, text)
+                assert compiled.fullmatch(text), (source, text)
+                for _ in range(3):
+                    i = rng.randrange(len(text) + 1)
+                    insert = rng.choice(["", rng.choice(WIDE)])
+                    edited = text[:i] + insert + text[i + rng.randint(0, 1):]
+                    assert ends(p, edited, 0) == oracle_end(source, edited, 0), (source, edited)

@@ -30,13 +30,12 @@ GMAIL = REG.get("Gmail")
 VALUE = REG.from_raw("Gmail", "me@gmail.com").value
 PARSE = ParseError(3, "'@'", "Email")
 OP = OpError(ErrorKind.PARSE, "not an Email", PARSE, "name")
-A_TO_Z = _Cls((("a", "z"),), True)
+A_TO_Z = _Cls(((97, 122),))
 
 # (make, repr at the time the records were dataclasses, __match_args__).
 # ``make`` is called twice to get equal records that are not the same object.
 RECORDS = {
-    "_Cls": (lambda: _Cls((("a", "z"),), True),
-             "_Cls(ranges=(('a', 'z'),), negated=True)", ("ranges", "negated")),
+    "_Cls": (lambda: _Cls(((97, 122),)), "_Cls(spans=((97, 122),))", ("spans",)),
     "_Seq": (lambda: _Seq((A_TO_Z, A_TO_Z)),
              f"_Seq(parts=({A_TO_Z!r}, {A_TO_Z!r}))", ("parts",)),
     "_Alt": (lambda: _Alt((A_TO_Z,)), f"_Alt(options=({A_TO_Z!r},))", ("options",)),

@@ -349,9 +349,6 @@ class _Binary(_Node):
 
     __hash__ = _Node.__hash__  # defining __eq__ would otherwise unset it
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(l={self.l!r}, r={self.r!r})"
-
     def __reduce__(self):
         return type(self), (self.l, self.r)
 

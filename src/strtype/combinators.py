@@ -98,18 +98,6 @@ class Parser(Generic[A]):
             return f(out.value).fn(text, out.end)
         return Parser(parse)
 
-    def then(self, other: "Parser[B]") -> "Parser[tuple[A, B]]":
-        """Run ``self`` then ``other``, pairing both values."""
-        def parse(text, pos):
-            first = self.fn(text, pos)
-            if isinstance(first, Failure):
-                return first
-            second = other.fn(text, first.end)
-            if isinstance(second, Failure):
-                return second
-            return Success((first.value, second.value), second.end)
-        return Parser(parse)
-
     def desc(self, label: str) -> "Parser[A]":
         """Report ``label`` instead of inner expectations on failure.
 

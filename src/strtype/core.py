@@ -10,6 +10,11 @@ field checks; :meth:`ParsedString.narrow` from any ancestor runs the same
 checks, in the same order, against the recorded spans, and re-parses
 nothing else.
 
+Registering a type gives it a value class that holds its descriptor and
+subclasses its parent's value class, or :class:`ParsedString` for a root.
+Every value is an instance of its type's class, so ``isinstance`` and
+``issubclass`` are the subtype checks. Each registry makes its own classes.
+
 Failures split two ways. Anything wrong with the configuration (an unknown
 or duplicate type name, narrowing between unrelated types, a missing field)
 raises a :class:`RegistryError` subclass. Anything wrong with the data
@@ -238,6 +243,8 @@ class ParsedString(FrozenRecord):
     def __init__(self, type_name: str, structure: Any,
                  spans: Mapping[str, tuple[int, int]], raw: str,
                  registry: "TypeRegistry"):
+        if type(self) is ParsedString:  # built directly, not by the registry
+            _set(self, "__class__", registry.value_class(type_name))
         _set(self, "type_name", type_name)
         _set(self, "structure", structure)
         _set(self, "spans", spans)
@@ -248,15 +255,15 @@ class ParsedString(FrozenRecord):
         return f"ParsedString(type_name={self.type_name!r}, structure={self.structure!r})"
 
     def __deepcopy__(self, memo):
-        return ParsedString(self.type_name, deepcopy(self.structure, memo),
-                            deepcopy(self.spans, memo), self.raw, self.registry)
+        return type(self)(self.type_name, deepcopy(self.structure, memo),
+                          deepcopy(self.spans, memo), self.raw, self.registry)
 
     def descriptor(self) -> StringType:
-        return self.registry.get(self.type_name)
+        return self._descriptor
 
     def cast(self) -> str:
         """Render the canonical string for this value."""
-        return self.descriptor().cast_fn(self.structure)
+        return self._descriptor.cast_fn(self.structure)
 
     def raw_text(self) -> str:
         return self.raw
@@ -293,22 +300,19 @@ class ParsedString(FrozenRecord):
         """
         if sub_name == self.type_name:
             return Ok(self)
-        sub = source = self.registry.get(sub_name)
-        while source.name != self.type_name:
-            if source.parent is None:
-                raise NotASubtypeError(
-                    f"{sub_name!r} is not a subtype of {self.type_name!r}")
-            source = self.registry.get(source.parent)
-        bad = _first_bad_field(sub.checks[len(source.checks):], self.raw,
-                               self.spans, check_field)
+        cls = self.registry.value_class(sub_name)
+        if not issubclass(cls, type(self)):
+            raise NotASubtypeError(
+                f"{sub_name!r} is not a subtype of {self.type_name!r}")
+        bad = _first_bad_field(cls._descriptor.checks[len(self._descriptor.checks):],
+                               self.raw, self.spans, check_field)
         if bad is not None:
             name, out = bad
             return Err(OpError(
                 ErrorKind.PARSE,
                 f"field {name!r} does not satisfy {sub_name}: expected {out.expected}",
                 parse=ParseError(out.pos, out.expected, sub_name), field=name))
-        return Ok(ParsedString(sub_name, self.structure, self.spans, self.raw,
-                               self.registry))
+        return Ok(cls(sub_name, self.structure, self.spans, self.raw, self.registry))
 
     def widen(self, super_name: str):
         """Rebind to a supertype; no parsing is involved.
@@ -321,11 +325,11 @@ class ParsedString(FrozenRecord):
             return self.cast()
         if super_name == self.type_name:
             return self
-        if not self.registry.is_descendant(self.type_name, super_name):
+        cls = self.registry._classes.get(super_name)
+        if cls is None or not isinstance(self, cls):
             raise NotASupertypeError(
                 f"{super_name!r} is not a supertype of {self.type_name!r}")
-        return ParsedString(super_name, self.structure, self.spans, self.raw,
-                            self.registry)
+        return cls(super_name, self.structure, self.spans, self.raw, self.registry)
 
 
 class TypeRegistry:
@@ -336,47 +340,50 @@ class TypeRegistry:
     """
 
     def __init__(self):
-        self._types: dict[str, StringType] = {}
+        self._classes: dict[str, type[ParsedString]] = {}
         self._frozen = False
 
     def register(self, descriptor: StringType) -> StringType:
-        """Add a type. Parents must be registered first, which keeps the
-        parent chain acyclic by construction."""
+        """Add a type and its value class. Parents must be registered first,
+        which keeps the parent chain acyclic by construction."""
         if self._frozen:
             raise RegistryFrozenError("registry is frozen")
-        if descriptor.name in self._types:
+        if descriptor.name in self._classes:
             raise DuplicateTypeError(f"type {descriptor.name!r} already registered")
-        if descriptor.parent is not None and descriptor.parent not in self._types:
+        if descriptor.parent is not None and descriptor.parent not in self._classes:
             raise UnknownParentError(f"unknown parent {descriptor.parent!r}")
-        self._types[descriptor.name] = descriptor
+        base = self._classes.get(descriptor.parent, ParsedString)
+        self._classes[descriptor.name] = type(
+            descriptor.name, (base,), {"__slots__": (), "_descriptor": descriptor})
         return descriptor
 
     def freeze(self) -> None:
         self._frozen = True
 
-    def get(self, name: str) -> StringType:
+    def value_class(self, name: str) -> type[ParsedString]:
+        """The class of ``name``'s values."""
         try:
-            return self._types[name]
+            return self._classes[name]
         except KeyError:
             raise UnknownTypeError(f"unknown type {name!r}") from None
 
+    def get(self, name: str) -> StringType:
+        return self.value_class(name)._descriptor
+
     def __contains__(self, name: str) -> bool:
-        return name in self._types
+        return name in self._classes
 
     def names(self) -> list[str]:
-        return sorted(self._types)
+        return sorted(self._classes)
 
     def ancestors(self, name: str) -> list[str]:
         """Parent chain of ``name``, nearest first."""
-        out = []
-        parent = self.get(name).parent
-        while parent is not None:
-            out.append(parent)
-            parent = self.get(parent).parent
-        return out
+        mro = self.value_class(name).__mro__
+        return [cls._descriptor.name for cls in mro[1:mro.index(ParsedString)]]
 
     def is_descendant(self, sub: str, sup: str) -> bool:
-        return sub == sup or sup in self.ancestors(sub)
+        cls = self.value_class(sub)  # an unknown ``sup`` is no supertype
+        return sup in self._classes and issubclass(cls, self._classes[sup])
 
     def from_raw(self, type_name: str, raw: str) -> Ok | Err:
         """Parse ``raw`` as ``type_name``.
@@ -384,8 +391,8 @@ class TypeRegistry:
         Returns ``Ok(ParsedString)`` or ``Err`` carrying the parse error;
         an unregistered type name raises :class:`UnknownTypeError`.
         """
-        descriptor = self.get(type_name)
-        out = run_to_end(descriptor.recognizer, raw)
+        cls = self.value_class(type_name)
+        out = run_to_end(cls._descriptor.recognizer, raw)
         if isinstance(out, Failure):
             parse = ParseError(out.pos, out.expected, type_name)
             return Err(OpError(
@@ -393,13 +400,7 @@ class TypeRegistry:
                 f"not a {type_name}: expected {out.expected} at {out.pos}",
                 parse=parse))
         structure, spans = out.value
-        return Ok(ParsedString(
-            type_name=type_name,
-            structure=structure,
-            spans=spans,
-            raw=raw,
-            registry=self,
-        ))
+        return Ok(cls(type_name, structure, spans, raw, self))
 
 
 def from_structure(registry: TypeRegistry, type_name: str, structure: Any) -> ParsedString:
@@ -409,8 +410,7 @@ def from_structure(registry: TypeRegistry, type_name: str, structure: Any) -> Pa
     structure whose rendering its own type rejects, or that does not
     round-trip, raises :class:`InvalidStructureError`.
     """
-    descriptor = registry.get(type_name)
-    raw = descriptor.cast_fn(structure)
+    raw = registry.get(type_name).cast_fn(structure)
     result = registry.from_raw(type_name, raw)
     if isinstance(result, Err):
         raise InvalidStructureError(

@@ -111,13 +111,8 @@ def append_to_name(e: ParsedString, suffix: str) -> Ok | Err:
     for name, (fs, fe) in e.spans.items():
         if name != "name":
             spans[name] = (fs + delta, fe + delta) if fs >= end else (fs, fe)
-    return Ok(ParsedString(
-        type_name=e.type_name,
-        structure=dataclasses.replace(e.structure, name=new_name),
-        spans=spans,
-        raw=raw[:end] + suffix + raw[end:],
-        registry=e.registry,
-    ))
+    return Ok(type(e)(e.type_name, dataclasses.replace(e.structure, name=new_name),
+                      spans, raw[:end] + suffix + raw[end:], e.registry))
 
 
 def project_field(v: ParsedString, field_name: str) -> Projection:

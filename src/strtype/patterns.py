@@ -1,9 +1,10 @@
 """Small regular-expression engine used by the pattern token combinator.
 
 Only a conservative subset of regular-expression syntax is accepted:
-literal characters, escaped metacharacters, ``.``, character classes with
-ranges and negation, the shorthand classes ``\\d``/``\\w``/``\\s``, groups,
-alternation and the repetition operators ``*``, ``+``, ``?`` and ``{n,m}``.
+literal characters, escaped metacharacters and non-ASCII characters,
+``.``, character classes with ranges and negation, the shorthand classes
+``\\d``/``\\w``/``\\s``, groups, alternation and the repetition operators
+``*``, ``+``, ``?`` and ``{n,m}``.
 Anything else (backreferences, lookaround, anchors, inline flags) raises
 :class:`PatternError` at construction time.
 
@@ -48,7 +49,8 @@ class Record:
     """Base of the package's records: fields in slots, no per-instance dict.
 
     A subclass names its fields, in order, in its own ``__slots__``; they
-    become its ``__match_args__`` unless it sets those itself. A record is
+    become its ``_field_names``, which its subclasses inherit, and its
+    ``__match_args__`` unless it sets those itself. A record is
     equal only to a record of the same class with equal fields, and hashes,
     prints as ``Name(field=value, ...)``, copies and pickles by them.
     """
@@ -59,6 +61,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         names = cls.__slots__
         if names:
+            cls._field_names = names
             if "__match_args__" not in cls.__dict__:
                 cls.__match_args__ = names
             # The tuple of field values, read in one C call; a generator
@@ -75,7 +78,7 @@ class Record:
         return hash(self._fields)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
         return f"{type(self).__qualname__}({inner})"
 
     def __reduce__(self):
@@ -85,7 +88,7 @@ class Record:
 def _rebuild(cls: type, values: tuple) -> Record:
     """A ``cls`` record with ``values`` in its slots, its constructor unrun."""
     record = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
+    for name, value in zip(cls._field_names, values):
         object.__setattr__(record, name, value)
     return record
 
@@ -271,9 +274,9 @@ class _PatternReader:
         if shorthand:
             self.take()
             return _Cls(shorthand)
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             raise self.error("backreferences are not supported")
-        if ch.isalpha():
+        if ch.isascii() and ch.isalpha():
             raise self.error(f"unsupported escape '\\{ch}'")
         code = ord(self.take())
         return _Cls(((code, code),))
@@ -316,7 +319,7 @@ class _PatternReader:
         nxt = self.peek()
         if nxt is None:
             raise self.error("dangling escape")
-        if nxt.isalnum():
+        if nxt.isascii() and nxt.isalnum():
             raise self.error(f"unsupported escape '\\{nxt}' in character class")
         return ord(self.take())
 

@@ -83,11 +83,6 @@ class TestPrimitives:
         with pytest.raises(PatternError):
             pattern(r"(?=x)")
 
-    def test_then_pairs_values(self):
-        p = lit("a").then(lit("b"))
-        assert p.run("ab", 0) == Success(("a", "b"), 2)
-        assert p.run("ax", 0) == Failure(1, '"b"')
-
     def test_seq_collects_tuple(self):
         p = seq(lit("a"), lit("b"), lit("c"))
         assert p.run("abc", 0) == Success(("a", "b", "c"), 3)
@@ -219,7 +214,7 @@ class TestLabelsAndSpans:
             lit("x").desc("")
 
     def test_spanned_reports_consumed_range(self):
-        p = lit("a").then(spanned(pattern("[0-9]+")))
+        p = seq(lit("a"), spanned(pattern("[0-9]+")))
         assert p.run("a123", 0) == Success(("a", ("123", 1, 4)), 4)
 
 
@@ -353,7 +348,7 @@ def random_parser(rng, depth=3):
     left = random_parser(rng, depth - 1)
     right = random_parser(rng, depth - 1)
     if kind == 0:
-        return left.then(right)
+        return seq(left, right)
     if kind == 1:
         return alt(left, right)
     return left.map(lambda v: ("tag", v))

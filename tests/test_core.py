@@ -1,7 +1,10 @@
+import copy
+import random
 from dataclasses import dataclass
 
 import pytest
 
+from generators import accepted_strings
 from strtype.builtins import build_registry
 from strtype.combinators import lit, pattern, record, seq, spanned
 from strtype.core import (
@@ -27,6 +30,7 @@ from strtype.core import (
     reset_field_checks,
     subtype,
 )
+from strtype.ops import add_units, append_to_name, blend, concat_names
 
 
 @dataclass(frozen=True)
@@ -123,6 +127,21 @@ class TestRegistration:
         assert reg.ancestors("Pair") == []
         assert reg.is_descendant("HiNinePair", "Pair")
         assert not reg.is_descendant("Pair", "HiNinePair")
+
+    @pytest.mark.parametrize("registry, sub, raw", [
+        (make_registry(), "HiPair", "hi:1"), (build_registry(), "Gmail", "me@gmail.com")])
+    def test_unknown_names_in_subtype_questions(self, registry, sub, raw):
+        value = registry.from_raw(sub, raw).value
+        # An unknown supertype is no supertype; an unknown subtype is unknown.
+        assert registry.is_descendant(sub, "Nope") is False
+        with pytest.raises(UnknownTypeError):
+            registry.is_descendant("Nope", registry.get(sub).parent)
+        with pytest.raises(NotASupertypeError):
+            value.widen("Nope")
+        with pytest.raises(UnknownTypeError):
+            value.narrow("Nope")
+        with pytest.raises(UnknownTypeError):
+            registry.value_class("Nope")
 
 
 class TestDeclaredByRecord:
@@ -344,3 +363,112 @@ class TestChecks:
             else:
                 inherited = registry.get(descriptor.parent).checks
                 assert descriptor.checks == inherited + own
+
+
+def parent_chain(registry, name):
+    """``name``'s chain of ``descriptor.parent`` names, nearest first."""
+    chain = []
+    while (name := registry.get(name).parent) is not None:
+        chain.append(name)
+    return chain
+
+
+def walk_is_descendant(registry, sub, sup):
+    return sub == sup or sup in parent_chain(registry, sub)
+
+
+class TestValueClasses:
+    """Each registered type has a value class that subclasses its parent's
+    (or ``ParsedString``), and every value is an instance of its type's."""
+
+    @pytest.mark.parametrize("registry", [make_registry(), build_registry()])
+    def test_issubclass_agrees_with_a_walk_over_parent_names(self, registry):
+        names = registry.names()
+        for sub in names:
+            sub_class = registry.value_class(sub)
+            assert sub_class._descriptor is registry.get(sub)
+            assert issubclass(sub_class, ParsedString)
+            for sup in names:
+                expected = walk_is_descendant(registry, sub, sup)
+                assert issubclass(sub_class, registry.value_class(sup)) == expected, (sub, sup)
+                assert registry.is_descendant(sub, sup) == expected, (sub, sup)
+            assert registry.ancestors(sub) == parent_chain(registry, sub)
+
+    def test_every_value_is_an_instance_of_its_types_class(self):
+        reg = build_registry()
+        rng = random.Random(15)
+
+        def check(value):
+            assert type(value) is reg.value_class(value.type_name), value
+            return value
+
+        names = reg.names()
+        samples = {name: [check(reg.from_raw(name, raw).value)
+                          for raw in accepted_strings(name, 12)] for name in names}
+        for name, values in samples.items():
+            for value in values:
+                for clone in (copy.copy(value), copy.deepcopy(value)):
+                    check(clone)
+                    assert (clone, clone.spans, clone.raw) == (value, value.spans, value.raw)
+                check(ParsedString(name, value.structure, value.spans, value.raw, reg))
+                for other in names:
+                    if other != name and walk_is_descendant(reg, name, other):
+                        wide = check(value.widen(other))
+                        assert check(wide.narrow(name).value) == value
+                    elif other != name and walk_is_descendant(reg, other, name):
+                        narrowed = value.narrow(other)
+                        if isinstance(narrowed, Ok):
+                            check(narrowed.value)
+        for name, op in [("CssColour", blend), ("Email", concat_names),
+                         ("Gmail", concat_names), ("CssUnit", add_units),
+                         ("PxOrAuto", add_units)]:
+            for _ in range(12):
+                result = op(rng.choice(samples[name]), rng.choice(samples[name]))
+                if isinstance(result, Ok):
+                    result = result.value
+                if not isinstance(result, Err):
+                    assert check(result).type_name == name
+        for name in ("Email", "Gmail"):
+            for value in samples[name]:
+                assert check(append_to_name(value, "x").value).type_name == name
+
+    def test_isinstance_guards_reject_swapped_arguments(self):
+        reg = build_registry()
+        gmail_class, unix_class = reg.value_class("Gmail"), reg.value_class("UnixPath")
+
+        def forward_to(address, path):
+            if not isinstance(address, gmail_class) or not isinstance(path, unix_class):
+                raise TypeError("forward_to takes a Gmail and a UnixPath")
+            return f"{address.cast()} > {path.cast()}"
+
+        gmail = reg.from_raw("Gmail", "me@gmail.com").value
+        path = reg.from_raw("UnixPath", "/home/me/inbox").value
+        assert forward_to(gmail, path) == "me@gmail.com > /home/me/inbox"
+        with pytest.raises(TypeError):
+            forward_to(path, gmail)
+        # A subtype's value passes; a supertype's does not.
+        dot_file = reg.from_raw("HomeDotFile", "/home/.mail").value
+        assert forward_to(gmail, dot_file) == "me@gmail.com > /home/.mail"
+        with pytest.raises(TypeError):
+            forward_to(gmail.widen("Email"), path)
+        assert isinstance(gmail, reg.value_class("Email"))
+        assert not isinstance(gmail, reg.value_class("UnixPath"))
+
+    def test_classes_are_per_registry_and_equality_is_by_type_name(self):
+        one, two = build_registry(), build_registry()
+        assert one.value_class("Email") is not two.value_class("Email")
+        a = one.from_raw("Gmail", "me@gmail.com").value
+        b = two.from_raw("Gmail", "me@gmail.com").value
+        assert not isinstance(b, one.value_class("Email"))
+        assert a == b and a.strict_eq(b) and hash(a) == hash(b)
+
+    def test_value_classes_add_no_methods(self):
+        # Wrapping narrow, cast or __hash__ on ParsedString must see every call.
+        reg = build_registry()
+        for name in reg.names():
+            for cls in reg.value_class(name).__mro__:
+                if cls is ParsedString:
+                    break
+                assert set(vars(cls)) <= {"_descriptor", "__slots__", "__module__",
+                                          "__doc__"}, (name, cls)
+                assert cls.__slots__ == ()

@@ -51,7 +51,10 @@ class TestConstruction:
         r"(?:ab)",
         r"(?=x)",
         r"a\1",
+        r"\1",
         r"\q",
+        r"\b",
+        r"[\d]",
         "a[",
         "[]",
         "[z-a]",
@@ -166,6 +169,11 @@ class TestAgainstRe:
         # Classes of every character and of none.
         "[\x00-\U0010ffff]*",
         "[^\x00-\U0010ffff]?x",
+        # re reads an escaped non-ASCII character, digit or letter, as itself.
+        "\\٣+",
+        "a?\\é",
+        "[\\٣]",
+        "[\\é\\٣]+",
     ]
 
     @pytest.mark.parametrize("source", PATTERNS)

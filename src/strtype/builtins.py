@@ -1,18 +1,18 @@
 """The builtin string types: structures, grammars and canonical forms.
 
 Every root type here follows the same recipe. A grammar built from the
-combinator kernel parses the whole raw string into a small frozen
-dataclass, recording the span each named field consumed (``record`` does
-both for a fixed sequence of fields, and its named parts are the type's
-fields and field recognizers), and a cast function renders the canonical
-surface form of that structure. Three root types have hand-written parse
-functions instead, and name their fields themselves; each agrees with a
-kernel grammar that the tests keep as its oracle: ``FilePath``, whose
-first separator fixes the rest, ``EqualAandB``, which counts, and
-``Expr``, which nests without bound. A subtype is declared once, by
-``subtype``, as its parent plus a recognizer for each field it
-overrides: it parses with its parent's grammar and then checks those
-fields' spans, exactly as narrowing from any ancestor does.
+combinator kernel parses the whole raw string into a small structure, a
+frozen slotted ``patterns.Structure`` record, recording the span each named
+field consumed (``record`` does both for a fixed sequence of fields, and
+its named parts are the type's fields and field recognizers), and a cast
+function renders the canonical surface form of that structure. Three root
+types have hand-written parse functions instead, and name their fields
+themselves; each agrees with a kernel grammar that the tests keep as its
+oracle: ``FilePath``, whose first separator fixes the rest,
+``EqualAandB``, which counts, and ``Expr``, which nests without bound. A
+subtype is declared once, by ``subtype``, as its parent plus a recognizer
+for each field it overrides: it parses with its parent's grammar and then
+checks those fields' spans, exactly as narrowing from any ancestor does.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 from .combinators import (
@@ -36,7 +35,7 @@ from .combinators import (
     seq,
 )
 from .core import StringType, TypeRegistry, opaque_type, subtype
-from .patterns import FrozenRecord
+from .patterns import FrozenRecord, Structure, _set
 
 __all__ = [
     "CssColour", "CssUnit", "Email", "FilePath", "USPhone", "EqualAandB",
@@ -47,11 +46,13 @@ __all__ = [
 
 # ---------------------------------------------------------------- colours
 
-@dataclass(frozen=True)
-class CssColour:
-    red: int
-    green: int
-    blue: int
+class CssColour(Structure):
+    __slots__ = ("red", "green", "blue")
+
+    def __init__(self, red: int, green: int, blue: int):
+        _set(self, "red", red)
+        _set(self, "green", green)
+        _set(self, "blue", blue)
 
 
 _HEX_DIGIT = satisfy(lambda c: c in "0123456789abcdefABCDEF", "a hex digit")
@@ -69,11 +70,14 @@ def cast_colour(c: CssColour) -> str:
 
 # ------------------------------------------------------------------ units
 
-@dataclass(frozen=True)
-class CssUnit:
+class CssUnit(Structure):
     """A CSS length: ``value`` is None exactly when ``unit`` is "auto"."""
-    value: float | None
-    unit: str
+
+    __slots__ = ("value", "unit")
+
+    def __init__(self, value: float | None, unit: str):
+        _set(self, "value", value)
+        _set(self, "unit", unit)
 
 
 def _format_number(v: float) -> str:
@@ -118,11 +122,13 @@ def cast_unit(u: CssUnit) -> str:
 
 # ----------------------------------------------------------------- emails
 
-@dataclass(frozen=True)
-class Email:
-    name: str
-    domain_left: str
-    domain_right: str
+class Email(Structure):
+    __slots__ = ("name", "domain_left", "domain_right")
+
+    def __init__(self, name: str, domain_left: str, domain_right: str):
+        _set(self, "name", name)
+        _set(self, "domain_left", domain_left)
+        _set(self, "domain_right", domain_right)
 
 
 _EMAIL_NAME = pattern("[0-9a-zA-Z]+").desc("an email name")
@@ -138,13 +144,16 @@ def cast_email(e: Email) -> str:
 
 # ------------------------------------------------------------- file paths
 
-@dataclass(frozen=True)
-class FilePath:
-    absolute: bool
-    dirs: tuple[str, ...]
-    file_name: str
-    ext: str | None
-    separator: str
+class FilePath(Structure):
+    __slots__ = ("absolute", "dirs", "file_name", "ext", "separator")
+
+    def __init__(self, absolute: bool, dirs: tuple[str, ...], file_name: str,
+                 ext: str | None, separator: str):
+        _set(self, "absolute", absolute)
+        _set(self, "dirs", dirs)
+        _set(self, "file_name", file_name)
+        _set(self, "ext", ext)
+        _set(self, "separator", separator)
 
 
 _SEGMENT = pattern(r"[^/\\]+").desc("a path segment")
@@ -217,11 +226,13 @@ def cast_path(p: FilePath) -> str:
 
 # ---------------------------------------------------------- phone numbers
 
-@dataclass(frozen=True)
-class USPhone:
-    area: int
-    office: int
-    uniq: int
+class USPhone(Structure):
+    __slots__ = ("area", "office", "uniq")
+
+    def __init__(self, area: int, office: int, uniq: int):
+        _set(self, "area", area)
+        _set(self, "office", office)
+        _set(self, "uniq", uniq)
 
 
 _PHONE_SEP = one_of(" ./-").fallback("")
@@ -239,9 +250,11 @@ def cast_phone(p: USPhone) -> str:
 
 # ------------------------------------------------- counted a's and b's
 
-@dataclass(frozen=True)
-class EqualAandB:
-    count: int
+class EqualAandB(Structure):
+    __slots__ = ("count",)
+
+    def __init__(self, count: int):
+        _set(self, "count", count)
 
 
 # How many b's to read depends on how many a's came before, which a single
@@ -272,10 +285,12 @@ def cast_equal_ab(v: EqualAandB) -> str:
 
 # ------------------------------------------------------- inner-r strings
 
-@dataclass(frozen=True)
-class InnerR:
-    left: str
-    right: str
+class InnerR(Structure):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: str, right: str):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 # The first "r" is the pivot: everything before it is r-free, everything

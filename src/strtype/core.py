@@ -21,23 +21,25 @@ raises a :class:`RegistryError` subclass. Anything wrong with the data
 (input not accepted, an operation that would leave a type's language) comes
 back as ``Err(OpError(...))`` so callers can handle it per record.
 
-Structures, such as :class:`Opaque`, are frozen dataclasses, so callers
-can list their fields and ``dataclasses.replace`` one. The records this
-module returns (:class:`ParseError`, :class:`OpError`, :class:`Ok`,
-:class:`Err`, :class:`StringType` and :class:`ParsedString`) are frozen
-slotted records (``patterns.FrozenRecord``) instead, which cost less to
-define at import; ``dataclasses.replace`` does not accept them.
+Every record this module defines is a frozen slotted record
+(``patterns.FrozenRecord``), which costs less to define at import than a
+dataclass. Structures, such as :class:`Opaque`, are ``patterns.Structure``
+records: callers can still list their fields with ``dataclasses.fields``
+and ``dataclasses.replace`` one, and the first such call imports
+:mod:`dataclasses`. The other records (:class:`ParseError`,
+:class:`OpError`, :class:`Ok`, :class:`Err`, :class:`StringType` and
+:class:`ParsedString`) are not structures; ``dataclasses.replace`` does not
+accept them.
 """
 
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping
 
 from .combinators import Failure, Parser, Success, pattern, record, run_to_end
-from .patterns import FrozenRecord
+from .patterns import FrozenRecord, Structure, _set
 
 __all__ = [
     "RegistryError", "DuplicateTypeError", "UnknownTypeError",
@@ -92,11 +94,6 @@ class ErrorKind(Enum):
     INCOMPATIBLE = "incompatible_types"
 
 
-# Records are built on every parse: a module global is read faster than
-# the builtin ``object`` and its attribute.
-_set = object.__setattr__
-
-
 class ParseError(FrozenRecord):
     __slots__ = ("pos", "expected", "type_name")
 
@@ -131,10 +128,13 @@ class Err(FrozenRecord):
         _set(self, "error", error)
 
 
-@dataclass(frozen=True)
-class Opaque:
+class Opaque(Structure):
     """Structure of a type validated as a whole, with no inner fields."""
-    raw: str
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: str):
+        _set(self, "raw", raw)
 
 
 class StringType(FrozenRecord):
@@ -345,9 +345,12 @@ class TypeRegistry:
 
     def register(self, descriptor: StringType) -> StringType:
         """Add a type and its value class. Parents must be registered first,
-        which keeps the parent chain acyclic by construction."""
+        which keeps the parent chain acyclic by construction. The name
+        ``"string"`` is reserved for the universal supertype."""
         if self._frozen:
             raise RegistryFrozenError("registry is frozen")
+        if descriptor.name == "string":  # ``widen`` reserves it for the plain string
+            raise RegistryError("type name 'string' is reserved")
         if descriptor.name in self._classes:
             raise DuplicateTypeError(f"type {descriptor.name!r} already registered")
         if descriptor.parent is not None and descriptor.parent not in self._classes:

@@ -12,7 +12,6 @@ closure violation comes back as ``Err``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Any
 
@@ -76,7 +75,7 @@ def concat_names(a: ParsedString, b: ParsedString) -> ParsedString:
     """
     _expect(a, Email, "concat_names")
     _expect(b, Email, "concat_names")
-    joined = dataclasses.replace(a.structure, name=a.structure.name + b.structure.name)
+    joined = a.structure.__replace__(name=a.structure.name + b.structure.name)
     return from_structure(a.registry, a.type_name, joined)
 
 
@@ -111,7 +110,7 @@ def append_to_name(e: ParsedString, suffix: str) -> Ok | Err:
     for name, (fs, fe) in e.spans.items():
         if name != "name":
             spans[name] = (fs + delta, fe + delta) if fs >= end else (fs, fe)
-    return Ok(type(e)(e.type_name, dataclasses.replace(e.structure, name=new_name),
+    return Ok(type(e)(e.type_name, e.structure.__replace__(name=new_name),
                       spans, raw[:end] + suffix + raw[end:], e.registry))
 
 

@@ -31,9 +31,13 @@ that loops on some classes skips the run of them with one ``re`` scan;
 are unchanged.
 
 This module also holds :class:`Record` and :class:`FrozenRecord`, the
-slotted base of every internal record in the package, because every other
-module imports this one first. They are written by hand, not generated by
-``@dataclass``, which keeps class creation, and so import, cheap.
+slotted base of every record in the package, and :class:`Structure`, the
+base of the structures a type's grammar builds, because every other module
+imports this one first. They are written by hand, not generated by
+``@dataclass``, which keeps class creation, and so import, cheap: no module
+imports :mod:`dataclasses` at import. A structure still answers
+``dataclasses.fields`` and ``dataclasses.replace``, and the first such call
+imports it.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 
 
@@ -85,6 +88,11 @@ class Record:
         return _rebuild, (type(self), self._fields)
 
 
+# Records are built on every parse: a module global is read faster than
+# the builtin ``object`` and its attribute.
+_set = object.__setattr__
+
+
 def _rebuild(cls: type, values: tuple) -> Record:
     """A ``cls`` record with ``values`` in its slots, its constructor unrun."""
     record = object.__new__(cls)
@@ -95,15 +103,51 @@ def _rebuild(cls: type, values: tuple) -> Record:
 
 class FrozenRecord(Record):
     """A record whose fields cannot be assigned or deleted once set; its
-    constructor sets them with ``object.__setattr__``."""
+    constructor sets them with ``object.__setattr__``. Either attempt raises
+    ``dataclasses.FrozenInstanceError``, as a frozen dataclass does."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _DataclassFields:
+    """``__dataclass_fields__`` of a structure class, made on first read from
+    a dataclass with the same fields, typed as its ``__init__`` annotates
+    them, and then cached on that class."""
+
+    def __get__(self, instance, owner):
+        names = owner._field_names  # the bare base has none, so no fields
+        from dataclasses import make_dataclass
+        hints = owner.__init__.__annotations__
+        fields = make_dataclass(owner.__name__, [
+            (name, hints.get(name, "typing.Any")) for name in names]).__dataclass_fields__
+        owner.__dataclass_fields__ = fields
+        return fields
+
+
+class Structure(FrozenRecord):
+    """Base of the structures a type's grammar builds: a frozen record that
+    ``dataclasses.fields``, ``replace``, ``asdict`` and ``is_dataclass``
+    accept, and that ``copy.replace`` (Python 3.13) accepts too. A subclass
+    names its fields in ``__slots__`` and takes them, positionally or by
+    keyword, in its ``__init__``."""
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __replace__(self, **changes):
+        """A copy with the named fields changed."""
+        for name in self._field_names:
+            if name not in changes:
+                changes[name] = getattr(self, name)
+        return type(self)(**changes)
 
 
 class PatternError(ValueError):

@@ -468,6 +468,12 @@ class TestExtraTypes:
         monkeypatch.setenv("STRTYPE_TYPES", str(tmp_path))
         assert run_cli(capsys, "list-types")[0] == 2
 
+    def test_reserved_name_is_config_error(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "string.def").write_text("string\n[a-z]+\n")
+        monkeypatch.setenv("STRTYPE_TYPES", str(tmp_path))
+        code, _, err = run_cli(capsys, "list-types")
+        assert code == 2 and "reserved" in err
+
     def test_missing_directory_is_config_error(self, capsys, tmp_path,
                                                monkeypatch):
         monkeypatch.setenv("STRTYPE_TYPES", str(tmp_path / "nope"))

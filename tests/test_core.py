@@ -110,6 +110,13 @@ class TestRegistration:
         hi = reg.get("HiNinePair")
         assert (hi.parent, list(hi.field_recognizers)) == ("HiPair", ["right"])
 
+    def test_the_name_string_is_reserved(self, reg):
+        # widen("string") returns the plain canonical string, so a type of
+        # that name could never be widened to.
+        with pytest.raises(RegistryError):
+            reg.register(opaque_type("string", "[a-z]+"))
+        assert "string" not in reg
+
     def test_frozen_registry_rejects_registration(self, reg):
         reg.freeze()
         with pytest.raises(RegistryFrozenError):

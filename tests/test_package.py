@@ -1,4 +1,8 @@
-"""The package's public names."""
+"""The package's public names, and what importing the package loads."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import strtype
 
@@ -36,3 +40,19 @@ def test_star_import_gives_exactly_the_public_names():
     namespace = {}
     exec("from strtype import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # -S, so that no site hook loads either module, or hides that strtype does.
+    src = str(Path(strtype.__file__).resolve().parent.parent)
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "import strtype.cli",
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        "import dataclasses, strtype",
+        "print([f.name for f in dataclasses.fields(strtype.Email)])",
+    ])
+    out = subprocess.run([sys.executable, "-S", "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "['name', 'domain_left', 'domain_right']"]

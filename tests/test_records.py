@@ -1,10 +1,13 @@
-"""The contract of strtype's internal records.
+"""The contract of strtype's records.
 
 The records are slotted classes written by hand, not dataclasses. They
 keep what the dataclasses gave them: frozen fields (except the parse
 outcomes ``Success`` and ``Failure``), equality and hashing by class and
 fields, the ``Name(field=value, ...)`` repr, ``__match_args__``, and copy
-and pickle support.
+and pickle support. The structures a type's grammar builds
+(``patterns.Structure`` records) also keep the ``dataclasses`` API:
+``fields``, ``replace``, ``asdict`` and ``is_dataclass`` accept them, and so
+does ``copy.replace`` where Python has it.
 """
 
 import copy
@@ -31,6 +34,11 @@ VALUE = REG.from_raw("Gmail", "me@gmail.com").value
 PARSE = ParseError(3, "'@'", "Email")
 OP = OpError(ErrorKind.PARSE, "not an Email", PARSE, "name")
 A_TO_Z = _Cls(((97, 122),))
+
+
+def parsed(type_name, raw):
+    return lambda: REG.from_raw(type_name, raw).value.structure
+
 
 # (make, repr at the time the records were dataclasses, __match_args__).
 # ``make`` is called twice to get equal records that are not the same object.
@@ -68,7 +76,25 @@ RECORDS = {
              "Mult(l=Const(n=1), r=Add(l=Const(n=2), r=Const(n=3)))", ("l", "r")),
     "Success": (lambda: Success(7, 1), "Success(value=7, end=1)", ("value", "end")),
     "Failure": (lambda: Failure(0, "x"), "Failure(pos=0, expected='x')", ("pos", "expected")),
+    # The structures, each as its type's parse builds it.
+    "Opaque": (parsed("UserName", "bob"), "Opaque(raw='bob')", ("raw",)),
+    "CssColour": (parsed("CssColour", "#1A2B3C"), "CssColour(red=26, green=43, blue=60)",
+                  ("red", "green", "blue")),
+    "CssUnit": (parsed("CssUnit", "1.5px"), "CssUnit(value=1.5, unit='px')",
+                ("value", "unit")),
+    "Email": (parsed("Email", "me@gmail.com"),
+              "Email(name='me', domain_left='gmail', domain_right='com')",
+              ("name", "domain_left", "domain_right")),
+    "FilePath": (parsed("FilePath", "/home/.vimrc"),
+                 "FilePath(absolute=True, dirs=('home',), file_name='.vimrc', ext=None, "
+                 "separator='/')", ("absolute", "dirs", "file_name", "ext", "separator")),
+    "USPhone": (parsed("USPhone", "212-555-0100"), "USPhone(area=212, office=555, uniq=100)",
+                ("area", "office", "uniq")),
+    "EqualAandB": (parsed("EqualAandB", "aabb"), "EqualAandB(count=2)", ("count",)),
+    "InnerR": (parsed("InnerR", "bar"), "InnerR(left='ba', right='')", ("left", "right")),
 }
+STRUCTURES = ("Opaque", "CssColour", "CssUnit", "Email", "FilePath", "USPhone",
+              "EqualAandB", "InnerR")
 OUTCOMES = ("Success", "Failure")
 FROZEN = sorted(set(RECORDS) - set(OUTCOMES))
 # Records whose fields all pickle; a descriptor or parsed value holds parsers
@@ -196,9 +222,52 @@ def test_a_copied_subtype_keeps_its_parent_and_checks():
     assert (clone.parent, clone.checks) == ("Email", GMAIL.checks)
 
 
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_structures_hash_as_the_tuple_of_their_fields(name):
+    make, _, names = RECORDS[name]
+    structure = make()
+    assert hash(structure) == hash(tuple(getattr(structure, f) for f in names))
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_structures_take_their_fields_positionally_or_by_keyword(name):
+    make, _, names = RECORDS[name]
+    structure = make()
+    values = {f: getattr(structure, f) for f in names}
+    cls = type(structure)
+    assert cls(*values.values()) == cls(**values) == structure
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_structures_keep_the_dataclasses_api(name):
+    make, _, names = RECORDS[name]
+    structure = make()
+    cls = type(structure)
+    for target in (cls, structure):
+        assert dataclasses.is_dataclass(target)
+        assert tuple(f.name for f in dataclasses.fields(target)) == names
+    assert dataclasses.asdict(structure) == {f: getattr(structure, f) for f in names}
+    assert dataclasses.replace(structure) == structure
+    first, rest = names[0], names[1:]
+    changed = dataclasses.replace(structure, **{first: "x"})
+    assert type(changed) is cls and getattr(changed, first) == "x"
+    assert [getattr(changed, f) for f in rest] == [getattr(structure, f) for f in rest]
+    with pytest.raises(TypeError):
+        dataclasses.replace(structure, nope=1)
+    if hasattr(copy, "replace"):  # Python 3.13
+        assert copy.replace(structure, **{first: "x"}) == changed
+
+
+def test_structure_fields_keep_their_annotated_types():
+    assert [(f.name, f.type) for f in dataclasses.fields(strtype.builtins.CssUnit)] == [
+        ("value", "float | None"), ("unit", "str")]
+
+
 def test_only_structures_are_dataclasses():
     # Generating dataclass methods is most of the package's import time, so
-    # only the structures, which callers list and replace fields of, pay it.
+    # no class is made a dataclass at import. The structures, which callers
+    # list and replace fields of, answer as dataclasses through the
+    # ``Structure`` base, which itself does not.
     modules = (strtype.patterns, strtype.combinators, strtype.core,
                strtype.builtins, strtype.ops, strtype.cli)
     found = {cls.__name__ for module in modules

@@ -18,12 +18,14 @@ Choice is ordered: ``alt`` tries branches in sequence, always from the
 position it was started at, and when every branch fails it reports the
 failure that progressed furthest (ties are merged with "or"). Repetition is
 greedy. A repetition whose body succeeds without consuming anything would
-never terminate, so ``many``/``some``/``chain_left`` raise
-:class:`NontermError` when they detect that at run time.
+never terminate, so ``many`` raises :class:`NontermError` when it detects
+that at run time. ``some``, ``times`` and ``chain_left`` are built from
+``seq`` and ``many``, so ``many`` detects it for them too.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Generic, TypeVar
 
 from .patterns import PatternError, Record, TokenPattern
@@ -247,59 +249,18 @@ def many(p: Parser[A]) -> Parser[list[A]]:
 
 def some(p: Parser[A]) -> Parser[list[A]]:
     """Apply ``p`` one or more times, greedily."""
-    rest = many(p)
-    def parse(text, pos):
-        first = p.fn(text, pos)
-        if isinstance(first, Failure):
-            return first
-        if first.end == pos:
-            raise NontermError(
-                f"repetition body consumed no input at position {pos}")
-        more = rest.fn(text, first.end)
-        return Success([first.value] + more.value, more.end)
-    return Parser(parse)
+    return seq(p, many(p)).map(lambda v: [v[0], *v[1]])
 
 
 def times(p: Parser[A], n: int) -> Parser[list[A]]:
     """Apply ``p`` exactly ``n`` times."""
-    def parse(text, pos):
-        values = []
-        cur = pos
-        for _ in range(n):
-            out = p.fn(text, cur)
-            if isinstance(out, Failure):
-                return out
-            values.append(out.value)
-            cur = out.end
-        return Success(values, cur)
-    return Parser(parse)
+    return seq(*[p] * n).map(list)
 
 
 def chain_left(operand: Parser[A], operator: Parser[Callable[[A, A], A]]) -> Parser[A]:
-    """Parse ``operand (operator operand)*`` folding applications leftward.
-
-    A lone operand's own ``Success`` is returned as it is.
-    """
-    def parse(text, pos):
-        first = operand.fn(text, pos)
-        if isinstance(first, Failure):
-            return first
-        acc = first.value
-        cur = first.end
-        while True:
-            op = operator.fn(text, cur)
-            if isinstance(op, Failure):
-                break
-            nxt = operand.fn(text, op.end)
-            if isinstance(nxt, Failure):
-                break
-            if nxt.end == cur:
-                raise NontermError(
-                    f"repetition body consumed no input at position {cur}")
-            acc = op.value(acc, nxt.value)
-            cur = nxt.end
-        return first if cur == first.end else Success(acc, cur)
-    return Parser(parse)
+    """Parse ``operand (operator operand)*`` folding applications leftward."""
+    return seq(operand, many(seq(operator, operand))).map(
+        lambda v: reduce(lambda acc, step: step[0](acc, step[1]), v[1], v[0]))
 
 
 def spanned(p: Parser[A]) -> Parser[tuple[A, int, int]]:

@@ -324,7 +324,7 @@ class TestFilePath:
     def test_unix_and_windows_subtypes_pin_the_separator(self, reg):
         ok(reg, "UnixPath", "/a/b.txt")
         err(reg, "UnixPath", "a\\b.txt")
-        ok(reg, "WindowsPath", "a\\b.txt")
+        assert ok(reg, "WindowsPath", "a\\b.txt").structure.separator == "\\"
         err(reg, "WindowsPath", "/a/b.txt")
 
     def test_narrow_to_unix_path(self, reg):
@@ -338,12 +338,13 @@ class TestFilePath:
         assert result.error.parse.pos == 0
 
     def test_narrow_through_the_chain_to_home_dot_file(self, reg):
-        value = ok(reg, "FilePath", "/home/.bashrc")
-        reset_field_checks()
-        result = value.narrow("HomeDotFile")
-        assert isinstance(result, Ok)
-        assert field_checks() == 3  # separator, dirs, file_name
-        assert result.value.type_name == "HomeDotFile"
+        for raw in ("/home/.bashrc", "/home/.vimrc"):
+            value = ok(reg, "FilePath", raw)
+            reset_field_checks()
+            result = value.narrow("HomeDotFile")
+            assert isinstance(result, Ok)
+            assert field_checks() == 3  # separator, dirs, file_name
+            assert result.value.type_name == "HomeDotFile"
 
     def test_narrow_to_home_dot_file_rejects_wrong_shape(self, reg):
         assert isinstance(

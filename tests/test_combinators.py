@@ -8,6 +8,7 @@ import pytest
 from strtype.combinators import (
     Failure,
     NontermError,
+    Parser,
     PatternError,
     Success,
     alt,
@@ -420,3 +421,82 @@ class TestLaws:
                         assert pos <= first.end <= len(text)
                     else:
                         assert pos <= first.pos <= len(text)
+
+
+# The hand-written loops ``some``, ``times`` and ``chain_left`` had before
+# they were built from ``seq`` and ``many``, kept as their oracles.
+
+def loop_some(p):
+    rest = many(p)
+    def parse(text, pos):
+        first = p.fn(text, pos)
+        if isinstance(first, Failure):
+            return first
+        if first.end == pos:
+            raise NontermError(
+                f"repetition body consumed no input at position {pos}")
+        more = rest.fn(text, first.end)
+        return Success([first.value] + more.value, more.end)
+    return Parser(parse)
+
+
+def loop_times(p, n):
+    def parse(text, pos):
+        values = []
+        cur = pos
+        for _ in range(n):
+            out = p.fn(text, cur)
+            if isinstance(out, Failure):
+                return out
+            values.append(out.value)
+            cur = out.end
+        return Success(values, cur)
+    return Parser(parse)
+
+
+def loop_chain_left(operand, operator):
+    def parse(text, pos):
+        first = operand.fn(text, pos)
+        if isinstance(first, Failure):
+            return first
+        acc = first.value
+        cur = first.end
+        while True:
+            op = operator.fn(text, cur)
+            if isinstance(op, Failure):
+                break
+            nxt = operand.fn(text, op.end)
+            if isinstance(nxt, Failure):
+                break
+            if nxt.end == cur:
+                raise NontermError(
+                    f"repetition body consumed no input at position {cur}")
+            acc = op.value(acc, nxt.value)
+            cur = nxt.end
+        return first if cur == first.end else Success(acc, cur)
+    return Parser(parse)
+
+
+def outcome_or_nonterm(p, text, pos):
+    try:
+        return p.run(text, pos)
+    except NontermError as e:
+        return ("NontermError", str(e))
+
+
+class TestComposedRepetition:
+    """``some``, ``times`` and ``chain_left`` give the outcome, or raise the
+    ``NontermError``, that their former hand-written loops did."""
+
+    def test_agree_with_the_loops_on_random_bodies(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            p = random_parser(rng)
+            q = random_parser(rng).map(lambda v: lambda a, b: (a, v, b))
+            pairs = [(some(p), loop_some(p)), (chain_left(p, q), loop_chain_left(p, q))]
+            pairs += [(times(p, n), loop_times(p, n)) for n in range(4)]
+            for text in random_inputs(rng):
+                for pos in range(0, len(text) + 1):
+                    for composed, loop in pairs:
+                        assert (outcome_or_nonterm(composed, text, pos)
+                                == outcome_or_nonterm(loop, text, pos)), (text, pos)

@@ -415,8 +415,10 @@ class TestValueClasses:
         for name, values in samples.items():
             for value in values:
                 for clone in (copy.copy(value), copy.deepcopy(value)):
-                    check(clone)
-                    assert (clone, clone.spans, clone.raw) == (value, value.spans, value.raw)
+                    assert check(clone) == value
+                    assert (clone.type_name, clone.structure, clone.spans, clone.raw,
+                            clone.registry) == (value.type_name, value.structure,
+                                                value.spans, value.raw, value.registry)
                 check(ParsedString(name, value.structure, value.spans, value.raw, reg))
                 for other in names:
                     if other != name and walk_is_descendant(reg, name, other):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import strtype.builtins
-from strtype.patterns import PatternError, TokenPattern, _Alt, _Cls, _Seq
+from strtype.patterns import PatternError, TokenPattern, _Alt, _Cls, _Rep, _Seq
 
 
 def oracle_end(source, text, pos):
@@ -30,6 +30,45 @@ def oracle_end(source, text, pos):
         if compiled.fullmatch(text, pos, end):
             best = end
     return best
+
+
+def reachable_ends(node, text, starts):
+    """The positions where a match of the pattern tree ``node`` can end,
+    starting at any position in ``starts``.
+
+    It works on sets of positions, node by node, so its cost is polynomial
+    in the text's length however deeply repeats nest. It shares only the
+    reader's tree with the engine: no NFA, no DFA and no ``re``.
+    """
+    if isinstance(node, _Cls):
+        return {i + 1 for i in starts if i < len(text)
+                and any(low <= ord(text[i]) <= high for low, high in node.spans)}
+    if isinstance(node, _Seq):
+        for part in node.parts:
+            starts = reachable_ends(part, text, starts)
+        return set(starts)
+    if isinstance(node, _Alt):
+        return set().union(*(reachable_ends(option, text, starts) for option in node.options))
+    assert isinstance(node, _Rep), node
+    cur = set(starts)
+    found = set(cur) if node.low == 0 else set()
+    for copies in range(1, (node.low if node.high is None else node.high) + 1):
+        cur = reachable_ends(node.node, text, cur)
+        if copies >= node.low:
+            found |= cur
+    if node.high is None:
+        # Reaching from a set is reaching from each member, so only the
+        # positions first reached in a round need a further copy.
+        new = cur
+        while new:
+            new = reachable_ends(node.node, text, new) - found
+            found |= new
+    return found
+
+
+def tree_oracle_end(p, text, pos):
+    """Longest match of ``p``'s tree at ``pos`` by :func:`reachable_ends`."""
+    return max(reachable_ends(p._tree, text, {pos}), default=None)
 
 
 def ends(p, text, pos):
@@ -310,6 +349,14 @@ class TestEngineChoice:
         # X{0,3} is wired as (X(X(X)?)?)?, so a text fixes how many copies it takes.
         assert takes_re(TokenPattern(source))
 
+    def test_worked_examples_end_alike_on_both_engines(self):
+        for source, cases in [
+                (SLUG, [("abc-123_x.9", 11), ("abc-", 3), ("ab--c", 2), ("9a", 1), ("A", None)]),
+                ("[0-9a-f]{1,8}", [("", None), ("g", None), ("deadbeef", 8), ("deadbeef0", 8)])]:
+            p = TokenPattern(source)
+            assert [ends(p, text, 0) for text, _ in cases] == [end for _, end in cases]
+            assert takes_re(p)
+
     def test_construction_chooses_nothing(self):
         p = TokenPattern(SLUG)
         assert p._match is None
@@ -415,26 +462,56 @@ def _sample(node, rng):
         return ""
 
 
-class TestSampledStrings:
-    """Strings drawn from each pattern's tree match it whole on both engines
-    and in ``re``, and their one-character edits agree with the oracle."""
+def _rep_depth(node):
+    """How deeply repeats nest in the pattern tree ``node``."""
+    if isinstance(node, _Cls):
+        return 0
+    if isinstance(node, _Rep):
+        return 1 + _rep_depth(node.node)
+    return max(map(_rep_depth, node.parts if isinstance(node, _Seq) else node.options), default=0)
 
-    # One level of groups: the re oracle backtracks exponentially on
-    # repeats nested two deep.
+
+class TestSampledStrings:
+    """Strings drawn from each pattern's tree match it whole on both engines,
+    and their one-character edits agree with an oracle: ``re`` for one level
+    of groups, where the tree oracle is checked against it, and the tree
+    oracle alone for repeats nested two or three deep, where ``re``
+    backtracks exponentially."""
+
     SOURCES = TestAgainstRe.PATTERNS + sorted(
         {_random_pattern(random.Random(f"sample-{k}"), depth=1) for k in range(360)})
+    NESTED = sorted(source for source in {
+        _random_pattern(random.Random(f"nested-{k}"), depth=2) for k in range(1200)}
+        if _rep_depth(TokenPattern(source)._tree) >= 2)
+
+    @staticmethod
+    def check(p, rng, oracle, full_match):
+        for _ in range(4):
+            text = _sample(p._tree, rng)
+            assert p.match_end(text, 0) == p._dfa_end(text, 0) == len(text), (p, text)
+            assert full_match(text), (p, text)
+            for _ in range(3):
+                i = rng.randrange(len(text) + 1)
+                insert = rng.choice(["", rng.choice(WIDE)])
+                edited = text[:i] + insert + text[i + rng.randint(0, 1):]
+                assert ends(p, edited, 0) == oracle(edited), (p, edited)
 
     def test_samples_match_whole_and_edits_agree(self):
         rng = random.Random(14)
         for source in self.SOURCES:
             p = TokenPattern(source)
             compiled = re.compile(source, re.DOTALL | re.ASCII)
-            for _ in range(4):
-                text = _sample(p._tree, rng)
-                assert p.match_end(text, 0) == p._dfa_end(text, 0) == len(text), (source, text)
-                assert compiled.fullmatch(text), (source, text)
-                for _ in range(3):
-                    i = rng.randrange(len(text) + 1)
-                    insert = rng.choice(["", rng.choice(WIDE)])
-                    edited = text[:i] + insert + text[i + rng.randint(0, 1):]
-                    assert ends(p, edited, 0) == oracle_end(source, edited, 0), (source, edited)
+
+            def oracle(text):
+                end = oracle_end(source, text, 0)
+                assert tree_oracle_end(p, text, 0) == end, (source, text)
+                return end
+            self.check(p, rng, oracle, compiled.fullmatch)
+
+    def test_nested_repeats_agree_with_the_tree_oracle(self):
+        assert len(self.NESTED) >= 100, len(self.NESTED)
+        rng = random.Random(15)
+        for source in self.NESTED:
+            p = TokenPattern(source)
+            self.check(p, rng, lambda text: tree_oracle_end(p, text, 0),
+                       lambda text: len(text) in reachable_ends(p._tree, text, {0}))

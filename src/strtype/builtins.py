@@ -92,18 +92,18 @@ def _format_number(v: float) -> str:
     return "-" * (v < 0) + out
 
 
-_DIGITS = pattern(r"[0-9]+(\.[0-9]+)?").fn
+_DIGITS = pattern(r"[0-9]+(\.[0-9]+)?").scan
 
 
 def _finite_number(text, pos):
     # float() of a number too large for a float is inf, which has no cast.
-    out = _DIGITS(text, pos)
-    if isinstance(out, Failure):
+    end = _DIGITS(text, pos)
+    if end is None:
         return Failure(pos, "a number")
-    value = float(out.value)
+    value = float(text[pos:end])
     if value == math.inf:
         return Failure(pos, "a finite number")
-    return Success(value, out.end)
+    return Success(value, end)
 
 
 _NUMBER = Parser(_finite_number, "a number")
@@ -157,6 +157,7 @@ class FilePath(Structure):
 
 
 _SEGMENT = pattern(r"[^/\\]+").desc("a path segment")
+_scan_segment = _SEGMENT.scan
 
 
 def _split_segment(segment: str) -> tuple[str, str | None]:
@@ -189,22 +190,23 @@ def _path(text, pos):
     if absolute:
         spans["separator"] = (pos, pos + 1)
         pos += 1
-    out = _SEGMENT.fn(text, pos)
-    if isinstance(out, Failure):
-        return out if absolute else Failure(pos, "one of '/\\\\' or a path segment")
+    fe = _scan_segment(text, pos)
+    if fe is None:
+        return Failure(pos, _SEGMENT.label if absolute
+                       else "one of '/\\\\' or a path segment")
     dirs = []
-    fs, fe, segment = pos, out.end, out.value
+    fs = pos
     while text.startswith(sep or _SEPARATORS, fe):
-        out = _SEGMENT.fn(text, fe + 1)
-        if isinstance(out, Failure):
+        end = _scan_segment(text, fe + 1)
+        if end is None:
             break
         if sep is None:
             sep = text[fe]
             spans["separator"] = (fe, fe + 1)
-        dirs.append(segment)
-        fs, fe, segment = fe + 1, out.end, out.value
+        dirs.append(text[fs:fe])
+        fs, fe = fe + 1, end
     spans["dirs"] = (pos, fs - 1) if dirs else (fs, fs)
-    file_name, ext = _split_segment(segment)
+    file_name, ext = _split_segment(text[fs:fe])
     if ext is None:
         spans["file_name"] = (fs, fe)
     else:

@@ -66,6 +66,13 @@ def _read_lines(path) -> list[str]:
 
 def _gather_inputs(args) -> list[str]:
     if args.inputs:
+        # Python decodes arguments with surrogateescape, so bytes that are
+        # not UTF-8 arrive as lone surrogates, which no record can encode.
+        for index, raw in enumerate(args.inputs, 1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise _ConfigError(f"cannot read argument {index}: {exc}") from exc
         return list(args.inputs)
     if args.file is not None:
         return _read_lines(args.file)
@@ -105,8 +112,13 @@ def _make_registry() -> TypeRegistry:
 
 # --------------------------------------------------------------- output
 
+# ``json.dumps(record, ensure_ascii=False)`` builds an encoder per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def _emit(record: dict) -> None:
-    print(json.dumps(record, ensure_ascii=False))
+    """Write ``record`` as one JSON line, in one write, as soon as it is made."""
+    sys.stdout.write(_ENCODER.encode(record) + "\n")
 
 
 def _accepted(args, record: dict, parsed, human, **extra) -> int:

@@ -21,6 +21,13 @@ greedy. A repetition whose body succeeds without consuming anything would
 never terminate, so ``many`` raises :class:`NontermError` when it detects
 that at run time. ``some``, ``times`` and ``chain_left`` are built from
 ``seq`` and ``many``, so ``many`` detects it for them too.
+
+A token (``lit``, ``one_of``, ``satisfy``, ``pattern``) is declared by
+``scan(text, pos) -> end | None``, an optional ``conv`` of the consumed
+text, and its label; its parse function is derived from them, so a token
+fails only at its start, with its label. ``map`` and ``desc`` over a
+token, and ``fallback("")`` over one with no ``conv``, are tokens too.
+``record`` runs a token part by its ``scan`` and builds no outcome for it.
 """
 
 from __future__ import annotations
@@ -70,20 +77,27 @@ class Parser(Generic[A]):
 
     ``parts`` maps field names to the parsers that consume them: a
     ``record``'s named parts, merged by ``alt``; empty for other parsers.
+    A token also has its ``scan`` and ``conv`` (see the module docstring);
+    any other parser has ``scan`` None.
     """
 
-    __slots__ = ("fn", "label", "parts")
+    __slots__ = ("fn", "label", "parts", "scan", "conv")
 
     def __init__(self, fn: Callable[[str, int], Success | Failure], label: str | None = None):
         self.fn = fn
         self.label = label
         self.parts = {}
+        self.scan = self.conv = None
 
     def run(self, text: str, pos: int = 0) -> Success | Failure:
         return self.fn(text, pos)
 
     def map(self, f: Callable[[A], B]) -> "Parser[B]":
         """Apply ``f`` to the parsed value; acceptance is unchanged."""
+        if self.scan is not None:
+            conv = self.conv
+            return _token(self.scan, self.label,
+                          f if conv is None else lambda text: f(conv(text)))
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -107,6 +121,8 @@ class Parser(Generic[A]):
         """
         if not label:
             raise ValueError("desc label must be non-empty")
+        if self.scan is not None:
+            return _token(self.scan, label, self.conv)
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -116,6 +132,10 @@ class Parser(Generic[A]):
 
     def fallback(self, default: B) -> "Parser[A | B]":
         """Yield ``default`` without consuming input when ``self`` fails."""
+        if self.scan is not None and self.conv is None and default == "":
+            # The default is the empty text at ``pos``; an end of 0 is at 0.
+            scan = self.scan
+            return _token(lambda text, pos: scan(text, pos) or pos, self.label)
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -130,6 +150,21 @@ class Parser(Generic[A]):
         return f"Parser({self.label})" if self.label else f"Parser at {id(self):#x}"
 
 
+def _token(scan: Callable[[str, int], int | None], label: str,
+           conv: Callable[[str], A] | None = None) -> Parser[A]:
+    """The token declared by ``scan``, ``label`` and ``conv``."""
+    def parse(text, pos):
+        end = scan(text, pos)
+        if end is None:
+            return Failure(pos, label)
+        value = text[pos:end]
+        return Success(value if conv is None else conv(value), end)
+    out = Parser(parse, label)
+    out.scan = scan
+    out.conv = conv
+    return out
+
+
 def succeed(value: A) -> Parser[A]:
     """Always succeed with ``value``, consuming nothing."""
     return Parser(lambda text, pos: Success(value, pos))
@@ -137,11 +172,9 @@ def succeed(value: A) -> Parser[A]:
 
 def satisfy(pred: Callable[[str], bool], label: str) -> Parser[str]:
     """Consume one character for which ``pred`` holds."""
-    def parse(text, pos):
-        if pos < len(text) and pred(text[pos]):
-            return Success(text[pos], pos + 1)
-        return Failure(pos, label)
-    return Parser(parse, label)
+    def scan(text, pos):
+        return pos + 1 if pos < len(text) and pred(text[pos]) else None
+    return _token(scan, label)
 
 
 def one_of(chars: str) -> Parser[str]:
@@ -149,22 +182,17 @@ def one_of(chars: str) -> Parser[str]:
     if not chars:
         raise ValueError("one_of needs at least one character")
     members = frozenset(chars)
-    label = f"one of {chars!r}"
-    def parse(text, pos):
-        if pos < len(text) and text[pos] in members:
-            return Success(text[pos], pos + 1)
-        return Failure(pos, label)
-    return Parser(parse, label)
+    def scan(text, pos):
+        return pos + 1 if pos < len(text) and text[pos] in members else None
+    return _token(scan, f"one of {chars!r}")
 
 
 def lit(expected: str) -> Parser[str]:
     """Consume exactly the string ``expected``."""
-    label = f'"{expected}"'
-    def parse(text, pos):
-        if text.startswith(expected, pos):
-            return Success(expected, pos + len(expected))
-        return Failure(pos, label)
-    return Parser(parse, label)
+    size = len(expected)
+    def scan(text, pos):
+        return pos + size if text.startswith(expected, pos) else None
+    return _token(scan, f'"{expected}"')
 
 
 def pattern(source: str) -> Parser[str]:
@@ -175,13 +203,10 @@ def pattern(source: str) -> Parser[str]:
     :class:`PatternError` here, at construction time.
     """
     compiled = TokenPattern(source)
-    label = f"/{source}/"
-    def parse(text, pos):
-        end = compiled.match_end(text, pos)
-        if end is None:
-            return Failure(pos, label)
-        return Success(text[pos:end], end)
-    return Parser(parse, label)
+    def scan(text, pos):
+        # Looked up at each call, so a wrapper set on the class sees it.
+        return compiled.match_end(text, pos)
+    return _token(scan, f"/{source}/")
 
 
 def seq(*parsers: Parser) -> Parser[tuple]:
@@ -280,24 +305,36 @@ def record(cls: Callable[..., A], *parts) -> Parser[tuple[A, dict]]:
     parser)`` pair. The value is ``(cls(**fields), spans)``, where
     ``spans`` maps each field to the half-open span its parser consumed:
     the pair a type's recognizer yields. Fails as ``seq`` over the same
-    parsers does. The returned parser's ``parts`` are the named pairs.
+    parsers does. A token part runs by its ``scan``, with no outcome built.
+    The returned parser's ``parts`` are the named pairs.
     """
-    steps = [(None, part) if isinstance(part, Parser) else part for part in parts]
+    named = [(None, part) if isinstance(part, Parser) else part for part in parts]
+    steps = [(name, p, p.scan, p.conv) for name, p in named]
     def parse(text, pos):
         fields = {}
         spans = {}
         cur = pos
-        for name, p in steps:
-            out = p.fn(text, cur)
-            if isinstance(out, Failure):
-                return out
-            if name is not None:
-                fields[name] = out.value
-                spans[name] = (cur, out.end)
-            cur = out.end
+        for name, p, scan, conv in steps:
+            if scan is not None:
+                end = scan(text, cur)
+                if end is None:
+                    return Failure(cur, p.label)
+                if name is not None:
+                    value = text[cur:end]
+                    fields[name] = value if conv is None else conv(value)
+                    spans[name] = (cur, end)
+            else:
+                out = p.fn(text, cur)
+                if isinstance(out, Failure):
+                    return out
+                end = out.end
+                if name is not None:
+                    fields[name] = out.value
+                    spans[name] = (cur, end)
+            cur = end
         return Success((cls(**fields), spans), cur)
     out = Parser(parse)
-    out.parts = {name: p for name, p in steps if name is not None}
+    out.parts = {name: p for name, p in named if name is not None}
     return out
 
 

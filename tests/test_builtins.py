@@ -990,3 +990,78 @@ class TestSpansSatisfyFieldRecognizers:
                     start, end = spans[field_name]
                     out = run_to_end(recognizer, raw[start:end])
                     assert isinstance(out, Success), (type_name, raw, field_name, out)
+
+
+def _registry_without_scans():
+    """The builtin registry built again with every part given to ``record``
+    stripped of its scan, so that each part runs by its parse function."""
+    import importlib.util
+
+    import strtype.combinators
+    import strtype.core
+    from strtype.combinators import record
+
+    def strip(part):
+        if isinstance(part, Parser):
+            return Parser(part.fn, part.label)
+        name, p = part
+        return name, Parser(p.fn, p.label)
+
+    def record_without_scans(cls, *parts):
+        return record(cls, *map(strip, parts))
+
+    spec = importlib.util.find_spec("strtype.builtins")
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(strtype.combinators, "record", record_without_scans)
+        patch.setattr(strtype.core, "record", record_without_scans)
+        spec.loader.exec_module(module)
+        return module.build_registry()
+
+
+def _record_root_types():
+    """Every type whose root's grammar is a ``record`` or an ``alt`` of them."""
+    return [name for name in _REGISTRY.names()
+            if _REGISTRY.get(([name] + _REGISTRY.ancestors(name))[-1]).recognizer.parts]
+
+
+class TestRecordPartsScan:
+    """A record runs a token part by its ``scan`` and builds no outcome for
+    it; the same record over the parts stripped of their scans gives the same
+    verdict, structure, spans and report."""
+
+    ALPHABET = "a/\\.@#-_ 0123456789gmailhopxtré "
+
+    @pytest.fixture(scope="class")
+    def plain(self):
+        return _registry_without_scans()
+
+    def test_record_roots_are_the_ones_with_token_parts(self, plain):
+        names = _record_root_types()
+        assert names == ["CssColour", "CssUnit", "Email", "Gmail", "InnerR",
+                         "PxOrAuto", "Sanitised", "USPhone", "UserName"]
+        for name in names:
+            assert all(p.scan is None for p in plain.get(name).recognizer.parts.values())
+        # A root that is one record: each of its fields is a single token.
+        for name in ["Email", "InnerR", "Sanitised", "USPhone", "UserName"]:
+            parts = _REGISTRY.get(name).recognizer.parts.values()
+            assert all(p.scan is not None for p in parts), name
+
+    @pytest.mark.parametrize("type_name", _record_root_types())
+    def test_scans_agree_with_parse_functions(self, reg, plain, type_name):
+        rng = random.Random(zlib.crc32(f"scan-{type_name}".encode()))
+        accepted = 0
+        for sample in accepted_strings(type_name, 200):
+            for raw in [sample, *_mutations(rng, sample, self.ALPHABET)]:
+                got, want = reg.from_raw(type_name, raw), plain.from_raw(type_name, raw)
+                assert type(got) is type(want), (type_name, raw)
+                if isinstance(got, Err):
+                    assert _report(got) == _report(want), (type_name, raw)
+                    assert got.error.detail == want.error.detail, (type_name, raw)
+                    continue
+                accepted += 1
+                # The plain registry's structures are classes of its own module.
+                assert repr(got.value.structure) == repr(want.value.structure), raw
+                assert got.value.spans == want.value.spans, (type_name, raw)
+                assert got.value.cast() == want.value.cast(), (type_name, raw)
+        assert accepted >= 200

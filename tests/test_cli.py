@@ -150,6 +150,17 @@ class TestInputSources:
         assert out == ""
         assert err.startswith("error: cannot read stdin: ")
 
+    @pytest.mark.parametrize("human", [[], ["--human"]])
+    def test_undecodable_argument_is_config_error(self, capsys, monkeypatch, human):
+        # Python decodes argv with surrogateescape: so b"ab\xffc" arrives.
+        raw = b"ab\xffc".decode("utf-8", "surrogateescape")
+        stdout = io.StringIO()  # takes any text, so only the status can tell
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["validate", "--type", "Sanitised", *human, "#fff", raw])
+        assert code == 2
+        assert stdout.getvalue() == ""
+        assert capsys.readouterr().err.startswith("error: cannot read argument 2: ")
+
 
 class TestNormalize:
     def test_canonical_form(self, capsys):
@@ -507,3 +518,75 @@ class TestInstalledModule:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert stderr == b""
+
+    def test_undecodable_argument_exits_two(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "strtype.cli", "validate", "--type", "Sanitised",
+             b"ab\xffc"], capture_output=True, env=dict(self.ENV, PYTHONIOENCODING="utf-8"))
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.startswith(b"error: cannot read argument 1: ")
+
+
+class _LoggedStdout:
+    """A stdout that appends each write to a log it shares with the parses."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def write(self, text):
+        self.log.append(("write", text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreaming:
+    """Each record is written in one write as soon as its input is handled,
+    encoded as ``json.dumps(record, ensure_ascii=False)`` encodes it."""
+
+    INPUTS = ["caf\u00e9 r\u2028\"q\\", "\u2028\\r\"", "no pivot \u00e9\u2028\"\\", "r"]
+
+    def expected(self, raw):
+        result = strtype.from_raw("InnerR", raw)
+        record = {"input": raw, "type": "InnerR"}
+        if isinstance(result, strtype.Err):
+            parse = result.error.parse
+            record.update(ok=False, error={"pos": parse.pos, "expected": parse.expected})
+        else:
+            value = result.value
+            record.update(ok=True, normalized=value.cast(), fields={
+                "left": value.structure.left, "right": value.structure.right})
+        return json.dumps(record, ensure_ascii=False) + "\n"
+
+    def run_logged(self, monkeypatch, argv):
+        """Run ``extract --type InnerR`` on ``argv``; log each parse and write."""
+        log = []
+        from_raw = strtype.TypeRegistry.from_raw
+
+        def logged_from_raw(reg, type_name, raw):
+            log.append(("parse", raw))
+            return from_raw(reg, type_name, raw)
+
+        monkeypatch.setattr(strtype.TypeRegistry, "from_raw", logged_from_raw)
+        monkeypatch.setattr(sys, "stdout", _LoggedStdout(log))
+        code = main(["extract", "--type", "InnerR", *argv])
+        return code, log
+
+    def check(self, monkeypatch, argv):
+        want = []
+        for raw in self.INPUTS:
+            want += [("parse", raw), ("write", self.expected(raw))]
+        code, log = self.run_logged(monkeypatch, argv)
+        assert code == 1  # one input has no "r"
+        assert log == want
+        assert all(text.endswith("\n") for kind, text in log if kind == "write")
+
+    def test_arguments(self, monkeypatch):
+        self.check(monkeypatch, self.INPUTS)
+
+    def test_file(self, monkeypatch, tmp_path):
+        source = tmp_path / "inputs.txt"
+        source.write_bytes("".join(raw + "\n" for raw in self.INPUTS).encode("utf-8"))
+        self.check(monkeypatch, ["--file", str(source)])

@@ -27,6 +27,7 @@ from strtype.combinators import (
     succeed,
     times,
 )
+from strtype.patterns import TokenPattern
 
 
 def outcomes(p, texts):
@@ -500,3 +501,171 @@ class TestComposedRepetition:
                     for composed, loop in pairs:
                         assert (outcome_or_nonterm(composed, text, pos)
                                 == outcome_or_nonterm(loop, text, pos)), (text, pos)
+
+
+# The parse functions the four token constructors and ``map``, ``desc`` and
+# ``fallback`` had before tokens were declared by ``scan``, kept as their
+# oracles.
+
+def closure_satisfy(pred, label):
+    def parse(text, pos):
+        if pos < len(text) and pred(text[pos]):
+            return Success(text[pos], pos + 1)
+        return Failure(pos, label)
+    return Parser(parse, label)
+
+
+def closure_one_of(chars):
+    members = frozenset(chars)
+    label = f"one of {chars!r}"
+    def parse(text, pos):
+        if pos < len(text) and text[pos] in members:
+            return Success(text[pos], pos + 1)
+        return Failure(pos, label)
+    return Parser(parse, label)
+
+
+def closure_lit(expected):
+    label = f'"{expected}"'
+    def parse(text, pos):
+        if text.startswith(expected, pos):
+            return Success(expected, pos + len(expected))
+        return Failure(pos, label)
+    return Parser(parse, label)
+
+
+def closure_pattern(source):
+    compiled = TokenPattern(source)
+    label = f"/{source}/"
+    def parse(text, pos):
+        end = compiled.match_end(text, pos)
+        if end is None:
+            return Failure(pos, label)
+        return Success(text[pos:end], end)
+    return Parser(parse, label)
+
+
+def closure_map(p, f):
+    def parse(text, pos):
+        out = p.fn(text, pos)
+        if isinstance(out, Failure):
+            return out
+        return Success(f(out.value), out.end)
+    return Parser(parse, p.label)
+
+
+def closure_desc(p, label):
+    def parse(text, pos):
+        out = p.fn(text, pos)
+        if isinstance(out, Failure):
+            return Failure(out.pos, label)
+        return out
+    return Parser(parse, label)
+
+
+def closure_fallback(p, default):
+    def parse(text, pos):
+        out = p.fn(text, pos)
+        if isinstance(out, Failure):
+            return Success(default, pos)
+        return out
+    return Parser(parse, p.label)
+
+
+TOKEN_ALPHABET = "abé  1"
+TOKEN_SOURCES = ["[ab]+", "é*", "[^a]", "(ab|a)*1?", "[0-9]{1,3}", ".*", "a?"]
+PREDICATES = [str.isalpha, str.isdigit, lambda c: c in "bé"]
+
+
+def random_token(rng, depth=3):
+    """A token and the same parser built from the closures above: one of
+    the four constructors under up to ``depth`` random ``map``, ``desc``
+    and ``fallback`` layers."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(4)
+        if kind == 0:
+            chars = "".join(rng.choice(TOKEN_ALPHABET) for _ in range(rng.randrange(3)))
+            return lit(chars), closure_lit(chars)
+        if kind == 1:
+            chars = "".join(rng.sample(TOKEN_ALPHABET, rng.randrange(1, 4)))
+            return one_of(chars), closure_one_of(chars)
+        if kind == 2:
+            pred = rng.choice(PREDICATES)
+            return satisfy(pred, "a char"), closure_satisfy(pred, "a char")
+        source = rng.choice(TOKEN_SOURCES)
+        return pattern(source), closure_pattern(source)
+    token, closure = random_token(rng, depth - 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        tag = rng.randrange(10)
+        f = lambda v: (tag, v)
+        return token.map(f), closure_map(closure, f)
+    if kind == 1:
+        label = f"label {rng.randrange(10)}"
+        return token.desc(label), closure_desc(closure, label)
+    default = rng.choice(["", "", None, "x"])
+    return token.fallback(default), closure_fallback(closure, default)
+
+
+def random_texts(rng, count=12):
+    texts = ["", "é", "ab1", " b"]
+    while len(texts) < count:
+        texts.append("".join(rng.choice(TOKEN_ALPHABET) for _ in range(rng.randrange(8))))
+    return texts
+
+
+class TestTokens:
+    """A token's parse function is derived from its ``scan``, ``conv`` and
+    label, and gives what the hand-written closures gave."""
+
+    def test_scan_and_conv_agree_with_fn_and_the_closures(self):
+        rng = random.Random(18)
+        tokens = 0
+        for _ in range(300):
+            token, closure = random_token(rng)
+            tokens += token.scan is not None
+            for text in random_texts(rng):
+                for pos in range(len(text) + 1):
+                    out = token.fn(text, pos)
+                    assert out == closure.fn(text, pos), (token, text, pos)
+                    if token.scan is None:
+                        continue
+                    end = token.scan(text, pos)
+                    if end is None:
+                        assert out == Failure(pos, token.label), (token, text, pos)
+                    else:
+                        value = text[pos:end]
+                        if token.conv is not None:
+                            value = token.conv(value)
+                        assert out == Success(value, end), (token, text, pos)
+        assert tokens > 200
+
+    def test_constructors_map_and_desc_give_tokens(self):
+        for token in (lit("ab"), one_of("ab"), satisfy(str.isdigit, "a digit"),
+                      pattern("[a-z]+")):
+            assert token.scan is not None and token.conv is None
+            assert token.desc("x").scan is token.scan
+            assert token.map(len).scan is token.scan
+            assert token.map(len).conv is len
+            assert token.map(len).desc("x").label == "x"
+
+    def test_only_an_empty_default_over_bare_text_keeps_a_scan(self):
+        assert one_of("ab").fallback("").scan is not None
+        assert one_of("ab").fallback(None).scan is None
+        assert one_of("ab").map(len).fallback("").scan is None
+        assert pattern("a*").fallback("").run("b", 0) == Success("", 0)
+
+    def test_other_parsers_have_no_scan(self):
+        digit = one_of("12")
+        for p in (seq(digit), alt(digit, digit), many(digit), succeed(1),
+                  record(Pair, ("left", digit), ("right", digit)),
+                  seq(digit).map(len), seq(digit).desc("x")):
+            assert p.scan is None and p.conv is None
+
+    def test_record_reports_a_token_part_as_its_fn_does(self):
+        p = record(Pair, ("left", pattern("[0-9]+").map(int).desc("a number")),
+                   lit(","), ("right", one_of("xy").fallback("")))
+        assert p.run("12,x", 0) == Success((Pair(12, "x"), {"left": (0, 2), "right": (3, 4)}), 4)
+        assert p.run("12,", 0) == Success((Pair(12, ""), {"left": (0, 2), "right": (3, 3)}), 3)
+        assert p.run("a", 0) == Failure(0, "a number")
+        assert p.run("12;", 0) == Failure(2, '","')

@@ -31,8 +31,6 @@ from .combinators import (
     one_of,
     pattern,
     record,
-    satisfy,
-    seq,
 )
 from .core import StringType, TypeRegistry, opaque_type, subtype
 from .patterns import FrozenRecord, Structure, _set
@@ -55,9 +53,8 @@ class CssColour(Structure):
         _set(self, "blue", blue)
 
 
-_HEX_DIGIT = satisfy(lambda c: c in "0123456789abcdefABCDEF", "a hex digit")
-_HEX_PAIR = seq(_HEX_DIGIT, _HEX_DIGIT).map(lambda t: int(t[0] + t[1], 16))
-_HEX_SHORT = _HEX_DIGIT.map(lambda c: int(c + c, 16))
+_HEX_PAIR = pattern("[0-9a-fA-F]{2}").map(lambda t: int(t, 16)).desc("a hex digit")
+_HEX_SHORT = pattern("[0-9a-fA-F]").map(lambda c: int(c + c, 16)).desc("a hex digit")
 
 _COLOUR = alt(*(
     record(CssColour, lit("#"), ("red", hex_), ("green", hex_), ("blue", hex_))

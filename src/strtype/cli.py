@@ -112,13 +112,25 @@ def _make_registry() -> TypeRegistry:
 
 # --------------------------------------------------------------- output
 
-# ``json.dumps(record, ensure_ascii=False)`` builds an encoder per call.
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
+# ``_ENCODER.encode`` builds a C encoder per call, so one is built here, with
+# the settings ``json.dumps(record, ensure_ascii=False)`` uses, and reused. A
+# record holds no cycles, so it keeps no markers. Without ``_json`` there is
+# no C encoder, and ``_ENCODER.encode`` is used.
+if json.encoder.c_make_encoder is None:
+    _encode = _ENCODER.encode
+else:
+    _chunks = json.encoder.c_make_encoder(
+        None, _ENCODER.default, json.encoder.encode_basestring, None, ": ", ", ",
+        False, False, True)
+
+    def _encode(record: dict) -> str:
+        return "".join(_chunks(record, 0))
 
 
 def _emit(record: dict) -> None:
     """Write ``record`` as one JSON line, in one write, as soon as it is made."""
-    sys.stdout.write(_ENCODER.encode(record) + "\n")
+    sys.stdout.write(_encode(record) + "\n")
 
 
 def _accepted(args, record: dict, parsed, human, **extra) -> int:

@@ -27,7 +27,16 @@ A token (``lit``, ``one_of``, ``satisfy``, ``pattern``) is declared by
 text, and its label; its parse function is derived from them, so a token
 fails only at its start, with its label. ``map`` and ``desc`` over a
 token, and ``fallback("")`` over one with no ``conv``, are tokens too.
-``record`` runs a token part by its ``scan`` and builds no outcome for it.
+
+Every token but ``satisfy`` also keeps its ``tree``, its language as data: a
+``lit`` is a sequence of one-point classes, a ``one_of`` one class and a
+``pattern`` its ``TokenPattern``. ``map`` and ``desc`` pass the tree on,
+and ``fallback("")`` makes it optional. When every part of a ``record``
+has a tree and no pattern among them walks the DFA, the record parses
+with one ``re`` match (``patterns.sequence_match``), compiled at its first
+parse; any other record runs its parts' parse functions in turn. Both
+give the same outcome, since a token takes its longest match and fails
+only at its start, with its label.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable, Generic, TypeVar
 
-from .patterns import PatternError, Record, TokenPattern
+from .patterns import (PatternError, Record, TokenPattern, _Cls, _merged, _Rep, _Seq,
+                       sequence_match)
 
 __all__ = [
     "Success", "Failure", "Parser", "NontermError", "PatternError",
@@ -77,17 +87,17 @@ class Parser(Generic[A]):
 
     ``parts`` maps field names to the parsers that consume them: a
     ``record``'s named parts, merged by ``alt``; empty for other parsers.
-    A token also has its ``scan`` and ``conv`` (see the module docstring);
-    any other parser has ``scan`` None.
+    A token also has its ``scan``, ``conv`` and ``tree`` (see the module
+    docstring); any other parser has ``scan`` None.
     """
 
-    __slots__ = ("fn", "label", "parts", "scan", "conv")
+    __slots__ = ("fn", "label", "parts", "scan", "conv", "tree")
 
     def __init__(self, fn: Callable[[str, int], Success | Failure], label: str | None = None):
         self.fn = fn
         self.label = label
         self.parts = {}
-        self.scan = self.conv = None
+        self.scan = self.conv = self.tree = None
 
     def run(self, text: str, pos: int = 0) -> Success | Failure:
         return self.fn(text, pos)
@@ -97,7 +107,7 @@ class Parser(Generic[A]):
         if self.scan is not None:
             conv = self.conv
             return _token(self.scan, self.label,
-                          f if conv is None else lambda text: f(conv(text)))
+                          f if conv is None else lambda text: f(conv(text)), self.tree)
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -122,7 +132,7 @@ class Parser(Generic[A]):
         if not label:
             raise ValueError("desc label must be non-empty")
         if self.scan is not None:
-            return _token(self.scan, label, self.conv)
+            return _token(self.scan, label, self.conv, self.tree)
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -134,8 +144,9 @@ class Parser(Generic[A]):
         """Yield ``default`` without consuming input when ``self`` fails."""
         if self.scan is not None and self.conv is None and default == "":
             # The default is the empty text at ``pos``; an end of 0 is at 0.
-            scan = self.scan
-            return _token(lambda text, pos: scan(text, pos) or pos, self.label)
+            scan, tree = self.scan, self.tree
+            return _token(lambda text, pos: scan(text, pos) or pos, self.label,
+                          tree=None if tree is None else _Rep(tree, 0, 1))
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -151,8 +162,8 @@ class Parser(Generic[A]):
 
 
 def _token(scan: Callable[[str, int], int | None], label: str,
-           conv: Callable[[str], A] | None = None) -> Parser[A]:
-    """The token declared by ``scan``, ``label`` and ``conv``."""
+           conv: Callable[[str], A] | None = None, tree=None) -> Parser[A]:
+    """The token declared by ``scan``, ``label`` and ``conv``, with ``tree``."""
     def parse(text, pos):
         end = scan(text, pos)
         if end is None:
@@ -162,6 +173,7 @@ def _token(scan: Callable[[str, int], int | None], label: str,
     out = Parser(parse, label)
     out.scan = scan
     out.conv = conv
+    out.tree = tree
     return out
 
 
@@ -184,7 +196,8 @@ def one_of(chars: str) -> Parser[str]:
     members = frozenset(chars)
     def scan(text, pos):
         return pos + 1 if pos < len(text) and text[pos] in members else None
-    return _token(scan, f"one of {chars!r}")
+    return _token(scan, f"one of {chars!r}",
+                  tree=_Cls(tuple(_merged((c, c) for c in map(ord, members)))))
 
 
 def lit(expected: str) -> Parser[str]:
@@ -192,7 +205,8 @@ def lit(expected: str) -> Parser[str]:
     size = len(expected)
     def scan(text, pos):
         return pos + size if text.startswith(expected, pos) else None
-    return _token(scan, f'"{expected}"')
+    return _token(scan, f'"{expected}"',
+                  tree=_Seq(tuple(_Cls(((c, c),)) for c in map(ord, expected))))
 
 
 def pattern(source: str) -> Parser[str]:
@@ -206,7 +220,7 @@ def pattern(source: str) -> Parser[str]:
     def scan(text, pos):
         # Looked up at each call, so a wrapper set on the class sees it.
         return compiled.match_end(text, pos)
-    return _token(scan, f"/{source}/")
+    return _token(scan, f"/{source}/", tree=compiled)
 
 
 def seq(*parsers: Parser) -> Parser[tuple]:
@@ -305,33 +319,45 @@ def record(cls: Callable[..., A], *parts) -> Parser[tuple[A, dict]]:
     parser)`` pair. The value is ``(cls(**fields), spans)``, where
     ``spans`` maps each field to the half-open span its parser consumed:
     the pair a type's recognizer yields. Fails as ``seq`` over the same
-    parsers does. A token part runs by its ``scan``, with no outcome built.
-    The returned parser's ``parts`` are the named pairs.
+    parsers does. When every part has a tree and no pattern among them
+    walks the DFA, the parse is one ``re`` match (see the module
+    docstring). The returned parser's ``parts`` are the named pairs.
     """
     named = [(None, part) if isinstance(part, Parser) else part for part in parts]
-    steps = [(name, p, p.scan, p.conv) for name, p in named]
+    steps = [(name, p.fn) for name, p in named]
+    trees = [p.tree for _, p in named]
+    labels = [p.label for _, p in named]
+    # Part i of the single match ends where group i + 1 is.
+    groups = [(i, name, p.conv) for i, (name, p) in enumerate(named) if name is not None]
+    # None until the first parse: then the single match, or False.
+    match = None if all(tree is not None for tree in trees) else False
     def parse(text, pos):
+        nonlocal match
+        if match is None:
+            match = sequence_match(trees) or False
         fields = {}
         spans = {}
+        if match:
+            found = match(text, pos)
+            taken = found.lastindex or 0
+            if taken < len(labels):
+                return Failure(found.end(), labels[taken])
+            for i, name, conv in groups:
+                start = found.end(i) if i else pos
+                end = found.end(i + 1)
+                value = text[start:end]
+                fields[name] = value if conv is None else conv(value)
+                spans[name] = (start, end)
+            return Success((cls(**fields), spans), found.end())
         cur = pos
-        for name, p, scan, conv in steps:
-            if scan is not None:
-                end = scan(text, cur)
-                if end is None:
-                    return Failure(cur, p.label)
-                if name is not None:
-                    value = text[cur:end]
-                    fields[name] = value if conv is None else conv(value)
-                    spans[name] = (cur, end)
-            else:
-                out = p.fn(text, cur)
-                if isinstance(out, Failure):
-                    return out
-                end = out.end
-                if name is not None:
-                    fields[name] = out.value
-                    spans[name] = (cur, end)
-            cur = end
+        for name, fn in steps:
+            out = fn(text, cur)
+            if isinstance(out, Failure):
+                return out
+            if name is not None:
+                fields[name] = out.value
+                spans[name] = (cur, out.end)
+            cur = out.end
         return Success((cls(**fields), spans), cur)
     out = Parser(parse)
     out.parts = {name: p for name, p in named if name is not None}

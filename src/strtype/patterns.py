@@ -30,6 +30,12 @@ that loops on some classes skips the run of them with one ``re`` scan;
 ``re`` only scans a character set there, so the longest-match semantics
 are unchanged.
 
+A sequence of tokens, as a ``record`` of them in :mod:`strtype.combinators`
+has, is matched by one regex too: :func:`sequence_match` takes each
+token's tree, writes it as above and nests the tokens in optional groups,
+so that one ``re`` call finds how many of them match in a row and where
+each ends. It answers None when a pattern among them walks the DFA.
+
 This module also holds :class:`Record` and :class:`FrozenRecord`, the
 slotted base of every record in the package, and :class:`Structure`, the
 base of the structures a type's grammar builds, because every other module
@@ -167,6 +173,17 @@ def _complement(spans) -> list[tuple[int, int]]:
     """The code points outside ``spans``, sorted, disjoint ranges."""
     edges = [-1] + [c for low, high in spans for c in (low, high)] + [_TOP + 1]
     return [(a + 1, b - 1) for a, b in zip(edges[::2], edges[1::2]) if a + 1 < b]
+
+
+def _merged(ranges) -> list[tuple[int, int]]:
+    """Code point ``ranges`` as sorted, disjoint, non-adjacent spans."""
+    spans: list[tuple[int, int]] = []
+    for low, high in sorted(ranges):
+        if spans and low <= spans[-1][1] + 1:
+            spans[-1] = (spans[-1][0], max(high, spans[-1][1]))
+        else:
+            spans.append((low, high))
+    return spans
 
 
 class _Cls(FrozenRecord):
@@ -348,12 +365,7 @@ class _PatternReader:
                 if high < low:
                     raise self.error("character range out of order")
             ranges.append((low, high))
-        spans: list[tuple[int, int]] = []
-        for low, high in sorted(ranges):
-            if spans and low <= spans[-1][1] + 1:
-                spans[-1] = (spans[-1][0], max(high, spans[-1][1]))
-            else:
-                spans.append((low, high))
+        spans = _merged(ranges)
         return _Cls(tuple(_complement(spans) if negated else spans))
 
     def class_char(self) -> int:
@@ -531,6 +543,8 @@ class TokenPattern:
         # None until the first match chooses the engine: then the compiled
         # regex's match, or False for the DFA.
         self._match = None
+        # None until asked: then whether the NFA is unambiguous.
+        self._is_plain = None
         labels: set[_Cls] = set()
         self._accept = _build(tree, start, labels)
         self._start = frozenset(_closure({start}))
@@ -598,18 +612,25 @@ class TokenPattern:
                         todo.append(target)
         return True
 
-    def _choose(self):
-        """Choose the engine, once: ``re`` for an unambiguous pattern.
+    def plain_tree(self):
+        """The pattern's tree if ``re`` finds its longest match, else None.
 
-        There the text fixes one NFA path. At each choice ``re`` tries the
-        options that must consume a character before the one that may
-        stop, and a stop succeeds only at an accepting point, so its first
-        success is the longest match; each choice point is retried at most
-        once, so the time is linear.
+        ``re`` does when the NFA is unambiguous. There the text fixes one
+        NFA path. At each choice ``re`` tries the options that must consume
+        a character before the one that may stop, and a stop succeeds only
+        at an accepting point, so its first success is the longest match;
+        each choice point is retried at most once, so the time is linear.
+        The check runs once, and compiles nothing.
         """
+        if self._is_plain is None:
+            self._is_plain = self._unambiguous()
+        return self._tree if self._is_plain else None
+
+    def _choose(self):
+        """Choose the engine, once: ``re`` for an unambiguous pattern."""
         with self._lock:
             if self._match is None:
-                self._match = self._unambiguous() and re.compile(
+                self._match = self.plain_tree() is not None and re.compile(
                     _regex_source(self._tree), re.DOTALL).match
             return self._match
 
@@ -658,3 +679,40 @@ class TokenPattern:
 
     def __repr__(self) -> str:
         return f"TokenPattern({self.source!r})"
+
+
+def sequence_match(trees):
+    """One ``re`` match for tokens in sequence, each taking its longest match.
+
+    ``trees`` holds each token's tree: a pattern node, in which a
+    :class:`TokenPattern` may stand alone or under ``_Rep``. Returns the
+    ``match`` of a regex whose group ``i`` is empty, at the end of token
+    ``i - 1``: the tokens are nested in optional groups,
+    ``(?:T0()(?:T1())?)?``, so ``lastindex`` counts the tokens that
+    matched in a row and the match's end is where the next one failed,
+    or the end of the last. Every group after a token is optional, so the
+    first match never backtracks into a token, and a token's first match
+    is its longest (:meth:`TokenPattern.plain_tree`). A group that marks
+    an end, not one around the token, leaves the first token to match as
+    fast as alone: once a group has matched, ``re`` saves the groups at
+    each pass of a repeat that is more than one class. Returns None when
+    a ``TokenPattern`` among them walks the DFA.
+    """
+    body = ""
+    for tree in reversed(trees):
+        tree = _plain(tree)
+        if tree is None:
+            return None
+        body = f"(?:{_regex_source(tree)}(){body})?"
+    return re.compile(body, re.DOTALL).match
+
+
+def _plain(node):
+    """``node`` with its ``TokenPattern`` replaced by the pattern's tree,
+    or None if that pattern walks the DFA."""
+    if isinstance(node, TokenPattern):
+        return node.plain_tree()
+    if isinstance(node, _Rep):
+        inner = _plain(node.node)
+        return None if inner is None else _Rep(inner, node.low, node.high)
+    return node

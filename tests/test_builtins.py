@@ -27,8 +27,8 @@ from strtype.builtins import (
     expr_text,
 )
 from strtype.combinators import (Failure, Parser, Success, alt, chain_left, forward, lit,
-                                 many, one_of, pattern, run_to_end, satisfy, seq, some,
-                                 spanned, succeed, times)
+                                 many, one_of, pattern, record, run_to_end, satisfy, seq,
+                                 some, spanned, succeed, times)
 from strtype.core import (Err, Ok, Opaque, StringType, TypeRegistry, field_checks,
                           from_structure, reset_field_checks, subtype)
 
@@ -104,6 +104,33 @@ class TestCssColour:
     ])
     def test_rejections_with_positions(self, reg, bad, pos):
         assert err(reg, "CssColour", bad).parse.pos == pos
+
+    def test_agrees_with_the_satisfy_grammar(self, reg):
+        """The token grammar gives what the grammar over ``satisfy`` and
+        ``seq`` gives, on every string over "#1aG\u00e9" of up to 6
+        characters and every one of 7 that starts with "#": verdict,
+        structure, spans and report."""
+        digit = satisfy(lambda c: c in "0123456789abcdefABCDEF", "a hex digit")
+        pair = seq(digit, digit).map(lambda t: int(t[0] + t[1], 16))
+        short = digit.map(lambda c: int(c + c, 16))
+        grammar = alt(*(record(CssColour, lit("#"), ("red", h), ("green", h), ("blue", h))
+                        for h in (pair, short)))
+        oracle = TypeRegistry()
+        oracle.register(StringType("CssColour", grammar, reg.get("CssColour").cast_fn))
+        accepted = 0
+        strings = [*("".join(chars) for size in range(7)
+                     for chars in itertools.product("#1aG\u00e9", repeat=size)),
+                   *("#" + "".join(chars) for chars in itertools.product("#1aG\u00e9", repeat=6))]
+        for raw in strings:
+            got, want = reg.from_raw("CssColour", raw), oracle.from_raw("CssColour", raw)
+            assert type(got) is type(want), raw
+            if isinstance(want, Err):
+                assert _report(got) == _report(want), raw
+                continue
+            accepted += 1
+            assert got.value.structure == want.value.structure, raw
+            assert got.value.spans == want.value.spans, raw
+        assert accepted == 2 ** 3 + 2 ** 6
 
 
 class TestCssUnit:
@@ -994,7 +1021,8 @@ class TestSpansSatisfyFieldRecognizers:
 
 def _registry_without_scans():
     """The builtin registry built again with every part given to ``record``
-    stripped of its scan, so that each part runs by its parse function."""
+    stripped to its parse function and label, with no scan and no tree, so
+    that each record runs its parts' parse functions in turn."""
     import importlib.util
 
     import strtype.combinators
@@ -1026,9 +1054,10 @@ def _record_root_types():
 
 
 class TestRecordPartsScan:
-    """A record runs a token part by its ``scan`` and builds no outcome for
-    it; the same record over the parts stripped of their scans gives the same
-    verdict, structure, spans and report."""
+    """A record whose parts all have trees parses with one ``re`` match. The
+    same record over the parts stripped to their parse functions runs the
+    step loop, and is the single match's oracle: it gives the same verdict,
+    structure, spans and report."""
 
     ALPHABET = "a/\\.@#-_ 0123456789gmailhopxtré "
 

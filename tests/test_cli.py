@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -590,3 +591,29 @@ class TestStreaming:
         source = tmp_path / "inputs.txt"
         source.write_bytes("".join(raw + "\n" for raw in self.INPUTS).encode("utf-8"))
         self.check(monkeypatch, ["--file", str(source)])
+
+    VALUES = [0.1, 1.5e-05, 1e16, 12.5, -2.0, 0, -7, 2 ** 70, None, True, False,
+              [1, [2.5, None], {"k": ["\u00e9", False]}], {"a": {"b": [True, "\u2028"]}},
+              "\u00e9", "\u2028", '"', "\\", 'caf\u00e9 "q" \\ \u2028\n']
+    RECORDS = ([{"input": "x", "value": value} for value in VALUES]
+               + [{f"k{i}": value for i, value in enumerate(VALUES)}, {}])
+
+    @staticmethod
+    def cli_without_json_accelerator(monkeypatch):
+        """A fresh copy of ``strtype.cli`` loaded as if ``_json`` were missing."""
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        spec = importlib.util.find_spec("strtype.cli")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_emit_writes_what_json_dumps_gives(self, capsys, monkeypatch):
+        from strtype import cli
+        for emit in (cli._emit, self.cli_without_json_accelerator(monkeypatch)._emit):
+            for record in self.RECORDS:
+                emit(record)
+                assert capsys.readouterr().out == json.dumps(record, ensure_ascii=False) + "\n"
+
+    def test_without_json_accelerator_emit_uses_the_encoder(self, monkeypatch):
+        module = self.cli_without_json_accelerator(monkeypatch)
+        assert module._encode == module._ENCODER.encode

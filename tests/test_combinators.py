@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+import strtype.combinators
 from strtype.combinators import (
     Failure,
     NontermError,
@@ -27,7 +28,7 @@ from strtype.combinators import (
     succeed,
     times,
 )
-from strtype.patterns import TokenPattern
+from strtype.patterns import TokenPattern, _Cls, _Rep, _Seq, sequence_match
 
 
 def outcomes(p, texts):
@@ -577,10 +578,10 @@ TOKEN_SOURCES = ["[ab]+", "é*", "[^a]", "(ab|a)*1?", "[0-9]{1,3}", ".*", "a?"]
 PREDICATES = [str.isalpha, str.isdigit, lambda c: c in "bé"]
 
 
-def random_token(rng, depth=3):
+def random_token(rng, depth=3, sources=TOKEN_SOURCES):
     """A token and the same parser built from the closures above: one of
     the four constructors under up to ``depth`` random ``map``, ``desc``
-    and ``fallback`` layers."""
+    and ``fallback`` layers. A pattern's source is drawn from ``sources``."""
     if depth == 0 or rng.random() < 0.3:
         kind = rng.randrange(4)
         if kind == 0:
@@ -592,9 +593,9 @@ def random_token(rng, depth=3):
         if kind == 2:
             pred = rng.choice(PREDICATES)
             return satisfy(pred, "a char"), closure_satisfy(pred, "a char")
-        source = rng.choice(TOKEN_SOURCES)
+        source = rng.choice(sources)
         return pattern(source), closure_pattern(source)
-    token, closure = random_token(rng, depth - 1)
+    token, closure = random_token(rng, depth - 1, sources)
     kind = rng.randrange(3)
     if kind == 0:
         tag = rng.randrange(10)
@@ -669,3 +670,100 @@ class TestTokens:
         assert p.run("12,", 0) == Success((Pair(12, ""), {"left": (0, 2), "right": (3, 3)}), 3)
         assert p.run("a", 0) == Failure(0, "a number")
         assert p.run("12;", 0) == Failure(2, '","')
+
+    def test_tokens_keep_their_trees(self):
+        assert lit("aé").tree == _Seq((_Cls(((97, 97),)), _Cls(((233, 233),))))
+        assert lit("").tree == _Seq(())
+        assert one_of("cbaé").tree == _Cls(((97, 99), (233, 233)))
+        word = pattern("[a-z]+")
+        assert isinstance(word.tree, TokenPattern) and word.tree.source == "[a-z]+"
+        assert word.map(len).desc("x").tree is word.tree
+        assert word.fallback("").tree == _Rep(word.tree, 0, 1)
+        assert word.fallback(None).tree is None
+        assert satisfy(str.isdigit, "a digit").tree is None
+        assert satisfy(str.isdigit, "a digit").fallback("").tree is None
+        for p in (seq(word), alt(word, word), many(word), succeed(1),
+                  record(Pair, ("left", word), ("right", word)), seq(word).desc("x")):
+            assert p.tree is None
+
+
+# Patterns that walk the DFA, so a record holding one runs the step loop.
+DFA_SOURCES = ["(ab)*a?", "(a*)*b", "[0-9a-f]*[0-9]"]
+RECORD_ALPHABET = "ab\n\u00e91 0f"
+
+
+def random_record_parts(rng):
+    """1-4 parts for ``record``, named or not, each a token stack. A part
+    with no tree, or with a pattern that walks the DFA, is mostly redrawn,
+    so that most records take the single match."""
+    parts = []
+    for i in range(rng.randint(1, 4)):
+        for _ in range(4):
+            token, _ = random_token(rng, sources=TOKEN_SOURCES + DFA_SOURCES)
+            if token.tree is not None and sequence_match([token.tree]) is not None:
+                break
+            if rng.random() < 0.2:
+                break
+        parts.append(token if rng.random() < 0.3 else (f"f{i}", token))
+    return parts
+
+
+def strip(part):
+    """``part`` reduced to its parse function and label, so that a record
+    over it runs the step loop."""
+    if isinstance(part, Parser):
+        return Parser(part.fn, part.label)
+    name, p = part
+    return name, Parser(p.fn, p.label)
+
+
+class TestSingleMatch:
+    """A record whose parts all have trees, none of them a pattern that
+    walks the DFA, parses with one ``re`` match. It gives what the step loop
+    gives over the same parts stripped to their parse functions."""
+
+    def test_agrees_with_the_step_loop(self, monkeypatch):
+        compiled = []
+
+        def counted(trees):
+            match = sequence_match(trees)
+            compiled.append(match is not None)
+            return match
+
+        monkeypatch.setattr(strtype.combinators, "sequence_match", counted)
+        rng = random.Random(19)
+        records = 1000
+        for _ in range(records):
+            parts = random_record_parts(rng)
+            single, stepped = record(dict, *parts), record(dict, *map(strip, parts))
+            texts = ["", "\n", "\u00e9", *("".join(rng.choice(RECORD_ALPHABET)
+                                             for _ in range(rng.randrange(1, 9)))
+                                         for _ in range(8))]
+            for text in texts:
+                for pos in range(len(text) + 1):
+                    assert single.fn(text, pos) == stepped.fn(text, pos), (parts, text, pos)
+        # Each record compiles at its first parse, if all its parts have trees.
+        assert sum(compiled) > records // 2, (sum(compiled), len(compiled))
+        assert not all(compiled)
+
+    def test_reports_where_and_what_the_step_loop_reports(self):
+        p = record(dict, ("w", pattern("[a-z]+").map(len)), lit("@"),
+                   ("d", one_of("xy").fallback("")), lit("."))
+        assert p.run("ab@x.", 0) == Success(({"w": 2, "d": "x"}, {"w": (0, 2), "d": (3, 4)}), 5)
+        assert p.run("ab@.", 0) == Success(({"w": 2, "d": ""}, {"w": (0, 2), "d": (3, 3)}), 4)
+        assert p.run("1", 0) == Failure(0, "/[a-z]+/")
+        assert p.run("ab", 0) == Failure(2, '"@"')
+        assert p.run("ab@x", 0) == Failure(4, '"."')
+        assert p.run("-ab@x.", 1) == Success(({"w": 2, "d": "x"}, {"w": (1, 3), "d": (4, 5)}), 6)
+
+    def test_a_record_compiles_only_its_single_match(self):
+        word = pattern("[a-z]+")
+        assert record(dict, ("w", word)).run("ab", 0) == Success(({"w": "ab"}, {"w": (0, 2)}), 2)
+        assert word.tree._match is None
+
+    def test_a_pattern_on_the_dfa_gives_no_single_match(self):
+        dfa = TokenPattern("(a*)*b")
+        assert sequence_match([_Seq(()), dfa]) is None
+        assert sequence_match([_Rep(dfa, 0, 1)]) is None
+        assert sequence_match([_Rep(TokenPattern("a+"), 0, 1)]) is not None
+

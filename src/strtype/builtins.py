@@ -8,11 +8,12 @@ its named parts are the type's fields and field recognizers), and a cast
 function renders the canonical surface form of that structure. Three root
 types have hand-written parse functions instead, and name their fields
 themselves; each agrees with a kernel grammar that the tests keep as its
-oracle: ``FilePath``, whose first separator fixes the rest,
-``EqualAandB``, which counts, and ``Expr``, which nests without bound. A
-subtype is declared once, by ``subtype``, as its parent plus a recognizer
-for each field it overrides: it parses with its parent's grammar and then
-checks those fields' spans, exactly as narrowing from any ancestor does.
+oracle: ``FilePath``, one ``re`` match whose first separator fixes the
+rest and whose rejections a kernel ``alt`` reports, ``EqualAandB``, which
+counts, and ``Expr``, which nests without bound. A subtype is declared
+once, by ``subtype``, as its parent plus a recognizer for each field it
+overrides: it parses with its parent's grammar and then checks those
+fields' spans, exactly as narrowing from any ancestor does.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .combinators import (
     one_of,
     pattern,
     record,
+    seq,
 )
 from .core import StringType, TypeRegistry, opaque_type, subtype
 from .patterns import FrozenRecord, Structure, _set
@@ -154,7 +156,7 @@ class FilePath(Structure):
 
 
 _SEGMENT = pattern(r"[^/\\]+").desc("a path segment")
-_scan_segment = _SEGMENT.scan
+_SEPARATOR = one_of("/\\")
 
 
 def _split_segment(segment: str) -> tuple[str, str | None]:
@@ -170,47 +172,38 @@ def _split_segment(segment: str) -> tuple[str, str | None]:
     return segment, None
 
 
-_SEPARATORS = ("/", "\\")
+_PATH_RE = re.compile(r"([/\\])?[^/\\]+(?:(?(1)\1|([/\\]))[^/\\]+(?:(?(1)\1|\2)[^/\\]+)*)?")
+_NO_PATH = alt(seq(_SEPARATOR, _SEGMENT), _SEGMENT)
 
 
 def _path(text, pos):
     """Paths whose first separator, wherever it appears, fixes the style.
 
-    A leading separator makes the path absolute. Segments are taken while
-    that separator and a segment follow, so a path mixing separators stops
-    part-way. A single relative segment shows no separator: its structure
-    defaults to "/" and it records no separator span.
+    ``_PATH_RE`` captures a leading separator, which makes the path
+    absolute, in group 1, or else the first separator after a segment in
+    group 2; every later separator must repeat it, so a path mixing
+    separators stops part-way. A single relative segment shows no
+    separator, so it defaults to "/" with no separator span. Where no
+    segment starts the match fails, and ``_NO_PATH`` reports why.
     """
-    spans = {}
-    absolute = text.startswith(_SEPARATORS, pos)
-    sep = text[pos] if absolute else None
-    if absolute:
-        spans["separator"] = (pos, pos + 1)
-        pos += 1
-    fe = _scan_segment(text, pos)
-    if fe is None:
-        return Failure(pos, _SEGMENT.label if absolute
-                       else "one of '/\\\\' or a path segment")
-    dirs = []
-    fs = pos
-    while text.startswith(sep or _SEPARATORS, fe):
-        end = _scan_segment(text, fe + 1)
-        if end is None:
-            break
-        if sep is None:
-            sep = text[fe]
-            spans["separator"] = (fe, fe + 1)
-        dirs.append(text[fs:fe])
-        fs, fe = fe + 1, end
-    spans["dirs"] = (pos, fs - 1) if dirs else (fs, fs)
-    file_name, ext = _split_segment(text[fs:fe])
-    if ext is None:
-        spans["file_name"] = (fs, fe)
-    else:
-        dot = fs + len(file_name)
-        spans["file_name"] = (fs, dot)
-        spans["ext"] = (dot + 1, fe)
-    return Success((FilePath(absolute, tuple(dirs), file_name, ext, sep or "/"), spans), fe)
+    m = _PATH_RE.match(text, pos)
+    if m is None:
+        return _NO_PATH.fn(text, pos)
+    lead = m.group(1)
+    sep = lead or m.group(2)
+    spans = {"separator": m.span(1 if lead else 2)} if sep else {}
+    start = m.end(1) if lead else pos
+    end = m.end()
+    dirs = text[start:end].split(sep) if sep else [text[start:end]]
+    last = dirs.pop()
+    fs = end - len(last)
+    spans["dirs"] = (start, fs - 1) if dirs else (fs, fs)
+    file_name, ext = _split_segment(last)
+    dot = fs + len(file_name)
+    spans["file_name"] = (fs, dot)
+    if ext is not None:
+        spans["ext"] = (dot + 1, end)
+    return Success((FilePath(bool(lead), tuple(dirs), file_name, ext, sep or "/"), spans), end)
 
 
 _PATH = Parser(_path)
@@ -504,7 +497,7 @@ def register_builtins(reg: TypeRegistry) -> TypeRegistry:
     path = reg.register(StringType(
         "FilePath", _PATH, cast_path,
         fields=("absolute", "dirs", "file_name", "ext", "separator"),
-        field_recognizers={"separator": one_of("/\\"), "file_name": _SEGMENT}))
+        field_recognizers={"separator": _SEPARATOR, "file_name": _SEGMENT}))
     unix = reg.register(subtype(path, "UnixPath", separator=lit("/")))
     reg.register(subtype(path, "WindowsPath", separator=lit("\\")))
     reg.register(subtype(unix, "HomeDotFile",

@@ -241,7 +241,8 @@ class TestEmail:
 
 
 # The kernel form of FilePath's grammar, a few parsers built per parse: the
-# oracle the one-scan parser must agree with on every outcome.
+# oracle the single ``re`` match, with its kernel ``alt`` for rejections,
+# must agree with on every outcome.
 def _assemble_path(absolute: bool, sep_char: str | None, seg_spans, lead_start: int):
     *dir_spans, (file_text, fs, fe) = seg_spans
     file_name, ext = _split_segment(file_text)
@@ -426,12 +427,13 @@ class TestFilePath:
         home = ["/home/" + raw for raw in short if len(raw) <= 4]
         return short + home + seeded + long
 
-    def test_agrees_with_kernel_oracle(self, reg):
-        oracle = self.oracle_registry(reg)
-        inputs = self.path_inputs()
-        assert len(inputs) == 21_845 + 341 + 20_000 + 3
-        accepted = dict.fromkeys(self.PATH_TYPES, 0)
-        for type_name in self.PATH_TYPES:
+    @staticmethod
+    def count_agreeing(oracle, reg, inputs):
+        """Check every input against the oracle for each path type: verdict,
+        report, structure, spans (key order too) and cast. Returns how many
+        inputs each type accepted."""
+        accepted = dict.fromkeys(TestFilePath.PATH_TYPES, 0)
+        for type_name in TestFilePath.PATH_TYPES:
             for raw in inputs:
                 want = oracle.from_raw(type_name, raw)
                 got = reg.from_raw(type_name, raw)
@@ -445,8 +447,36 @@ class TestFilePath:
                 assert got.value.spans == want.value.spans, (type_name, raw)
                 assert list(got.value.spans) == list(want.value.spans), (type_name, raw)
                 assert got.value.cast() == want.value.cast(), (type_name, raw)
-        assert accepted == {"FilePath": 4_670, "UnixPath": 2_869,
-                            "WindowsPath": 2_831, "HomeDotFile": 15}
+        return accepted
+
+    def test_agrees_with_kernel_oracle(self, reg):
+        oracle = self.oracle_registry(reg)
+        inputs = self.path_inputs()
+        assert len(inputs) == 21_845 + 341 + 20_000 + 3
+        assert self.count_agreeing(oracle, reg, inputs) == {
+            "FilePath": 4_670, "UnixPath": 2_869, "WindowsPath": 2_831, "HomeDotFile": 15}
+
+    def test_segments_hold_any_character_but_a_separator(self, reg):
+        # Line breaks, NUL and an astral character are segment characters
+        # like "b": each string of up to 4 characters over "a./\\" and one of
+        # them, and each of up to 3 under "/home/", "a/b/" and "\\a\\b\\" (so
+        # a segment after the second separator holds it too), agrees with the
+        # oracle, and each character lets as many paths through as "b" does.
+        oracle = self.oracle_registry(reg)
+        counts = {}
+        for c in ("b", "\n", "\r", "\u2028", "\x00", "\U0001f600"):
+            short = ["".join(t) for size in range(5)
+                     for t in itertools.product("a./\\" + c, repeat=size)]
+            inputs = short + [lead + raw for lead in ("/home/", "a/b/", "\\a\\b\\")
+                              for raw in short if len(raw) <= 3]
+            counts[c] = self.count_agreeing(oracle, reg, inputs)
+            assert counts[c] == counts["b"], repr(c)
+        assert all(counts["b"].values())
+        c = "\U0001f600"
+        value = ok(reg, "FilePath", f"\\a\n\\b\u2028\\{c}\r.t\x00")
+        assert value.structure == FilePath(True, ("a\n", "b\u2028"), c + "\r", "t\x00", "\\")
+        assert value.spans == {"separator": (0, 1), "dirs": (1, 6),
+                               "file_name": (7, 9), "ext": (10, 12)}
 
 
 class TestUSPhone:

@@ -35,7 +35,7 @@ from .combinators import (
     seq,
 )
 from .core import StringType, TypeRegistry, opaque_type, subtype
-from .patterns import FrozenRecord, Structure, _set
+from .patterns import FrozenRecord, Structure, TokenPattern, _set
 
 __all__ = [
     "CssColour", "CssUnit", "Email", "FilePath", "USPhone", "EqualAandB",
@@ -91,12 +91,12 @@ def _format_number(v: float) -> str:
     return "-" * (v < 0) + out
 
 
-_DIGITS = pattern(r"[0-9]+(\.[0-9]+)?").scan
+_DIGITS = TokenPattern(r"[0-9]+(\.[0-9]+)?")
 
 
 def _finite_number(text, pos):
     # float() of a number too large for a float is inf, which has no cast.
-    end = _DIGITS(text, pos)
+    end = _DIGITS.match_end(text, pos)
     if end is None:
         return Failure(pos, "a number")
     value = float(text[pos:end])

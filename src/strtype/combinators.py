@@ -22,21 +22,22 @@ never terminate, so ``many`` raises :class:`NontermError` when it detects
 that at run time. ``some``, ``times`` and ``chain_left`` are built from
 ``seq`` and ``many``, so ``many`` detects it for them too.
 
-A token (``lit``, ``one_of``, ``satisfy``, ``pattern``) is declared by
-``scan(text, pos) -> end | None``, an optional ``conv`` of the consumed
-text, and its label; its parse function is derived from them, so a token
-fails only at its start, with its label. ``map`` and ``desc`` over a
-token, and ``fallback("")`` over one with no ``conv``, are tokens too.
+A token (``lit``, ``one_of``, ``pattern``) is a pattern, an optional
+``conv`` of the consumed text, and its label. The pattern is its ``tree``,
+a ``TokenPattern``: a ``lit`` is the pattern of its escaped characters, a
+``one_of`` the class of them. Its parse function takes the pattern's
+longest match, so a token fails only at its start, with its label.
+``map`` and ``desc`` over a token pass the pattern on, and
+``fallback("")`` over one with no ``conv`` makes it optional (a pattern
+that matches "" is kept as it is); these are tokens too. ``satisfy`` is a
+plain parser, with no tree.
 
-Every token but ``satisfy`` also keeps its ``tree``, its language as data: a
-``lit`` is a sequence of one-point classes, a ``one_of`` one class and a
-``pattern`` its ``TokenPattern``. ``map`` and ``desc`` pass the tree on,
-and ``fallback("")`` makes it optional. When every part of a ``record``
-has a tree and no pattern among them walks the DFA, the record parses
-with one ``re`` match (``patterns.sequence_match``), compiled at its first
-parse; any other record runs its parts' parse functions in turn. Both
-give the same outcome, since a token takes its longest match and fails
-only at its start, with its label.
+When every part of a ``record`` has a tree and no pattern among them walks
+the DFA, the record parses with one ``re`` match
+(``patterns.sequence_match``), compiled at its first parse; any other
+record runs its parts' parse functions in turn. Both give the same
+outcome, since a token takes its longest match and fails only at its
+start, with its label.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable, Generic, TypeVar
 
-from .patterns import (PatternError, Record, TokenPattern, _Cls, _merged, _Rep, _Seq,
-                       sequence_match)
+from .patterns import PatternError, Record, TokenPattern, _nullable, sequence_match
 
 __all__ = [
     "Success", "Failure", "Parser", "NontermError", "PatternError",
@@ -87,27 +87,27 @@ class Parser(Generic[A]):
 
     ``parts`` maps field names to the parsers that consume them: a
     ``record``'s named parts, merged by ``alt``; empty for other parsers.
-    A token also has its ``scan``, ``conv`` and ``tree`` (see the module
-    docstring); any other parser has ``scan`` None.
+    A token also has its pattern, ``tree``, and its ``conv`` (see the
+    module docstring); any other parser has ``tree`` None.
     """
 
-    __slots__ = ("fn", "label", "parts", "scan", "conv", "tree")
+    __slots__ = ("fn", "label", "parts", "conv", "tree")
 
     def __init__(self, fn: Callable[[str, int], Success | Failure], label: str | None = None):
         self.fn = fn
         self.label = label
         self.parts = {}
-        self.scan = self.conv = self.tree = None
+        self.conv = self.tree = None
 
     def run(self, text: str, pos: int = 0) -> Success | Failure:
         return self.fn(text, pos)
 
     def map(self, f: Callable[[A], B]) -> "Parser[B]":
         """Apply ``f`` to the parsed value; acceptance is unchanged."""
-        if self.scan is not None:
+        if self.tree is not None:
             conv = self.conv
-            return _token(self.scan, self.label,
-                          f if conv is None else lambda text: f(conv(text)), self.tree)
+            return _token(self.tree, self.label,
+                          f if conv is None else lambda text: f(conv(text)))
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -131,8 +131,8 @@ class Parser(Generic[A]):
         """
         if not label:
             raise ValueError("desc label must be non-empty")
-        if self.scan is not None:
-            return _token(self.scan, label, self.conv, self.tree)
+        if self.tree is not None:
+            return _token(self.tree, label, self.conv)
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -142,11 +142,12 @@ class Parser(Generic[A]):
 
     def fallback(self, default: B) -> "Parser[A | B]":
         """Yield ``default`` without consuming input when ``self`` fails."""
-        if self.scan is not None and self.conv is None and default == "":
-            # The default is the empty text at ``pos``; an end of 0 is at 0.
-            scan, tree = self.scan, self.tree
-            return _token(lambda text, pos: scan(text, pos) or pos, self.label,
-                          tree=None if tree is None else _Rep(tree, 0, 1))
+        if self.tree is not None and self.conv is None and default == "":
+            # The default is the empty text at ``pos``. A pattern that
+            # matches it already cannot fail, and stays unambiguous.
+            if _nullable(self.tree._tree):
+                return self
+            return _token(TokenPattern(f"({self.tree.source})?"), self.label)
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -161,20 +162,25 @@ class Parser(Generic[A]):
         return f"Parser({self.label})" if self.label else f"Parser at {id(self):#x}"
 
 
-def _token(scan: Callable[[str, int], int | None], label: str,
-           conv: Callable[[str], A] | None = None, tree=None) -> Parser[A]:
-    """The token declared by ``scan``, ``label`` and ``conv``, with ``tree``."""
+def _token(tree: TokenPattern, label: str, conv: Callable[[str], A] | None = None) -> Parser[A]:
+    """The token of pattern ``tree``, ``label`` and ``conv``."""
     def parse(text, pos):
-        end = scan(text, pos)
+        # Looked up at each call, so a wrapper set on the class sees it.
+        end = tree.match_end(text, pos)
         if end is None:
             return Failure(pos, label)
         value = text[pos:end]
         return Success(value if conv is None else conv(value), end)
     out = Parser(parse, label)
-    out.scan = scan
     out.conv = conv
     out.tree = tree
     return out
+
+
+def _escaped(chars: str) -> str:
+    """Pattern source for ``chars`` as literals: all but ASCII letters and
+    digits escaped, in and out of a class alike."""
+    return "".join(c if c.isascii() and c.isalnum() else "\\" + c for c in chars)
 
 
 def succeed(value: A) -> Parser[A]:
@@ -184,29 +190,23 @@ def succeed(value: A) -> Parser[A]:
 
 def satisfy(pred: Callable[[str], bool], label: str) -> Parser[str]:
     """Consume one character for which ``pred`` holds."""
-    def scan(text, pos):
-        return pos + 1 if pos < len(text) and pred(text[pos]) else None
-    return _token(scan, label)
+    def parse(text, pos):
+        if pos < len(text) and pred(text[pos]):
+            return Success(text[pos], pos + 1)
+        return Failure(pos, label)
+    return Parser(parse, label)
 
 
 def one_of(chars: str) -> Parser[str]:
     """Consume one character drawn from ``chars``."""
     if not chars:
         raise ValueError("one_of needs at least one character")
-    members = frozenset(chars)
-    def scan(text, pos):
-        return pos + 1 if pos < len(text) and text[pos] in members else None
-    return _token(scan, f"one of {chars!r}",
-                  tree=_Cls(tuple(_merged((c, c) for c in map(ord, members)))))
+    return _token(TokenPattern(f"[{_escaped(chars)}]"), f"one of {chars!r}")
 
 
 def lit(expected: str) -> Parser[str]:
     """Consume exactly the string ``expected``."""
-    size = len(expected)
-    def scan(text, pos):
-        return pos + size if text.startswith(expected, pos) else None
-    return _token(scan, f'"{expected}"',
-                  tree=_Seq(tuple(_Cls(((c, c),)) for c in map(ord, expected))))
+    return _token(TokenPattern(_escaped(expected)), f'"{expected}"')
 
 
 def pattern(source: str) -> Parser[str]:
@@ -216,11 +216,7 @@ def pattern(source: str) -> Parser[str]:
     :mod:`strtype.patterns`); unsupported syntax raises
     :class:`PatternError` here, at construction time.
     """
-    compiled = TokenPattern(source)
-    def scan(text, pos):
-        # Looked up at each call, so a wrapper set on the class sees it.
-        return compiled.match_end(text, pos)
-    return _token(scan, f"/{source}/", tree=compiled)
+    return _token(TokenPattern(source), f"/{source}/")
 
 
 def seq(*parsers: Parser) -> Parser[tuple]:

@@ -30,11 +30,13 @@ that loops on some classes skips the run of them with one ``re`` scan;
 ``re`` only scans a character set there, so the longest-match semantics
 are unchanged.
 
-A sequence of tokens, as a ``record`` of them in :mod:`strtype.combinators`
-has, is matched by one regex too: :func:`sequence_match` takes each
-token's tree, writes it as above and nests the tokens in optional groups,
-so that one ``re`` call finds how many of them match in a row and where
-each ends. It answers None when a pattern among them walks the DFA.
+Every token of :mod:`strtype.combinators` is a :class:`TokenPattern`: a
+``lit`` or a ``one_of`` is the pattern of its escaped characters. A
+sequence of tokens, as a ``record`` of them has, is matched by one regex
+too: :func:`sequence_match` takes each token's pattern, writes its tree as
+above and nests the tokens in optional groups, so that one ``re`` call
+finds how many of them match in a row and where each ends. It answers
+None when a pattern among them walks the DFA.
 
 This module also holds :class:`Record` and :class:`FrozenRecord`, the
 slotted base of every record in the package, and :class:`Structure`, the
@@ -531,22 +533,27 @@ class _Table:
 class TokenPattern:
     """A compiled pattern that finds the longest match at a given position.
 
-    Nothing is compiled beyond the NFA until the first match: that call
-    chooses between ``re`` and the lazy DFA.
+    Construction only reads the source, so a bad one raises there. The
+    NFA is built at the first :meth:`plain_tree`, which the first match
+    calls to choose between ``re`` and the lazy DFA.
     """
 
     def __init__(self, source: str):
         self.source = source
-        tree = _PatternReader(source).parse()
-        start = _State()
-        self._tree, self._nfa = tree, start
+        self._tree = _PatternReader(source).parse()
         # None until the first match chooses the engine: then the compiled
         # regex's match, or False for the DFA.
         self._match = None
         # None until asked: then whether the NFA is unambiguous.
         self._is_plain = None
+        self._lock = threading.Lock()
+
+    def _build_nfa(self) -> None:
+        """Build the NFA, its class cuts and the first DFA table."""
+        start = _State()
         labels: set[_Cls] = set()
-        self._accept = _build(tree, start, labels)
+        self._nfa = start
+        self._accept = _build(self._tree, start, labels)
         self._start = frozenset(_closure({start}))
         # Characters between two adjacent cuts meet every label alike, so
         # a character's class is bisect_right(cuts, ord(ch)), and a span
@@ -557,7 +564,6 @@ class TokenPattern:
                                  for k in range(bisect_right(cuts, low),
                                                 bisect_right(cuts, high) + 1)]
                          for label in labels}
-        self._lock = threading.Lock()
         self._table = _Table(self._start, self._accept)
 
     def _fill(self, table: _Table, sid: int) -> tuple[_Table, int]:
@@ -620,18 +626,23 @@ class TokenPattern:
         a character before the one that may stop, and a stop succeeds only
         at an accepting point, so its first success is the longest match;
         each choice point is retried at most once, so the time is linear.
-        The check runs once, and compiles nothing.
+        The first call builds the NFA and runs the check, and compiles no
+        regex.
         """
         if self._is_plain is None:
-            self._is_plain = self._unambiguous()
+            with self._lock:
+                if self._is_plain is None:
+                    self._build_nfa()
+                    self._is_plain = self._unambiguous()
         return self._tree if self._is_plain else None
 
     def _choose(self):
         """Choose the engine, once: ``re`` for an unambiguous pattern."""
+        plain = self.plain_tree()
         with self._lock:
             if self._match is None:
-                self._match = self.plain_tree() is not None and re.compile(
-                    _regex_source(self._tree), re.DOTALL).match
+                self._match = plain is not None and re.compile(
+                    _regex_source(plain), re.DOTALL).match
             return self._match
 
     def match_end(self, text: str, pos: int) -> int | None:
@@ -681,11 +692,10 @@ class TokenPattern:
         return f"TokenPattern({self.source!r})"
 
 
-def sequence_match(trees):
+def sequence_match(patterns):
     """One ``re`` match for tokens in sequence, each taking its longest match.
 
-    ``trees`` holds each token's tree: a pattern node, in which a
-    :class:`TokenPattern` may stand alone or under ``_Rep``. Returns the
+    ``patterns`` holds each token's :class:`TokenPattern`. Returns the
     ``match`` of a regex whose group ``i`` is empty, at the end of token
     ``i - 1``: the tokens are nested in optional groups,
     ``(?:T0()(?:T1())?)?``, so ``lastindex`` counts the tokens that
@@ -696,23 +706,12 @@ def sequence_match(trees):
     an end, not one around the token, leaves the first token to match as
     fast as alone: once a group has matched, ``re`` saves the groups at
     each pass of a repeat that is more than one class. Returns None when
-    a ``TokenPattern`` among them walks the DFA.
+    a pattern among them walks the DFA.
     """
     body = ""
-    for tree in reversed(trees):
-        tree = _plain(tree)
+    for compiled in reversed(patterns):
+        tree = compiled.plain_tree()
         if tree is None:
             return None
         body = f"(?:{_regex_source(tree)}(){body})?"
     return re.compile(body, re.DOTALL).match
-
-
-def _plain(node):
-    """``node`` with its ``TokenPattern`` replaced by the pattern's tree,
-    or None if that pattern walks the DFA."""
-    if isinstance(node, TokenPattern):
-        return node.plain_tree()
-    if isinstance(node, _Rep):
-        inner = _plain(node.node)
-        return None if inner is None else _Rep(inner, node.low, node.high)
-    return node

@@ -1051,7 +1051,7 @@ class TestSpansSatisfyFieldRecognizers:
 
 def _registry_without_scans():
     """The builtin registry built again with every part given to ``record``
-    stripped to its parse function and label, with no scan and no tree, so
+    stripped to its parse function and label, with no tree, so
     that each record runs its parts' parse functions in turn."""
     import importlib.util
 
@@ -1100,11 +1100,11 @@ class TestRecordPartsScan:
         assert names == ["CssColour", "CssUnit", "Email", "Gmail", "InnerR",
                          "PxOrAuto", "Sanitised", "USPhone", "UserName"]
         for name in names:
-            assert all(p.scan is None for p in plain.get(name).recognizer.parts.values())
+            assert all(p.tree is None for p in plain.get(name).recognizer.parts.values())
         # A root that is one record: each of its fields is a single token.
         for name in ["Email", "InnerR", "Sanitised", "USPhone", "UserName"]:
             parts = _REGISTRY.get(name).recognizer.parts.values()
-            assert all(p.scan is not None for p in parts), name
+            assert all(p.tree is not None for p in parts), name
 
     @pytest.mark.parametrize("type_name", _record_root_types())
     def test_scans_agree_with_parse_functions(self, reg, plain, type_name):

@@ -504,9 +504,9 @@ class TestComposedRepetition:
                                 == outcome_or_nonterm(loop, text, pos)), (text, pos)
 
 
-# The parse functions the four token constructors and ``map``, ``desc`` and
-# ``fallback`` had before tokens were declared by ``scan``, kept as their
-# oracles.
+# The parse functions ``satisfy``, the three token constructors and ``map``,
+# ``desc`` and ``fallback`` had before tokens were declared by their patterns,
+# kept as their oracles.
 
 def closure_satisfy(pred, label):
     def parse(text, pos):
@@ -616,22 +616,22 @@ def random_texts(rng, count=12):
 
 
 class TestTokens:
-    """A token's parse function is derived from its ``scan``, ``conv`` and
+    """A token's parse function is derived from its pattern, ``conv`` and
     label, and gives what the hand-written closures gave."""
 
-    def test_scan_and_conv_agree_with_fn_and_the_closures(self):
+    def test_tree_and_conv_agree_with_fn_and_the_closures(self):
         rng = random.Random(18)
         tokens = 0
-        for _ in range(300):
+        for _ in range(400):
             token, closure = random_token(rng)
-            tokens += token.scan is not None
+            tokens += token.tree is not None
             for text in random_texts(rng):
                 for pos in range(len(text) + 1):
                     out = token.fn(text, pos)
                     assert out == closure.fn(text, pos), (token, text, pos)
-                    if token.scan is None:
+                    if token.tree is None:
                         continue
-                    end = token.scan(text, pos)
+                    end = token.tree.match_end(text, pos)
                     if end is None:
                         assert out == Failure(pos, token.label), (token, text, pos)
                     else:
@@ -642,26 +642,55 @@ class TestTokens:
         assert tokens > 200
 
     def test_constructors_map_and_desc_give_tokens(self):
-        for token in (lit("ab"), one_of("ab"), satisfy(str.isdigit, "a digit"),
-                      pattern("[a-z]+")):
-            assert token.scan is not None and token.conv is None
-            assert token.desc("x").scan is token.scan
-            assert token.map(len).scan is token.scan
+        for token in (lit("ab"), one_of("ab"), pattern("[a-z]+")):
+            assert isinstance(token.tree, TokenPattern) and token.conv is None
+            assert token.desc("x").tree is token.tree
+            assert token.map(len).tree is token.tree
             assert token.map(len).conv is len
             assert token.map(len).desc("x").label == "x"
 
-    def test_only_an_empty_default_over_bare_text_keeps_a_scan(self):
-        assert one_of("ab").fallback("").scan is not None
-        assert one_of("ab").fallback(None).scan is None
-        assert one_of("ab").map(len).fallback("").scan is None
+    def test_only_an_empty_default_over_bare_text_keeps_a_tree(self):
+        assert one_of("ab").fallback("").tree is not None
+        assert one_of("ab").fallback(None).tree is None
+        assert one_of("ab").map(len).fallback("").tree is None
         assert pattern("a*").fallback("").run("b", 0) == Success("", 0)
 
-    def test_other_parsers_have_no_scan(self):
+    def test_other_parsers_have_no_tree(self):
         digit = one_of("12")
         for p in (seq(digit), alt(digit, digit), many(digit), succeed(1),
                   record(Pair, ("left", digit), ("right", digit)),
-                  seq(digit).map(len), seq(digit).desc("x")):
-            assert p.scan is None and p.conv is None
+                  seq(digit).map(len), seq(digit).desc("x"),
+                  satisfy(str.isdigit, "a digit")):
+            assert p.tree is None and p.conv is None
+
+    def test_an_empty_default_keeps_a_token_that_matches_empty(self, monkeypatch):
+        """A token whose pattern matches "" cannot fail, so ``fallback("")``
+        returns it unchanged, and a record over it still compiles its
+        single match."""
+        compiled = []
+        def counted(trees):
+            compiled.append(sequence_match(trees))
+            return compiled[-1]
+        monkeypatch.setattr(strtype.combinators, "sequence_match", counted)
+        for token in (pattern("a*"), lit(""), one_of("ab").fallback("")):
+            optional = token.fallback("")
+            assert optional is token and optional.tree.plain_tree() is not None
+            assert record(dict, ("f", optional)).run("", 0).end == 0
+            assert compiled.pop() is not None, token
+
+    def test_lit_and_one_of_escape_every_character(self):
+        chars = [*"\\()[]{}*+?.|^$-", " ", "\n", "\r", "\x00", "é", "\U0001f600", "\ud800"]
+        texts = ["", *(t for c in chars for t in (c, c + c, "a" + c))]
+        sample = "".join(texts)
+        for t in texts:
+            token = lit(t)
+            for pos in range(len(sample) + 1):
+                want = pos + len(t) if sample.startswith(t, pos) else None
+                assert token.tree.match_end(sample, pos) == want, (t, pos)
+        for c in chars:
+            token = one_of(c + "q")
+            assert token.run(c) == Success(c, 1), c
+            assert token.run("x") == Failure(0, token.label), c
 
     def test_record_reports_a_token_part_as_its_fn_does(self):
         p = record(Pair, ("left", pattern("[0-9]+").map(int).desc("a number")),
@@ -672,13 +701,16 @@ class TestTokens:
         assert p.run("12;", 0) == Failure(2, '","')
 
     def test_tokens_keep_their_trees(self):
-        assert lit("aé").tree == _Seq((_Cls(((97, 97),)), _Cls(((233, 233),))))
-        assert lit("").tree == _Seq(())
-        assert one_of("cbaé").tree == _Cls(((97, 99), (233, 233)))
+        assert lit("aé").tree.source == "a\\é"
+        assert lit("aé").tree._tree == _Seq((_Cls(((97, 97),)), _Cls(((233, 233),))))
+        assert lit("").tree._tree == _Seq(())
+        assert one_of("cbaé").tree.source == "[cba\\é]"
+        assert one_of("cbaé").tree._tree == _Cls(((97, 99), (233, 233)))
         word = pattern("[a-z]+")
         assert isinstance(word.tree, TokenPattern) and word.tree.source == "[a-z]+"
         assert word.map(len).desc("x").tree is word.tree
-        assert word.fallback("").tree == _Rep(word.tree, 0, 1)
+        assert word.fallback("").tree.source == "([a-z]+)?"
+        assert word.fallback("").tree._tree == _Rep(word.tree._tree, 0, 1)
         assert word.fallback(None).tree is None
         assert satisfy(str.isdigit, "a digit").tree is None
         assert satisfy(str.isdigit, "a digit").fallback("").tree is None
@@ -763,7 +795,7 @@ class TestSingleMatch:
 
     def test_a_pattern_on_the_dfa_gives_no_single_match(self):
         dfa = TokenPattern("(a*)*b")
-        assert sequence_match([_Seq(()), dfa]) is None
-        assert sequence_match([_Rep(dfa, 0, 1)]) is None
-        assert sequence_match([_Rep(TokenPattern("a+"), 0, 1)]) is not None
+        assert sequence_match([TokenPattern(""), dfa]) is None
+        assert sequence_match([TokenPattern("((a*)*b)?")]) is None
+        assert sequence_match([TokenPattern("(a+)?")]) is not None
 

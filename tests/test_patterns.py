@@ -288,12 +288,17 @@ class TestStateCache:
 
     def test_flushes_keep_longest_match(self):
         p = TokenPattern(self.SOURCE)
+        # Construction only reads the source; the first plain_tree() builds
+        # the NFA and the first table.
+        assert not hasattr(p, "_nfa")
+        assert p.plain_tree() is None
         first = p._table
         self.check(p, "flush")
         assert p._table is not first
 
     def test_threads_share_one_pattern_through_flushes(self):
         p = TokenPattern(self.SOURCE)
+        assert p.plain_tree() is None
         first = p._table
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -321,7 +326,8 @@ class TestEngineChoice:
     """An unambiguous pattern, where each text fixes one NFA path, is matched
     by one ``re`` call; every other pattern walks the DFA."""
 
-    BUILTIN = sorted(_sources(inspect.getsource(strtype.builtins), "pattern"))
+    BUILTIN = sorted(_sources(inspect.getsource(strtype.builtins), "pattern")
+                     | _sources(inspect.getsource(strtype.builtins), "TokenPattern"))
 
     def test_builtin_patterns_are_found(self):
         assert len(self.BUILTIN) >= 9, self.BUILTIN

@@ -314,12 +314,17 @@ def record(cls: Callable[..., A], *parts) -> Parser[tuple[A, dict]]:
     A part is a bare parser, whose value is dropped, or a ``(field,
     parser)`` pair. The value is ``(cls(**fields), spans)``, where
     ``spans`` maps each field to the half-open span its parser consumed:
-    the pair a type's recognizer yields. Fails as ``seq`` over the same
-    parsers does. When every part has a tree and no pattern among them
-    walks the DFA, the parse is one ``re`` match (see the module
-    docstring). The returned parser's ``parts`` are the named pairs.
+    the pair a type's recognizer yields. A field named twice raises
+    ``ValueError``. Fails as ``seq`` over the same parsers does. When
+    every part has a tree and no pattern among them walks the DFA, the
+    parse is one ``re`` match (see the module docstring). The returned
+    parser's ``parts`` are the named pairs.
     """
     named = [(None, part) if isinstance(part, Parser) else part for part in parts]
+    names = [name for name, _ in named if name is not None]
+    twice = next((name for name in names if names.count(name) > 1), None)
+    if twice is not None:
+        raise ValueError(f"record field {twice!r} is named twice")
     steps = [(name, p.fn) for name, p in named]
     trees = [p.tree for _, p in named]
     labels = [p.label for _, p in named]

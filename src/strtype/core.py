@@ -443,10 +443,10 @@ def subtype(parent: StringType, name: str, /, **overrides: Parser) -> StringType
     The only way to declare a subtype. Each override must name a field of
     the parent (:class:`UnknownFieldError` otherwise), and there must be at
     least one. The subtype keeps the parent's structure, fields and
-    canonical form. Its recognizer runs the parent's and then checks each
-    overridden field's span, sorted by field name, as narrowing from any
-    ancestor does: input the parent rejects gets the parent's report, and
-    any other rejected input gets the report of :meth:`ParsedString.narrow`.
+    canonical form. Wherever it runs, its recognizer runs the parent's and
+    then checks each overridden field's span, sorted by field name, as
+    narrowing does: input the parent rejects or parses short of the end
+    gets the parent's report, and other rejected input narrow's report.
     These checks are part of parsing and are not counted as field checks.
     ``parent`` and ``name`` are positional-only, so a field may be called
     ``name``.
@@ -461,19 +461,14 @@ def subtype(parent: StringType, name: str, /, **overrides: Parser) -> StringType
     parent_fn = parent.recognizer.fn
     def recognize(text, pos):
         out = parent_fn(text, pos)
-        # Short of the end the parent's parse is rejected as it stands.
-        if isinstance(out, Success) and out.end == len(text):
+        if isinstance(out, Success):
             bad = _first_bad_field(checks, text, out.value[1], run_to_end)
             if bad is not None:
-                return bad[1]
+                # Short of the end, report where ``run_to_end`` would.
+                return bad[1] if out.end == len(text) else Failure(out.end, "end of input")
         return out
-    sub = StringType(
-        name=name,
-        recognizer=Parser(recognize),
-        cast_fn=parent.cast_fn,
-        fields=parent.fields,
-        field_recognizers=dict(checks),
-    )
+    sub = StringType(name=name, recognizer=Parser(recognize), cast_fn=parent.cast_fn,
+                     fields=parent.fields, field_recognizers=dict(checks))
     _set(sub, "parent", parent.name)
     _set(sub, "checks", parent.checks + checks)
     return sub

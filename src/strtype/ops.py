@@ -16,7 +16,6 @@ import math
 from typing import Any
 
 from .builtins import _CM_PER_UNIT, Add, Const, CssColour, CssUnit, Email, Expr, Mult
-from .combinators import Failure
 from .core import (
     Err,
     ErrorKind,
@@ -24,6 +23,7 @@ from .core import (
     OpError,
     ParsedString,
     UnknownFieldError,
+    _first_bad_field,
     check_field,
     from_structure,
 )
@@ -87,31 +87,29 @@ def raw_concat(a: ParsedString, b: ParsedString) -> str:
 def append_to_name(e: ParsedString, suffix: str) -> Ok | Err:
     """Append text to an email's name, re-checking only the name field.
 
-    The new name is checked against every ``name`` entry of the type's
-    ``checks``, ancestor end first. The rest of the value is
-    untouched: the raw string is spliced around the recorded name span and
-    the other spans shift. The value keeps its exact type, so appending to
+    The raw string is spliced at the end of the recorded name span, and
+    the new name's span is checked against every ``name`` entry of the
+    type's ``checks``, ancestor end first, as narrowing checks a span. The
+    rest of the value is untouched: the other spans shift. The value keeps its exact type, so appending to
     a Gmail yields a Gmail.
     """
     _expect(e, Email, "append_to_name")
-    new_name = e.structure.name + suffix
-    for field_name, recognizer in e.descriptor().checks:
-        out = check_field(recognizer, new_name) if field_name == "name" else None
-        if isinstance(out, Failure):
-            return Err(OpError(
-                ErrorKind.CLOSURE,
-                f"appending {suffix!r} takes the name out of its language: "
-                f"expected {out.expected}",
-                field="name"))
     start, end = e.spans["name"]
     delta = len(suffix)
-    raw = e.raw_text()
+    raw = e.raw[:end] + suffix + e.raw[end:]
     spans = {"name": (start, end + delta)}
+    bad = _first_bad_field(e.descriptor().checks, raw, spans, check_field)
+    if bad is not None:
+        return Err(OpError(
+            ErrorKind.CLOSURE,
+            f"appending {suffix!r} takes the name out of its language: "
+            f"expected {bad[1].expected}",
+            field="name"))
     for name, (fs, fe) in e.spans.items():
         if name != "name":
             spans[name] = (fs + delta, fe + delta) if fs >= end else (fs, fe)
-    return Ok(type(e)(e.type_name, e.structure.__replace__(name=new_name),
-                      spans, raw[:end] + suffix + raw[end:], e.registry))
+    structure = e.structure.__replace__(name=e.structure.name + suffix)
+    return Ok(type(e)(e.type_name, structure, spans, raw, e.registry))
 
 
 def project_field(v: ParsedString, field_name: str) -> Projection:

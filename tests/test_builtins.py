@@ -1026,6 +1026,32 @@ class TestDerivedSubtypes:
         if len(tail) > 1:
             assert stopped_early
 
+    SUFFIX_CHARS = "!@#./\\ -xZ9\u00e9"
+
+    @pytest.mark.parametrize("sub", sorted({sub for _, sub in PAIRS} | {"Toll"}))
+    def test_overrides_hold_inside_a_larger_grammar(self, sub):
+        """Followed by a literal, a subtype's recognizer accepts the part
+        its parent's parse ends at exactly when ``from_raw`` accepts it."""
+        reg = build_registry()
+        reg.register(subtype(reg.get("USPhone"), "Toll", area=pattern("8[0-9][0-9]")))
+        descriptor = reg.get(sub)
+        parent = reg.get(descriptor.parent)
+        rng = random.Random(zlib.crc32(f"inside-{sub}".encode()))
+        samples = accepted_strings(parent.name, 300)
+        if sub in ACCEPTED_GENERATORS:
+            samples += accepted_strings(sub, 100)
+        verdicts = {True: 0, False: 0}
+        for x in samples:
+            s = "".join(rng.choice(self.SUFFIX_CHARS) for _ in range(rng.randint(1, 3)))
+            head = parent.recognizer.run(x + s)
+            if not (isinstance(head, Success) and head.end == len(x)):
+                continue  # the parent reads into the suffix, or rejects
+            want = isinstance(reg.from_raw(sub, x), Ok)
+            got = run_to_end(seq(descriptor.recognizer, lit(s)), x + s)
+            assert isinstance(got, Success) is want, (sub, x, s, got)
+            verdicts[want] += 1
+        assert min(verdicts.values()) >= 5, verdicts
+
     def test_parsing_a_subtype_counts_no_field_checks(self, reg):
         reset_field_checks()
         ok(reg, "HomeDotFile", "/home/.bashrc")

@@ -243,6 +243,12 @@ class TestRecord:
     def test_bare_parts_are_dropped(self):
         assert record(dict, lit("a"), lit("b")).run("abc", 0) == Success(({}, {}), 2)
 
+    def test_a_field_named_twice_is_refused(self):
+        # Its second part would hide the text the first consumed from every
+        # check of the field.
+        with pytest.raises(ValueError, match="'a'"):
+            record(dict, ("a", lit("x")), lit("-"), ("a", lit("y")))
+
     def test_failure_passes_through(self):
         assert self.pair().run("ab12", 0) == Failure(2, '"="')
         assert self.pair().run("=1", 0) == self.LEFT.run("=1", 0)

@@ -179,6 +179,37 @@ class TestAppendToName:
         assert result.value.strict_eq(e)
         assert field_checks() == 1
 
+    SUFFIX_CHARS = "aZ09@.-_!\u00e9\n "
+
+    def test_agrees_with_parsing_the_spliced_text(self):
+        """``append_to_name(v, s)`` is ``Ok`` exactly when ``from_raw`` of
+        the spliced text is, and then gives the value it gives."""
+        reg = build_registry()
+        reg.register(subtype(reg.get("Email"), "Shouty", name=pattern("[A-Z!]+")))
+        rng = random.Random("append-to-name")
+        values = [ok(reg, name, raw) for name in ("Email", "Gmail")
+                  for raw in accepted_strings(name, 150)]
+        for raw in accepted_strings("Email", 150):
+            shouty = reg.from_raw("Shouty", raw.upper())
+            if isinstance(shouty, Ok):
+                values.append(shouty.value)
+        assert sum(v.type_name == "Shouty" for v in values) >= 10
+        verdicts = {Ok: 0, Err: 0}
+        for v in values:
+            for _ in range(4):
+                s = "".join(rng.choice(self.SUFFIX_CHARS) for _ in range(rng.randint(0, 3)))
+                end = v.spans["name"][1]
+                want = reg.from_raw(v.type_name, v.raw[:end] + s + v.raw[end:])
+                got = append_to_name(v, s)
+                assert type(got) is type(want), (v.type_name, v.raw, s)
+                verdicts[type(got)] += 1
+                if isinstance(got, Ok):
+                    assert type(got.value) is type(want.value)
+                    assert got.value.structure == want.value.structure
+                    assert got.value.spans == want.value.spans
+                    assert got.value.raw == want.value.raw
+        assert min(verdicts.values()) >= 100, verdicts
+
 
 class TestProjectField:
     def test_email_name(self, reg):

@@ -1,5 +1,7 @@
-"""The package's public names, and what importing the package loads."""
+"""The package's public names, what importing the package loads, and how
+its source reads ``TokenPattern.match_end``."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -56,3 +58,15 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     out = subprocess.run([sys.executable, "-S", "-c", script],
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["[]", "['name', 'domain_left', 'domain_right']"]
+
+
+def test_match_end_is_looked_up_where_it_is_called():
+    # ``bench/spans.py`` wraps ``TokenPattern.match_end`` after strtype is
+    # imported; a ``match_end`` bound earlier would hide its calls.
+    for path in sorted(Path(strtype.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "match_end"
+                    and isinstance(node.ctx, ast.Load)):
+                assert id(node) in called, f"{path.name}:{node.lineno}"

@@ -166,9 +166,7 @@ def _rejected(args, record: dict, raw: str, parse, prefix: str = "",
 def _json_value(value):
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    return str(value)
+    return value
 
 
 # ------------------------------------------------------------- commands

@@ -10,10 +10,11 @@ field checks; :meth:`ParsedString.narrow` from any ancestor runs the same
 checks, in the same order, against the recorded spans, and re-parses
 nothing else.
 
-Registering a type gives it a value class that holds its descriptor and
-subclasses its parent's value class, or :class:`ParsedString` for a root.
-Every value is an instance of its type's class, so ``isinstance`` and
-``issubclass`` are the subtype checks. Each registry makes its own classes.
+Registering a type gives it a value class that holds its descriptor, name
+(``type_name``) and registry, and subclasses its parent's value class, or
+:class:`ParsedString` for a root. Every value is an instance of its type's
+class, so ``isinstance`` and ``issubclass`` are the subtype checks. Each
+registry makes its own classes.
 
 Failures split two ways. Anything wrong with the configuration (an unknown
 or duplicate type name, narrowing between unrelated types, a missing field)
@@ -233,30 +234,24 @@ class ParsedString(FrozenRecord):
     """A raw string parsed through a registered type.
 
     ``spans`` maps field names to the half-open ranges of ``raw``, the
-    string that was parsed, each field consumed. Equal values have the same
+    string that was parsed, each field consumed; ``type_name`` and
+    ``registry`` come from the value's class. Equal values have the same
     type name and equal structures, and the repr shows only those two. A
-    deep copy copies ``structure`` and ``spans`` and shares ``registry``.
+    deep copy copies ``structure`` and ``spans``.
     """
 
-    __slots__ = ("type_name", "structure", "spans", "raw", "registry")
+    __slots__ = ("structure", "spans", "raw")
 
-    def __init__(self, type_name: str, structure: Any,
-                 spans: Mapping[str, tuple[int, int]], raw: str,
-                 registry: "TypeRegistry"):
-        if type(self) is ParsedString:  # built directly, not by the registry
-            _set(self, "__class__", registry.value_class(type_name))
-        _set(self, "type_name", type_name)
+    def __init__(self, structure: Any, spans: Mapping[str, tuple[int, int]], raw: str):
         _set(self, "structure", structure)
         _set(self, "spans", spans)
         _set(self, "raw", raw)
-        _set(self, "registry", registry)
 
     def __repr__(self) -> str:
         return f"ParsedString(type_name={self.type_name!r}, structure={self.structure!r})"
 
     def __deepcopy__(self, memo):
-        return type(self)(self.type_name, deepcopy(self.structure, memo),
-                          deepcopy(self.spans, memo), self.raw, self.registry)
+        return type(self)(deepcopy(self.structure, memo), deepcopy(self.spans, memo), self.raw)
 
     def descriptor(self) -> StringType:
         return self._descriptor
@@ -312,7 +307,7 @@ class ParsedString(FrozenRecord):
                 ErrorKind.PARSE,
                 f"field {name!r} does not satisfy {sub_name}: expected {out.expected}",
                 parse=ParseError(out.pos, out.expected, sub_name), field=name))
-        return Ok(cls(sub_name, self.structure, self.spans, self.raw, self.registry))
+        return Ok(cls(self.structure, self.spans, self.raw))
 
     def widen(self, super_name: str):
         """Rebind to a supertype; no parsing is involved.
@@ -329,7 +324,7 @@ class ParsedString(FrozenRecord):
         if cls is None or not isinstance(self, cls):
             raise NotASupertypeError(
                 f"{super_name!r} is not a supertype of {self.type_name!r}")
-        return cls(super_name, self.structure, self.spans, self.raw, self.registry)
+        return cls(self.structure, self.spans, self.raw)
 
 
 class TypeRegistry:
@@ -356,8 +351,9 @@ class TypeRegistry:
         if descriptor.parent is not None and descriptor.parent not in self._classes:
             raise UnknownParentError(f"unknown parent {descriptor.parent!r}")
         base = self._classes.get(descriptor.parent, ParsedString)
-        self._classes[descriptor.name] = type(
-            descriptor.name, (base,), {"__slots__": (), "_descriptor": descriptor})
+        self._classes[descriptor.name] = type(descriptor.name, (base,), {
+            "__slots__": (), "_descriptor": descriptor,
+            "type_name": descriptor.name, "registry": self})
         return descriptor
 
     def freeze(self) -> None:
@@ -403,7 +399,7 @@ class TypeRegistry:
                 f"not a {type_name}: expected {out.expected} at {out.pos}",
                 parse=parse))
         structure, spans = out.value
-        return Ok(cls(type_name, structure, spans, raw, self))
+        return Ok(cls(structure, spans, raw))
 
 
 def from_structure(registry: TypeRegistry, type_name: str, structure: Any) -> ParsedString:

@@ -109,7 +109,7 @@ def append_to_name(e: ParsedString, suffix: str) -> Ok | Err:
         if name != "name":
             spans[name] = (fs + delta, fe + delta) if fs >= end else (fs, fe)
     structure = e.structure.__replace__(name=e.structure.name + suffix)
-    return Ok(type(e)(e.type_name, structure, spans, raw, e.registry))
+    return Ok(type(e)(structure, spans, raw))
 
 
 def project_field(v: ParsedString, field_name: str) -> Projection:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from generators import accepted_strings
 import strtype
 from strtype.cli import main
 
@@ -262,6 +263,20 @@ class TestExtract:
                                "--type", "Expr")
         assert code == 0
         assert out == "(no fields)\n"
+
+    def test_every_builtin_field_is_a_json_value(self):
+        # A field of any other type reaches the JSON encoder as it is and
+        # raises there; no field is written as its str().
+        reg = strtype.build_registry()
+        for name in reg.names():
+            fields = reg.get(name).fields
+            for raw in accepted_strings(name, 8):
+                structure = reg.from_raw(name, raw).value.structure
+                for field in fields:
+                    value = getattr(structure, field)
+                    items = value if isinstance(value, tuple) else (value,)
+                    assert all(v is None or type(v) in (str, int, float, bool)
+                               for v in items), (name, raw, field, value)
 
 
 class TestEq:

@@ -678,7 +678,7 @@ class TestTokens:
             compiled.append(sequence_match(trees))
             return compiled[-1]
         monkeypatch.setattr(strtype.combinators, "sequence_match", counted)
-        for token in (pattern("a*"), lit(""), one_of("ab").fallback("")):
+        for token in (pattern("a*"), pattern("a|b?"), lit(""), one_of("ab").fallback("")):
             optional = token.fallback("")
             assert optional is token and optional.tree.plain_tree() is not None
             assert record(dict, ("f", optional)).run("", 0).end == 0

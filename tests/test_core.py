@@ -410,6 +410,12 @@ class TestValueClasses:
             return value
 
         names = reg.names()
+        for name in names:
+            # A value's type name and registry are its class's, not its own.
+            cls = reg.value_class(name)
+            assert (cls.type_name, cls.registry) == (name, reg)
+            slots = {slot for base in cls.__mro__ for slot in getattr(base, "__slots__", ())}
+            assert slots == {"structure", "spans", "raw"}, name
         samples = {name: [check(reg.from_raw(name, raw).value)
                           for raw in accepted_strings(name, 12)] for name in names}
         for name, values in samples.items():
@@ -419,7 +425,8 @@ class TestValueClasses:
                     assert (clone.type_name, clone.structure, clone.spans, clone.raw,
                             clone.registry) == (value.type_name, value.structure,
                                                 value.spans, value.raw, value.registry)
-                check(ParsedString(name, value.structure, value.spans, value.raw, reg))
+                assert check(reg.value_class(name)(value.structure, value.spans,
+                                                   value.raw)) == value
                 for other in names:
                     if other != name and walk_is_descendant(reg, name, other):
                         wide = check(value.widen(other))
@@ -478,6 +485,8 @@ class TestValueClasses:
             for cls in reg.value_class(name).__mro__:
                 if cls is ParsedString:
                     break
-                assert set(vars(cls)) <= {"_descriptor", "__slots__", "__module__",
-                                          "__doc__"}, (name, cls)
+                assert set(vars(cls)) <= {"_descriptor", "type_name", "registry",
+                                          "__slots__", "__module__", "__doc__"}, (name, cls)
                 assert cls.__slots__ == ()
+                assert not [attr for attr, value in vars(cls).items()
+                            if callable(value)], (name, cls)

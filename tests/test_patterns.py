@@ -114,6 +114,18 @@ class TestConstruction:
         with pytest.raises(PatternError):
             TokenPattern(bad)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("a{2", "expected '}' at index 3"),
+        # Inside a class, as outside one, a backslash must escape something.
+        ("[a\\", "dangling escape at index 3"),
+    ])
+    def test_rejections_say_what_is_wrong_and_where(self, bad, message):
+        with pytest.raises(PatternError, match=re.escape(message)):
+            TokenPattern(bad)
+
+    def test_repr_shows_the_source(self):
+        assert repr(TokenPattern("a+")) == "TokenPattern('a+')"
+
     def test_supported_syntax_compiles(self):
         for ok in ["[2-9][0-9]{2}", "[0-9a-zA-Z-.]+", r"\.[^/\\]*", "(ab|cd)*x?",
                    "a{2,}", r"\d+\s\w", "auto|[0-9]+"]:

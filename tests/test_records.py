@@ -66,7 +66,7 @@ RECORDS = {
                    ("name", "recognizer", "cast_fn", "fields", "field_recognizers")),
     "ParsedString": (lambda: REG.from_raw("Gmail", "me@gmail.com").value,
                      f"ParsedString(type_name='Gmail', structure={VALUE.structure!r})",
-                     ("type_name", "structure", "spans", "raw", "registry")),
+                     ("structure", "spans", "raw")),
     "Projection": (lambda: Projection("me", "Gmail", "name"),
                    "Projection(value='me', origin_type='Gmail', field_name='name')",
                    ("value", "origin_type", "field_name")),

@@ -497,7 +497,7 @@ def register_builtins(reg: TypeRegistry) -> TypeRegistry:
     path = reg.register(StringType(
         "FilePath", _PATH, cast_path,
         fields=("absolute", "dirs", "file_name", "ext", "separator"),
-        field_recognizers={"separator": _SEPARATOR, "file_name": _SEGMENT}))
+        checks=(("separator", _SEPARATOR), ("file_name", _SEGMENT))))
     unix = reg.register(subtype(path, "UnixPath", separator=lit("/")))
     reg.register(subtype(path, "WindowsPath", separator=lit("\\")))
     reg.register(subtype(unix, "HomeDotFile",

@@ -256,7 +256,8 @@ def _cmd_list_types(reg, args) -> int:
     for name in reg.names():
         descriptor = reg.get(name)
         parent = descriptor.parent
-        overrides = [] if parent is None else list(descriptor.field_recognizers)
+        overrides = [] if parent is None else [
+            field for field, _ in descriptor.checks[len(reg.get(parent).checks):]]
         if not args.human:
             _emit({"type": name, "parent": parent, "overrides": overrides,
                    "fields": list(descriptor.fields)})

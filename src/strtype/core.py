@@ -35,7 +35,6 @@ accept them.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from enum import Enum
 from typing import Any, Callable, Mapping
 
@@ -143,51 +142,40 @@ class StringType(FrozenRecord):
 
     ``recognizer`` must consume the entire input and produce a pair of the
     structure and a mapping from field names to the half-open spans those
-    fields consumed. ``field_recognizers`` hold whole-field parsers for the
-    fields that field-local rewrites may need to re-check. Both it and
-    ``fields`` default to the recognizer's named ``parts``, so a ``record``
-    grammar declares them. ``parent`` is set only by :func:`subtype`, and
-    a subtype's ``field_recognizers`` are its overrides, sorted by field name.
+    fields consumed. ``checks`` holds every ``(field, recognizer)`` a value
+    of this type satisfies, each a whole-field parser that field-local
+    rewrites may re-run, ancestor end first. It and ``fields`` default to
+    the recognizer's named ``parts``, so a ``record`` grammar declares
+    them; a check that names no entry of ``fields`` raises
+    :class:`UnknownFieldError`, since it could never run. ``parent`` is set
+    only by :func:`subtype`, whose ``checks`` are its parent's and then its
+    own overrides, sorted by field name.
 
-    ``checks`` (derived) holds every ``(field, recognizer)`` a value of this
-    type satisfies, ancestor end first: a root's ``field_recognizers``, or
-    its parent's ``checks`` and then its own overrides for a subtype.
-
-    Equality compares every field; the hash leaves out the
-    ``field_recognizers`` mapping, and the repr leaves out ``checks``. A
-    deep copy is the descriptor itself, whose parsers are functions.
+    A deep copy is the descriptor itself, whose parsers are functions.
     """
 
-    __slots__ = ("name", "recognizer", "cast_fn", "fields", "field_recognizers",
-                 "parent", "checks")
+    __slots__ = ("name", "recognizer", "cast_fn", "fields", "checks", "parent")
     __match_args__ = __slots__[:5]  # the constructor's arguments
 
     def __init__(self, name: str, recognizer: Parser, cast_fn: Callable[[Any], str],
                  fields: tuple[str, ...] | None = None,
-                 field_recognizers: Mapping[str, Parser] | None = None):
+                 checks: tuple[tuple[str, Parser], ...] | None = None):
         if fields is None:
             fields = tuple(recognizer.parts)
-        if field_recognizers is None:
-            field_recognizers = dict(recognizer.parts)
+        if checks is None:
+            checks = tuple(recognizer.parts.items())
+        unknown = sorted({field for field, _ in checks} - set(fields))
+        if unknown:
+            raise UnknownFieldError(f"{name!r} checks {', '.join(unknown)}, not in {fields}")
         _set(self, "name", name)
         _set(self, "recognizer", recognizer)
         _set(self, "cast_fn", cast_fn)
         _set(self, "fields", fields)
-        _set(self, "field_recognizers", field_recognizers)
+        _set(self, "checks", checks)
         _set(self, "parent", None)
-        _set(self, "checks", tuple(field_recognizers.items()))
-
-    def __hash__(self):
-        return hash((self.name, self.recognizer, self.cast_fn, self.fields,
-                     self.parent, self.checks))
 
     def __deepcopy__(self, memo):
         return self
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self.__slots__ if name != "checks")
-        return f"StringType({inner})"
 
 
 _FIELD_CHECKS = 0
@@ -235,23 +223,24 @@ class ParsedString(FrozenRecord):
 
     ``spans`` maps field names to the half-open ranges of ``raw``, the
     string that was parsed, each field consumed; ``type_name`` and
-    ``registry`` come from the value's class. Equal values have the same
-    type name and equal structures, and the repr shows only those two. A
-    deep copy copies ``structure`` and ``spans``.
+    ``registry`` come from the value's class, so building this base class
+    itself raises ``TypeError``. Equal values have the same type name and
+    equal structures, and the repr shows only those two. A deep copy
+    copies ``structure`` and ``spans``.
     """
 
     __slots__ = ("structure", "spans", "raw")
 
     def __init__(self, structure: Any, spans: Mapping[str, tuple[int, int]], raw: str):
+        if type(self) is ParsedString:
+            raise TypeError("a value has its type's class: build it with "
+                            "reg.value_class(name)(...)")
         _set(self, "structure", structure)
         _set(self, "spans", spans)
         _set(self, "raw", raw)
 
     def __repr__(self) -> str:
         return f"ParsedString(type_name={self.type_name!r}, structure={self.structure!r})"
-
-    def __deepcopy__(self, memo):
-        return type(self)(deepcopy(self.structure, memo), deepcopy(self.spans, memo), self.raw)
 
     def descriptor(self) -> StringType:
         return self._descriptor
@@ -340,17 +329,23 @@ class TypeRegistry:
 
     def register(self, descriptor: StringType) -> StringType:
         """Add a type and its value class. Parents must be registered first,
-        which keeps the parent chain acyclic by construction. The name
-        ``"string"`` is reserved for the universal supertype."""
+        which keeps the parent chain acyclic by construction, and a
+        subtype's ``checks`` must begin with its registered parent's, which
+        ``narrow`` skips. The name ``"string"`` is reserved for the
+        universal supertype."""
         if self._frozen:
             raise RegistryFrozenError("registry is frozen")
         if descriptor.name == "string":  # ``widen`` reserves it for the plain string
             raise RegistryError("type name 'string' is reserved")
         if descriptor.name in self._classes:
             raise DuplicateTypeError(f"type {descriptor.name!r} already registered")
-        if descriptor.parent is not None and descriptor.parent not in self._classes:
-            raise UnknownParentError(f"unknown parent {descriptor.parent!r}")
         base = self._classes.get(descriptor.parent, ParsedString)
+        if descriptor.parent is not None:
+            if base is ParsedString:
+                raise UnknownParentError(f"unknown parent {descriptor.parent!r}")
+            inherited = base._descriptor.checks
+            if descriptor.checks[:len(inherited)] != inherited:
+                raise RegistryError(f"{descriptor.name!r} extends another {descriptor.parent!r}")
         self._classes[descriptor.name] = type(descriptor.name, (base,), {
             "__slots__": (), "_descriptor": descriptor,
             "type_name": descriptor.name, "registry": self})
@@ -439,20 +434,17 @@ def subtype(parent: StringType, name: str, /, **overrides: Parser) -> StringType
     The only way to declare a subtype. Each override must name a field of
     the parent (:class:`UnknownFieldError` otherwise), and there must be at
     least one. The subtype keeps the parent's structure, fields and
-    canonical form. Wherever it runs, its recognizer runs the parent's and
-    then checks each overridden field's span, sorted by field name, as
-    narrowing does: input the parent rejects or parses short of the end
-    gets the parent's report, and other rejected input narrow's report.
-    These checks are part of parsing and are not counted as field checks.
-    ``parent`` and ``name`` are positional-only, so a field may be called
-    ``name``.
+    canonical form, and its ``checks`` are the parent's followed by the
+    overrides, sorted by field name. Wherever it runs, its recognizer runs
+    the parent's and then checks each overridden field's span, in that
+    order, as narrowing does: input the parent rejects or parses short of
+    the end gets the parent's report, and other rejected input narrow's
+    report. These checks are part of parsing and are not counted as field
+    checks. ``parent`` and ``name`` are positional-only, so a field may be
+    called ``name``.
     """
     if not overrides:
         raise RegistryError(f"{name!r}: a subtype overrides at least one field")
-    unknown = sorted(set(overrides) - set(parent.fields))
-    if unknown:
-        raise UnknownFieldError(
-            f"{name!r}: {parent.name!r} has no field {', '.join(unknown)}")
     checks = tuple(sorted(overrides.items()))
     parent_fn = parent.recognizer.fn
     def recognize(text, pos):
@@ -463,8 +455,7 @@ def subtype(parent: StringType, name: str, /, **overrides: Parser) -> StringType
                 # Short of the end, report where ``run_to_end`` would.
                 return bad[1] if out.end == len(text) else Failure(out.end, "end of input")
         return out
-    sub = StringType(name=name, recognizer=Parser(recognize), cast_fn=parent.cast_fn,
-                     fields=parent.fields, field_recognizers=dict(checks))
+    sub = StringType(name, Parser(recognize), parent.cast_fn, parent.fields,
+                     parent.checks + checks)
     _set(sub, "parent", parent.name)
-    _set(sub, "checks", parent.checks + checks)
     return sub

@@ -160,7 +160,7 @@ class TestCssUnit:
         assert err(reg, "PxOrAuto", "1" * 400 + "px").parse.pos == 0
         large = ok(reg, "CssUnit", "1" + "0" * 308 + "px")
         assert ok(reg, "CssUnit", large.cast()).structure == large.structure
-        assert isinstance(run_to_end(reg.get("CssUnit").field_recognizers["value"],
+        assert isinstance(run_to_end(dict(reg.get("CssUnit").checks)["value"],
                                      "1" * 400), Failure)
 
     def test_cast_writes_small_values_out_in_full(self, reg):
@@ -408,9 +408,10 @@ class TestFilePath:
             declared = reg.get(name)
             oracle.register(
                 StringType(name, _path_grammar(), declared.cast_fn, declared.fields,
-                           declared.field_recognizers)
+                           declared.checks)
                 if declared.parent is None else
-                subtype(oracle.get(declared.parent), name, **declared.field_recognizers))
+                subtype(oracle.get(declared.parent), name,
+                        **dict(declared.checks[len(reg.get(declared.parent).checks):])))
         return oracle
 
     @staticmethod
@@ -837,13 +838,13 @@ class TestDescriptors:
         descriptor = reg.get(type_name)
         structure = self.RECORD_ROOTS[type_name]
         assert descriptor.fields == tuple(f.name for f in dataclasses.fields(structure))
-        assert list(descriptor.field_recognizers) == list(descriptor.fields)
-        assert descriptor.checks == tuple(descriptor.field_recognizers.items())
+        assert [field for field, _ in descriptor.checks] == list(descriptor.fields)
+        assert descriptor.checks == tuple(descriptor.recognizer.parts.items())
 
     def test_css_unit_recognizers_are_its_branches_merged(self, reg):
         unit = reg.get("CssUnit")
-        assert (unit.fields, tuple(unit.field_recognizers)) == (("value", "unit"),) * 2
-        report = run_to_end(unit.field_recognizers["unit"], "zz")
+        assert (unit.fields, tuple(field for field, _ in unit.checks)) == (("value", "unit"),) * 2
+        report = run_to_end(dict(unit.checks)["unit"], "zz")
         assert report == Failure(0, 'a unit or "auto"')
 
     def test_every_descriptor_hashes_and_is_a_set_member(self, reg):
@@ -918,6 +919,9 @@ class TestDerivedSubtypes:
     PAIRS = sorted((ancestor, sub) for sub in _REGISTRY.names()
                    for ancestor in _REGISTRY.ancestors(sub))
     ALPHABET = "a/\\.@#-_ 0123456789gmailhopxtr\u00e9"
+    # Each subtype's own overrides, sorted by field name.
+    OVERRIDES = {"PxOrAuto": ["unit"], "Gmail": ["domain_left"], "UnixPath": ["separator"],
+                 "WindowsPath": ["separator"], "HomeDotFile": ["dirs", "file_name"]}
 
     def inputs(self, ancestor, sub):
         rng = random.Random(zlib.crc32(f"{ancestor}>{sub}".encode()))
@@ -987,9 +991,8 @@ class TestDerivedSubtypes:
             parent = reg.get(descriptor.parent)
             assert descriptor.fields == parent.fields
             assert descriptor.cast_fn is parent.cast_fn
-            overrides = list(descriptor.field_recognizers)
-            assert overrides == sorted(overrides)
-            assert set(overrides) <= set(parent.fields)
+            overrides = [field for field, _ in descriptor.checks[len(parent.checks):]]
+            assert overrides == self.OVERRIDES[sub]
 
     def test_a_field_called_name_can_be_overridden(self):
         reg = build_registry()

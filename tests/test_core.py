@@ -60,7 +60,7 @@ def make_registry():
     reg = TypeRegistry()
     pair = reg.register(StringType(
         "Pair", pair_grammar(LEFT), cast_pair, fields=("left", "right"),
-        field_recognizers={"left": LEFT, "right": RIGHT}))
+        checks=(("left", LEFT), ("right", RIGHT))))
     hi = reg.register(subtype(pair, "HiPair", left=lit("hi")))
     reg.register(subtype(hi, "HiNinePair", right=pattern("9+")))
     return reg
@@ -94,6 +94,17 @@ class TestRegistration:
         with pytest.raises(UnknownParentError):
             reg.register(subtype(nowhere, "Orphan", left=LEFT))
 
+    def test_a_subtype_must_extend_the_registered_parent(self, reg):
+        # narrow skips as many checks as the registered parent has, so a
+        # subtype declared on another "Pair" would narrow without its own.
+        other = StringType("Pair", pair_grammar(LEFT), cast_pair, fields=("left", "right"))
+        with pytest.raises(RegistryError):
+            reg.register(subtype(other, "XPair", left=lit("x")))
+        assert "XPair" not in reg
+        # An equal copy of the registered parent is the same declaration.
+        reg.register(subtype(copy.copy(reg.get("Pair")), "XPair", left=lit("x")))
+        assert isinstance(reg.from_raw("Pair", "y:1").value.narrow("XPair"), Err)
+
     def test_subtype_must_override_something(self, reg):
         with pytest.raises(RegistryError):
             subtype(reg.get("Pair"), "BadSub")
@@ -108,7 +119,8 @@ class TestRegistration:
         with pytest.raises(TypeError):
             StringType("Pair2", pair_grammar(LEFT), cast_pair, parent="Pair")
         hi = reg.get("HiNinePair")
-        assert (hi.parent, list(hi.field_recognizers)) == ("HiPair", ["right"])
+        assert hi.parent == "HiPair"
+        assert [field for field, _ in hi.checks] == ["left", "right", "left", "right"]
 
     def test_the_name_string_is_reserved(self, reg):
         # widen("string") returns the plain canonical string, so a type of
@@ -160,18 +172,26 @@ class TestDeclaredByRecord:
     def test_fields_and_recognizers_come_from_the_record(self):
         pair = StringType("Pair", self.GRAMMAR, cast_pair)
         assert pair.fields == ("left", "right")
-        assert pair.field_recognizers == {"left": LEFT, "right": RIGHT}
         assert pair.checks == (("left", LEFT), ("right", RIGHT))
 
     def test_explicit_arguments_win(self):
-        pair = StringType("Pair", self.GRAMMAR, cast_pair, ("right",), {"right": RIGHT})
-        assert (pair.fields, pair.field_recognizers) == (("right",), {"right": RIGHT})
-        bare = StringType("Pair", self.GRAMMAR, cast_pair, fields=(), field_recognizers={})
-        assert (bare.fields, bare.field_recognizers, bare.checks) == ((), {}, ())
+        pair = StringType("Pair", self.GRAMMAR, cast_pair, ("right",), (("right", RIGHT),))
+        assert (pair.fields, pair.checks) == (("right",), (("right", RIGHT),))
+        bare = StringType("Pair", self.GRAMMAR, cast_pair, fields=(), checks=())
+        assert (bare.fields, bare.checks) == ((), ())
 
     def test_a_grammar_without_parts_declares_nothing(self):
         plain = StringType("Pair", pair_grammar(LEFT), cast_pair)
-        assert (plain.fields, plain.field_recognizers, plain.checks) == ((), {}, ())
+        assert (plain.fields, plain.checks) == ((), ())
+
+    def test_a_check_must_name_a_field(self):
+        # A check on a field that is not declared has no span, so it would
+        # never run.
+        with pytest.raises(UnknownFieldError):
+            StringType("Pair", pair_grammar(LEFT), cast_pair, fields=("left", "right"),
+                       checks=(("left", LEFT), ("rihgt", RIGHT)))
+        with pytest.raises(UnknownFieldError):
+            StringType("Pair", self.GRAMMAR, cast_pair, fields=("right",))
 
     def test_opaque_types_check_their_raw_text(self):
         word = opaque_type("Word", "[a-z]+")
@@ -360,16 +380,22 @@ class TestChecks:
         assert hi_nine.checks[2][1].run("hi", 0).value == "hi"
         assert hi_nine.checks[3][1].run("8", 0).expected == "/9+/"
 
+    # Each subtype's own overrides, sorted by field name.
+    OVERRIDES = {"HiPair": ["left"], "HiNinePair": ["right"], "PxOrAuto": ["unit"],
+                 "Gmail": ["domain_left"], "UnixPath": ["separator"],
+                 "WindowsPath": ["separator"], "HomeDotFile": ["dirs", "file_name"]}
+
     @pytest.mark.parametrize("registry", [make_registry(), build_registry()])
     def test_a_subtype_extends_its_parents_checks(self, registry):
         for name in registry.names():
             descriptor = registry.get(name)
-            own = tuple(descriptor.field_recognizers.items())
             if descriptor.parent is None:
-                assert descriptor.checks == own
-            else:
-                inherited = registry.get(descriptor.parent).checks
-                assert descriptor.checks == inherited + own
+                assert name not in self.OVERRIDES
+                continue
+            inherited = registry.get(descriptor.parent).checks
+            own = descriptor.checks[len(inherited):]
+            assert descriptor.checks[:len(inherited)] == inherited
+            assert [field for field, _ in own] == self.OVERRIDES[name]
 
 
 def parent_chain(registry, name):
@@ -477,6 +503,12 @@ class TestValueClasses:
         b = two.from_raw("Gmail", "me@gmail.com").value
         assert not isinstance(b, one.value_class("Email"))
         assert a == b and a.strict_eq(b) and hash(a) == hash(b)
+
+    def test_the_base_class_builds_no_values(self):
+        # A bare ParsedString has no type name, registry or descriptor.
+        value = build_registry().from_raw("Email", "me@x.com").value
+        with pytest.raises(TypeError, match=r"reg\.value_class\(name\)\(\.\.\.\)"):
+            ParsedString(value.structure, value.spans, value.raw)
 
     def test_value_classes_add_no_methods(self):
         # Wrapping narrow, cast or __hash__ on ParsedString must see every call.

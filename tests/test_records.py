@@ -58,12 +58,11 @@ RECORDS = {
     "Ok": (lambda: Ok(1), "Ok(value=1)", ("value",)),
     "Err": (lambda: Err(OP), f"Err(error={OP!r})", ("error",)),
     "StringType": (lambda: StringType(GMAIL.name, GMAIL.recognizer, GMAIL.cast_fn,
-                                      GMAIL.fields, GMAIL.field_recognizers),
+                                      GMAIL.fields, GMAIL.checks),
                    f"StringType(name='Gmail', recognizer={GMAIL.recognizer!r}, "
                    f"cast_fn={GMAIL.cast_fn!r}, fields=('name', 'domain_left', "
-                   f"'domain_right'), field_recognizers={GMAIL.field_recognizers!r}, "
-                   f"parent=None)",
-                   ("name", "recognizer", "cast_fn", "fields", "field_recognizers")),
+                   f"'domain_right'), checks={GMAIL.checks!r}, parent=None)",
+                   ("name", "recognizer", "cast_fn", "fields", "checks")),
     "ParsedString": (lambda: REG.from_raw("Gmail", "me@gmail.com").value,
                      f"ParsedString(type_name='Gmail', structure={VALUE.structure!r})",
                      ("structure", "spans", "raw")),
@@ -140,15 +139,19 @@ def test_equality_is_by_class_and_fields():
     assert len({Ok(1), Ok(1), Err(OP), Err(OP)}) == 2
 
 
-def test_string_types_compare_every_field_but_hash_without_field_recognizers():
+def test_string_types_compare_and_hash_by_every_field():
     email = REG.get("Email")
     assert email != GMAIL
     rebuilt = StringType(email.name, email.recognizer, email.cast_fn, email.fields,
-                         dict(email.field_recognizers))
+                         tuple(email.checks))
     assert rebuilt == email and hash(rebuilt) == hash(email)
-    # A subtype's parent and checks are compared too.
+    # A subtype's parent is compared too.
     assert StringType(GMAIL.name, GMAIL.recognizer, GMAIL.cast_fn, GMAIL.fields,
-                      GMAIL.field_recognizers) != GMAIL
+                      GMAIL.checks) != GMAIL
+    # So are its checks, and a different set of them hashes differently.
+    fewer = StringType(email.name, email.recognizer, email.cast_fn, email.fields,
+                       email.checks[:1])
+    assert fewer != email and hash(fewer) != hash(email)
     assert len({REG.get(name) for name in REG.names()}) == len(REG.names())
     with pytest.raises(TypeError):
         StringType("T", email.recognizer, email.cast_fn, parent="Email")

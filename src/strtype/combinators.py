@@ -30,7 +30,8 @@ longest match, so a token fails only at its start, with its label.
 ``map`` and ``desc`` over a token pass the pattern on, and
 ``fallback("")`` over one with no ``conv`` makes it optional (a pattern
 that matches "" is kept as it is); these are tokens too. ``satisfy`` is a
-plain parser, with no tree.
+plain parser, with no tree. An ``alt`` of tokens keeps their patterns,
+``trees``: ``check_to_end``, a field check, runs only patterns on either.
 
 When every part of a ``record`` has a tree and no pattern among them walks
 the DFA, the record parses with one ``re`` match
@@ -51,7 +52,7 @@ __all__ = [
     "Success", "Failure", "Parser", "NontermError", "PatternError",
     "succeed", "satisfy", "one_of", "lit", "pattern", "seq", "alt",
     "many", "some", "times", "chain_left", "spanned", "record", "forward",
-    "run_to_end",
+    "run_to_end", "check_to_end",
 ]
 
 A = TypeVar("A")
@@ -87,17 +88,18 @@ class Parser(Generic[A]):
 
     ``parts`` maps field names to the parsers that consume them: a
     ``record``'s named parts, merged by ``alt``; empty for other parsers.
-    A token also has its pattern, ``tree``, and its ``conv`` (see the
-    module docstring); any other parser has ``tree`` None.
+    A token also has its pattern, ``tree``, and ``conv``, an ``alt`` of
+    tokens their patterns, ``trees`` (see the module docstring); any other
+    parser has them None.
     """
 
-    __slots__ = ("fn", "label", "parts", "conv", "tree")
+    __slots__ = ("fn", "label", "parts", "conv", "tree", "trees")
 
     def __init__(self, fn: Callable[[str, int], Success | Failure], label: str | None = None):
         self.fn = fn
         self.label = label
         self.parts = {}
-        self.conv = self.tree = None
+        self.conv = self.tree = self.trees = None
 
     def run(self, text: str, pos: int = 0) -> Success | Failure:
         return self.fn(text, pos)
@@ -241,6 +243,7 @@ def alt(*parsers: Parser) -> Parser:
     reported; branches that tie have their expectations joined with "or".
     When every branch has parts, a field's part is the ``alt`` of the
     branches' parts for it, or the one branch's part if only one has it.
+    An ``alt`` of tokens keeps their patterns and, as label, its failure's.
     """
     if not parsers:
         raise ValueError("alt needs at least one parser")
@@ -262,6 +265,9 @@ def alt(*parsers: Parser) -> Parser:
         return best
     out = Parser(parse)
     out.parts = {name: ps[0] if len(ps) == 1 else alt(*ps) for name, ps in merged.items()}
+    if all(p.tree is not None for p in parsers):
+        out.trees = tuple(p.tree for p in parsers)
+        out.label = reduce(lambda a, b: a if b == a else f"{a} or {b}", [p.label for p in parsers])
     return out
 
 
@@ -401,3 +407,19 @@ def run_to_end(p: Parser[A], text: str) -> Success | Failure:
     if out.end != len(text):
         return Failure(out.end, "end of input")
     return out
+
+
+def check_to_end(p: Parser, text: str) -> Failure | None:
+    """``run_to_end``'s failure, or None; a token or an ``alt`` of them runs only patterns."""
+    if (tree := p.tree) is not None:
+        end = tree.match_end(text, 0)
+    elif p.trees is not None:
+        for tree in p.trees:
+            if (end := tree.match_end(text, 0)) is not None:
+                break
+    else:
+        out = run_to_end(p, text)
+        return out if isinstance(out, Failure) else None
+    if end is None:
+        return Failure(0, p.label)
+    return None if end == len(text) else Failure(end, "end of input")

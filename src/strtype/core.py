@@ -38,7 +38,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Any, Callable, Mapping
 
-from .combinators import Failure, Parser, Success, pattern, record, run_to_end
+from .combinators import Failure, Parser, Success, check_to_end, pattern, record, run_to_end
 from .patterns import FrozenRecord, Structure, _set
 
 __all__ = [
@@ -147,15 +147,16 @@ class StringType(FrozenRecord):
     rewrites may re-run, ancestor end first. It and ``fields`` default to
     the recognizer's named ``parts``, so a ``record`` grammar declares
     them; a check that names no entry of ``fields`` raises
-    :class:`UnknownFieldError`, since it could never run. ``parent`` is set
-    only by :func:`subtype`, whose ``checks`` are its parent's and then its
-    own overrides, sorted by field name.
+    :class:`UnknownFieldError`, since it could never run. Only
+    :func:`subtype` sets ``parent_type``, the descriptor (named ``parent``)
+    whose ``checks`` a subtype's begin with, then its own, by field name.
 
     A deep copy is the descriptor itself, whose parsers are functions.
     """
 
-    __slots__ = ("name", "recognizer", "cast_fn", "fields", "checks", "parent")
+    __slots__ = ("name", "recognizer", "cast_fn", "fields", "checks", "parent_type")
     __match_args__ = __slots__[:5]  # the constructor's arguments
+    parent = property(lambda self: self.parent_type and self.parent_type.name)
 
     def __init__(self, name: str, recognizer: Parser, cast_fn: Callable[[Any], str],
                  fields: tuple[str, ...] | None = None,
@@ -172,7 +173,11 @@ class StringType(FrozenRecord):
         _set(self, "cast_fn", cast_fn)
         _set(self, "fields", fields)
         _set(self, "checks", checks)
-        _set(self, "parent", None)
+        _set(self, "parent_type", None)
+
+    def __repr__(self) -> str:  # the parent by name, not its nested repr
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"StringType({inner}, parent={self.parent!r})"
 
     def __deepcopy__(self, memo):
         return self
@@ -191,18 +196,18 @@ def reset_field_checks() -> None:
     _FIELD_CHECKS = 0
 
 
-def check_field(recognizer: Parser, text: str):
-    """Run a single field recognizer against a field's text, counted."""
+def check_field(recognizer: Parser, text: str) -> Failure | None:
+    """Check a field's text against one field recognizer, counted: ``check_to_end``."""
     global _FIELD_CHECKS
     _FIELD_CHECKS += 1
-    return run_to_end(recognizer, text)
+    return check_to_end(recognizer, text)
 
 
 def _first_bad_field(checks, source: str,
                      spans: Mapping[str, tuple[int, int]], run):
-    """Run each ``(field, recognizer)`` pair of ``checks``, in order, on the
-    text the field's span covers, with ``run``: ``run_to_end``, or the
-    counted :func:`check_field`.
+    """Check each ``(field, recognizer)`` pair of ``checks``, in order, on
+    the text the field's span covers, with ``run``: ``check_to_end``, or
+    the counted :func:`check_field`, each of which gives a failure or None.
 
     Returns the first failing field's name and its failure, positioned in
     ``source``, or None. A field with no span has nothing to check.
@@ -213,7 +218,7 @@ def _first_bad_field(checks, source: str,
             continue
         start, end = span
         out = run(recognizer, source[start:end])
-        if isinstance(out, Failure):
+        if out is not None:
             return name, Failure(start + out.pos, out.expected)
     return None
 
@@ -328,24 +333,22 @@ class TypeRegistry:
         self._frozen = False
 
     def register(self, descriptor: StringType) -> StringType:
-        """Add a type and its value class. Parents must be registered first,
-        which keeps the parent chain acyclic by construction, and a
-        subtype's ``checks`` must begin with its registered parent's, which
-        ``narrow`` skips. The name ``"string"`` is reserved for the
-        universal supertype."""
+        """Add a type and its value class. A parent must be registered first,
+        which keeps the chain acyclic, and be the descriptor (or an equal
+        copy) its subtype was derived from, whose ``checks`` ``narrow``
+        skips. The name ``"string"`` is reserved for the universal supertype."""
         if self._frozen:
             raise RegistryFrozenError("registry is frozen")
         if descriptor.name == "string":  # ``widen`` reserves it for the plain string
             raise RegistryError("type name 'string' is reserved")
         if descriptor.name in self._classes:
             raise DuplicateTypeError(f"type {descriptor.name!r} already registered")
-        base = self._classes.get(descriptor.parent, ParsedString)
-        if descriptor.parent is not None:
-            if base is ParsedString:
-                raise UnknownParentError(f"unknown parent {descriptor.parent!r}")
-            inherited = base._descriptor.checks
-            if descriptor.checks[:len(inherited)] != inherited:
-                raise RegistryError(f"{descriptor.name!r} extends another {descriptor.parent!r}")
+        parent = descriptor.parent_type
+        base = ParsedString if parent is None else self._classes.get(parent.name)
+        if base is None:
+            raise UnknownParentError(f"unknown parent {parent.name!r}")
+        if parent is not None and base._descriptor != parent:
+            raise RegistryError(f"{descriptor.name!r} extends another {parent.name!r}")
         self._classes[descriptor.name] = type(descriptor.name, (base,), {
             "__slots__": (), "_descriptor": descriptor,
             "type_name": descriptor.name, "registry": self})
@@ -450,12 +453,12 @@ def subtype(parent: StringType, name: str, /, **overrides: Parser) -> StringType
     def recognize(text, pos):
         out = parent_fn(text, pos)
         if isinstance(out, Success):
-            bad = _first_bad_field(checks, text, out.value[1], run_to_end)
+            bad = _first_bad_field(checks, text, out.value[1], check_to_end)
             if bad is not None:
                 # Short of the end, report where ``run_to_end`` would.
                 return bad[1] if out.end == len(text) else Failure(out.end, "end of input")
         return out
     sub = StringType(name, Parser(recognize), parent.cast_fn, parent.fields,
                      parent.checks + checks)
-    _set(sub, "parent", parent.name)
+    _set(sub, "parent_type", parent)
     return sub

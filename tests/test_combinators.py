@@ -14,6 +14,7 @@ from strtype.combinators import (
     Success,
     alt,
     chain_left,
+    check_to_end,
     forward,
     lit,
     many,
@@ -727,6 +728,73 @@ class TestTokens:
 
 # Patterns that walk the DFA, so a record holding one runs the step loop.
 DFA_SOURCES = ["(ab)*a?", "(a*)*b", "[0-9a-f]*[0-9]"]
+def run_to_end_failure(p, text):
+    out = run_to_end(p, text)
+    return out if isinstance(out, Failure) else None
+
+
+class TestCheckToEnd:
+    """``check_to_end`` gives ``run_to_end``'s failure, or None where it
+    succeeds, on tokens, alts of them and any other parser."""
+
+    CASES = [alt(lit("p"), lit("px")), alt(pattern("a*"), lit("b")),
+             alt(lit("b"), pattern("a*")), alt(alt(lit("a"), lit("b")), lit("p")),
+             alt(alt(lit("a"), lit("b")), alt(lit("a"), lit("b"))),
+             alt(lit("a"), satisfy(str.isalpha, "a letter")), lit("px") | lit("auto")]
+
+    def test_agrees_with_run_to_end_on_tokens_and_alts(self):
+        rng = random.Random(20)
+        parsers = list(self.CASES)
+        for _ in range(400):
+            parsers.append(random_token(rng)[0])
+            parsers.append(alt(*(random_token(rng)[0] for _ in range(rng.randint(1, 3)))))
+        texts = ["", "p", "px", "pxa", "a", "aab", "b", "ba", "auto", "x"]
+        for p in parsers:
+            for text in texts + random_texts(rng):
+                assert check_to_end(p, text) == run_to_end_failure(p, text), (p, text)
+        # Plenty of tokens and of alts of them take the patterns-only path.
+        assert sum(p.tree is not None for p in parsers) > 200
+        assert sum(p.trees is not None for p in parsers) > 120
+        assert sum(p.tree is None and p.trees is None for p in parsers) > 200
+
+    def test_joins_labels_as_alt_does(self):
+        assert check_to_end(alt(lit("p"), lit("px")), "px") == Failure(1, "end of input")
+        assert check_to_end(self.CASES[4], "x") == run_to_end(self.CASES[4], "x")
+        assert check_to_end(alt(lit("a"), lit("b"), lit("a")), "x") == \
+            Failure(0, '"a" or "b" or "a"')
+        assert alt(lit("a"), lit("a")).label == '"a"'
+
+    def test_agrees_with_run_to_end_on_every_builtin_check(self):
+        from generators import ACCEPTED_GENERATORS, accepted_strings
+        from strtype.builtins import build_registry
+
+        reg = build_registry()
+        rng = random.Random(21)
+        checked = 0
+        for name in reg.names():
+            checks = reg.get(name).checks
+            for source in [name, *reg.ancestors(name)]:
+                if source not in ACCEPTED_GENERATORS:
+                    continue
+                for raw in accepted_strings(source, 30):
+                    spans = reg.from_raw(source, raw).value.spans
+                    for field, p in checks:
+                        if field not in spans:
+                            continue
+                        start, end = spans[field]
+                        text = raw[start:end]
+                        edits = [text]
+                        for _ in range(6):
+                            i = rng.randrange(len(text) + 1)
+                            insert = rng.choice(["", rng.choice(raw + "x/\\.@\u00e9")])
+                            edits.append(text[:i] + insert + text[i + rng.randint(0, 1):])
+                        for edited in edits:
+                            assert check_to_end(p, edited) == run_to_end_failure(p, edited), \
+                                (name, field, edited)
+                            checked += 1
+        assert checked > 5000, checked
+
+
 RECORD_ALPHABET = "ab\n\u00e91 0f"
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from generators import accepted_strings
 from strtype.builtins import build_registry
-from strtype.combinators import lit, pattern, record, seq, spanned
+from strtype.combinators import Failure, alt, lit, pattern, record, seq, spanned
 from strtype.core import (
     DuplicateTypeError,
     Err,
@@ -24,6 +24,7 @@ from strtype.core import (
     UnknownFieldError,
     UnknownParentError,
     UnknownTypeError,
+    check_field,
     field_checks,
     from_structure,
     opaque_type,
@@ -104,6 +105,17 @@ class TestRegistration:
         # An equal copy of the registered parent is the same declaration.
         reg.register(subtype(copy.copy(reg.get("Pair")), "XPair", left=lit("x")))
         assert isinstance(reg.from_raw("Pair", "y:1").value.narrow("XPair"), Err)
+
+    def test_a_subtype_of_another_pair_with_the_same_checks_is_refused(self, reg):
+        # Same name and checks as the registered Pair, another recognizer:
+        # "ab:1" would narrow to XPair, while parsing it as XPair fails at 1.
+        pair = reg.get("Pair")
+        other = StringType("Pair", pair_grammar(pattern("[a-z]")), cast_pair,
+                           pair.fields, pair.checks)
+        with pytest.raises(RegistryError):
+            reg.register(subtype(other, "XPair", right=pattern("1")))
+        assert "XPair" not in reg
+        assert subtype(other, "XPair", right=pattern("1")).parent_type is other
 
     def test_subtype_must_override_something(self, reg):
         with pytest.raises(RegistryError):
@@ -379,6 +391,24 @@ class TestChecks:
         assert [name for name, _ in hi_nine.checks] == ["left", "right", "left", "right"]
         assert hi_nine.checks[2][1].run("hi", 0).value == "hi"
         assert hi_nine.checks[3][1].run("8", 0).expected == "/9+/"
+
+    def test_a_check_against_tokens_calls_no_parse_function(self, reg):
+        # A token, or an alt of them, is checked by its patterns alone.
+        def refuse(text, pos):
+            raise AssertionError("a field check called a parse function")
+        hi, ho = lit("hi"), lit("ho")
+        either = alt(ho, hi)
+        for p in (hi, ho, either):
+            p.fn = refuse
+        assert check_field(hi, "hi") is None
+        assert check_field(hi, "hx") == Failure(0, '"hi"')
+        assert check_field(either, "hi") is None
+        assert check_field(either, "hoo") == Failure(2, "end of input")
+        assert check_field(either, "x") == Failure(0, '"ho" or "hi"')
+        reg.register(subtype(reg.get("Pair"), "HoPair", left=either))
+        assert isinstance(parsed(reg, "Pair", "ho:1").narrow("HoPair"), Ok)
+        assert parsed(reg, "HoPair", "hi:1").type_name == "HoPair"
+        assert reg.from_raw("HoPair", "hu:1").error.parse.pos == 0
 
     # Each subtype's own overrides, sorted by field name.
     OVERRIDES = {"HiPair": ["left"], "HiNinePair": ["right"], "PxOrAuto": ["unit"],

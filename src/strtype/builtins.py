@@ -10,10 +10,12 @@ types have hand-written parse functions instead, and name their fields
 themselves; each agrees with a kernel grammar that the tests keep as its
 oracle: ``FilePath``, one ``re`` match whose first separator fixes the
 rest and whose rejections a kernel ``alt`` reports, ``EqualAandB``, which
-counts, and ``Expr``, which nests without bound. A subtype is declared
-once, by ``subtype``, as its parent plus a recognizer for each field it
-overrides: it parses with its parent's grammar and then checks those
-fields' spans, exactly as narrowing from any ancestor does.
+counts, and ``Expr``, which nests without bound; the first two compile
+their regexes at their first parse, so building the registry compiles
+none. A subtype is declared once, by ``subtype``, as its parent plus a
+recognizer for each field it overrides: it parses with its parent's
+grammar and then checks those fields' spans, exactly as narrowing from
+any ancestor does.
 """
 
 from __future__ import annotations
@@ -172,7 +174,8 @@ def _split_segment(segment: str) -> tuple[str, str | None]:
     return segment, None
 
 
-_PATH_RE = re.compile(r"([/\\])?[^/\\]+(?:(?(1)\1|([/\\]))[^/\\]+(?:(?(1)\1|\2)[^/\\]+)*)?")
+_PATH_RE = r"([/\\])?[^/\\]+(?:(?(1)\1|([/\\]))[^/\\]+(?:(?(1)\1|\2)[^/\\]+)*)?"
+_path_match = None  # ``_PATH_RE`` compiled, at the first parse
 _NO_PATH = alt(seq(_SEPARATOR, _SEGMENT), _SEGMENT)
 
 
@@ -186,7 +189,10 @@ def _path(text, pos):
     separator, so it defaults to "/" with no separator span. Where no
     segment starts the match fails, and ``_NO_PATH`` reports why.
     """
-    m = _PATH_RE.match(text, pos)
+    global _path_match
+    if _path_match is None:
+        _path_match = re.compile(_PATH_RE).match
+    m = _path_match(text, pos)
     if m is None:
         return _NO_PATH.fn(text, pos)
     lead = m.group(1)
@@ -255,14 +261,16 @@ class EqualAandB(Structure):
 # with no call per character. It accepts and fails as the kernel form
 # ``many(a).bind(lambda run: times(b, len(run)))`` does, which the tests
 # keep as its oracle: too few b's fail at the first non-b, expecting "'b'".
-_A_RUN = re.compile("a*")
-_B_RUN = re.compile("b*")
+_ab_runs = None  # the two scans' matches, compiled at the first parse
 
 
 def _equal_ab(text, pos):
-    mid = _A_RUN.match(text, pos).end()
+    global _ab_runs
+    if _ab_runs is None:
+        _ab_runs = re.compile("a*").match, re.compile("b*").match
+    mid = _ab_runs[0](text, pos).end()
     count = mid - pos
-    end = _B_RUN.match(text, mid, mid + count).end()
+    end = _ab_runs[1](text, mid, mid + count).end()
     if end - mid < count:
         return Failure(end, "'b'")
     return Success((EqualAandB(count), {}), end)

@@ -21,7 +21,6 @@ token pattern on the second.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -112,17 +111,20 @@ def _make_registry() -> TypeRegistry:
 
 # --------------------------------------------------------------- output
 
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
-# ``_ENCODER.encode`` builds a C encoder per call, so one is built here, with
-# the settings ``json.dumps(record, ensure_ascii=False)`` uses, and reused. A
-# record holds no cycles, so it keeps no markers. Without ``_json`` there is
-# no C encoder, and ``_ENCODER.encode`` is used.
-if json.encoder.c_make_encoder is None:
-    _encode = _ENCODER.encode
+# One C encoder, made from ``_json`` without importing ``json``, with the
+# settings ``json.dumps(record, ensure_ascii=False)`` uses and no markers (a
+# record holds no cycles). Without ``_json``, ``json``'s own encoder is used.
+try:
+    from _json import encode_basestring, make_encoder
+except ImportError:
+    import json
+    _encode = json.JSONEncoder(ensure_ascii=False).encode
 else:
-    _chunks = json.encoder.c_make_encoder(
-        None, _ENCODER.default, json.encoder.encode_basestring, None, ": ", ", ",
-        False, False, True)
+    def _default(o):
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    _chunks = make_encoder(None, _default, encode_basestring, None, ": ", ", ",
+                           False, False, True)
 
     def _encode(record: dict) -> str:
         return "".join(_chunks(record, 0))

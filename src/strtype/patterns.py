@@ -50,8 +50,8 @@ imports it.
 
 from __future__ import annotations
 
+import _thread
 import re
-import threading
 from bisect import bisect_right
 from operator import attrgetter
 
@@ -546,7 +546,7 @@ class TokenPattern:
         self._match = None
         # None until asked: then whether the NFA is unambiguous.
         self._is_plain = None
-        self._lock = threading.Lock()
+        self._lock = _thread.allocate_lock()
 
     def _build_nfa(self) -> None:
         """Build the NFA, its class cuts and the first DFA table."""

@@ -615,8 +615,11 @@ class TestStreaming:
 
     @staticmethod
     def cli_without_json_accelerator(monkeypatch):
-        """A fresh copy of ``strtype.cli`` loaded as if ``_json`` were missing."""
-        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        """A fresh copy of ``strtype.cli`` loaded as if ``_json`` were missing:
+        ``json`` is imported afresh under it, with no C parts."""
+        monkeypatch.setitem(sys.modules, "_json", None)
+        for name in ("json", "json.decoder", "json.encoder", "json.scanner"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
         spec = importlib.util.find_spec("strtype.cli")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -629,6 +632,21 @@ class TestStreaming:
                 emit(record)
                 assert capsys.readouterr().out == json.dumps(record, ensure_ascii=False) + "\n"
 
+    def test_emit_rejects_what_json_dumps_rejects(self, monkeypatch):
+        from strtype import cli
+        for record in ({"x": {1}}, {"x": [object()]}, {"x": b"a"}):
+            with pytest.raises(TypeError) as want:
+                json.dumps(record, ensure_ascii=False)
+            for emit in (cli._emit, self.cli_without_json_accelerator(monkeypatch)._emit):
+                with pytest.raises(TypeError) as got:
+                    emit(record)
+                assert str(got.value) == str(want.value)
+
     def test_without_json_accelerator_emit_uses_the_encoder(self, monkeypatch):
         module = self.cli_without_json_accelerator(monkeypatch)
-        assert module._encode == module._ENCODER.encode
+        encoder = module._encode.__self__
+        assert module.json.encoder.c_make_encoder is None
+        assert type(encoder) is module.json.JSONEncoder
+        assert module._encode.__func__ is module.json.JSONEncoder.encode
+        assert vars(encoder) == vars(module.json.JSONEncoder(ensure_ascii=False))
+        assert not hasattr(module, "_chunks")

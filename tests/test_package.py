@@ -1,5 +1,5 @@
-"""The package's public names, what importing the package loads, and how
-its source reads ``TokenPattern.match_end``."""
+"""The package's public names, what importing the package loads and
+compiles, and how its source reads ``TokenPattern.match_end``."""
 
 import ast
 import subprocess
@@ -58,6 +58,54 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     out = subprocess.run([sys.executable, "-S", "-c", script],
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["[]", "['name', 'domain_left', 'domain_right']"]
+
+
+def _run_fresh(lines):
+    """Run ``lines`` in a fresh interpreter with its default ``site``, as a
+    user's process starts, with strtype's source first on the path."""
+    src = str(Path(strtype.__file__).resolve().parent.parent)
+    script = "\n".join(["import sys", f"sys.path.insert(0, {src!r})", *lines])
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
+def test_cli_import_leaves_json_unloaded():
+    assert _run_fresh([
+        "before = 'json' in sys.modules",
+        "import strtype.cli",
+        "print(('json' in sys.modules) == before)",
+    ]) == ["True"]
+
+
+def test_import_and_registry_build_compile_no_regex():
+    # Each regex is compiled at the first parse that runs it.
+    out = _run_fresh([
+        "import re",
+        "calls, compile = [], re.compile",
+        "def recorded(*args, **kwargs):",
+        "    calls.append(sys._getframe(1).f_globals.get('__name__', ''))",
+        "    return compile(*args, **kwargs)",
+        "re.compile = recorded",
+        "def ours():",
+        "    return [name for name in calls if name.startswith('strtype')]",
+        "import strtype, strtype.cli",
+        "reg = strtype.build_registry()",
+        "reg.register(strtype.opaque_type('Slug', '[a-z]+(-[a-z]+)*'))",
+        "print(ours())",
+        "path = reg.from_raw('FilePath', '/a/b').value",
+        "print(repr(path.structure), path.spans)",
+        "ab = reg.from_raw('EqualAandB', 'ab').value",
+        "print(repr(ab.structure), ab.spans)",
+        "print(ours())",
+    ])
+    assert out == [
+        "[]",
+        "FilePath(absolute=True, dirs=('a',), file_name='b', ext=None, separator='/') "
+        "{'separator': (0, 1), 'dirs': (1, 2), 'file_name': (3, 4)}",
+        "EqualAandB(count=1) {}",
+        str(["strtype.builtins"] * 3),
+    ]
 
 
 def test_match_end_is_looked_up_where_it_is_called():

@@ -10,7 +10,10 @@ stdout (``| head``) ends the run quietly with exit status 1.
 
 One driver parses each input of a per-input command and ORs the exit
 statuses; two renderers, for an accepted and for a rejected input, write
-every record and every ``--human`` line, for ``eq`` too.
+every record and every ``--human`` line, for ``eq`` too. A record's
+constant members are encoded once per run and each input encodes only
+its own strings, through the encoder's string function; each record is
+one write to stdout, made as soon as its input is handled.
 
 Extra types can be supplied without touching code: point the
 ``STRTYPE_TYPES`` environment variable at a directory of definition
@@ -114,10 +117,12 @@ def _make_registry() -> TypeRegistry:
 # One C encoder, made from ``_json`` without importing ``json``, with the
 # settings ``json.dumps(record, ensure_ascii=False)`` uses and no markers (a
 # record holds no cycles). Without ``_json``, ``json``'s own encoder is used.
+# ``encode_basestring`` is the string function of whichever encoder it is.
 try:
     from _json import encode_basestring, make_encoder
 except ImportError:
     import json
+    from json.encoder import encode_basestring
     _encode = json.JSONEncoder(ensure_ascii=False).encode
 else:
     def _default(o):
@@ -135,37 +140,44 @@ def _emit(record: dict) -> None:
     sys.stdout.write(_encode(record) + "\n")
 
 
-def _accepted(args, record: dict, parsed, human, **extra) -> int:
-    """Write ``record`` with ``ok``, the canonical form of ``parsed`` (if
-    given) and ``extra``; under --human, the line ``human()`` makes."""
+def _members(**members) -> str:
+    """``members`` encoded to follow another member of a record."""
+    return ", " + _encode(members)[1:-1]
+
+
+_OK, _NOT_OK = _members(ok=True), _members(ok=False)
+
+
+def _accepted(args, start: str, parsed, human, extra: str = "") -> int:
+    """End the record ``start`` opens with ``ok``, ``parsed``'s canonical form
+    (if given) and members ``extra``; under --human, print ``human()``."""
     if args.human:
         print(human())
     else:
-        record["ok"] = True
-        if parsed is not None:
-            record["normalized"] = parsed.cast()
-        record.update(extra)
-        _emit(record)
+        normalized = ("" if parsed is None else
+                      f', "normalized": {encode_basestring(parsed.cast())}')
+        sys.stdout.write(f"{start}{_OK}{normalized}{extra}}}\n")
     return 0
 
 
-def _rejected(args, record: dict, raw: str, parse, prefix: str = "",
-              note: str | None = None, **extra) -> int:
-    """Write ``record`` with ``ok: false`` and an error holding ``extra``;
-    under --human, ``prefix`` and input, a caret, the expectation, ``note``."""
+def _rejected(args, start: str, raw: str, parse, prefix: str = "",
+              note: str | None = None, extra: str = "") -> int:
+    """End the record ``start`` opens with ``ok: false`` and an error ending
+    in members ``extra``; under --human, ``prefix`` and input, a caret, the
+    expectation, ``note``."""
     if args.human:
         print(f"{prefix}{raw}\n{' ' * (len(prefix) + parse.pos)}^\n"
               f"expected {parse.expected} at position {parse.pos}")
         if note is not None:
             print(note)
     else:
-        record["ok"] = False
-        record["error"] = dict(pos=parse.pos, expected=parse.expected, **extra)
-        _emit(record)
+        sys.stdout.write(f'{start}{_NOT_OK}, "error": {{"pos": {parse.pos}, "expected": '
+                         f"{encode_basestring(parse.expected)}{extra}}}}}\n")
     return 1
 
 
 def _json_value(value):
+    """``value`` with each tuple as a list, the form --human shows it in."""
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
     return value
@@ -178,14 +190,15 @@ def _each_input(command):
     the type to parse as, the record's first fields and the value handler."""
     def run(reg, args) -> int:
         type_name, head, handle = command(reg, args)
+        head = _members(**head)
         status = 0
         for raw in _gather_inputs(args):
-            record = {"input": raw, **head}
+            start = f'{{"input": {encode_basestring(raw)}{head}'
             result = reg.from_raw(type_name, raw)
             if isinstance(result, Err):
-                status |= _rejected(args, record, raw, result.error.parse)
+                status |= _rejected(args, start, raw, result.error.parse)
             else:
-                status |= handle(record, raw, result.value)
+                status |= handle(start, raw, result.value)
         return status
     return run
 
@@ -193,9 +206,9 @@ def _each_input(command):
 def _parse(reg, args):
     """validate and normalize, which differ only in the --human line for an
     accepted input: "ok" for one, the canonical form for the other."""
-    def handle(record: dict, raw: str, value) -> int:
+    def handle(start: str, raw: str, value) -> int:
         human = (lambda: "ok") if args.command == "validate" else value.cast
-        return _accepted(args, record, value, human)
+        return _accepted(args, start, value, human)
     return args.type_name, {"type": args.type_name}, handle
 
 
@@ -204,14 +217,15 @@ def _extract(reg, args):
     if field is not None and field not in fields:
         raise _ConfigError(f"type {args.type_name!r} has no field {field!r}")
 
-    def handle(record: dict, raw: str, value) -> int:
+    def handle(start: str, raw: str, value) -> int:
         if field is not None:
-            got = _json_value(getattr(value.structure, field))
-            return _accepted(args, record, value, lambda: got, value=got)
-        got = {name: _json_value(getattr(value.structure, name))
-               for name in fields}
-        return _accepted(args, record, value, lambda: ", ".join(
-            f"{k}={v!r}" for k, v in got.items()) or "(no fields)", fields=got)
+            got = getattr(value.structure, field)
+            return _accepted(args, start, value, lambda: _json_value(got),
+                             _members(value=got))
+        got = {name: getattr(value.structure, name) for name in fields}
+        return _accepted(args, start, value, lambda: ", ".join(
+            f"{k}={_json_value(v)!r}" for k, v in got.items()) or "(no fields)",
+            _members(fields=got))
     named = {} if field is None else {"field": field}
     return args.type_name, {"type": args.type_name, **named}, handle
 
@@ -223,17 +237,18 @@ def _narrow(reg, args):
     if not reg.is_descendant(target, source):
         raise _ConfigError(f"{target} is not a subtype of {source}")
 
-    def handle(record: dict, raw: str, value) -> int:
+    def handle(start: str, raw: str, value) -> int:
         before = field_checks()
         narrowed = value.narrow(target)
         checks = field_checks() - before
         if isinstance(narrowed, Err):
             failed = narrowed.error.field
-            return _rejected(args, record, raw, narrowed.error.parse,
-                             note=f"field {failed} failed", field=failed)
-        return _accepted(args, record, narrowed.value,
+            return _rejected(args, start, raw, narrowed.error.parse,
+                             note=f"field {failed} failed",
+                             extra=f', "field": {encode_basestring(failed)}')
+        return _accepted(args, start, narrowed.value,
                          lambda: f"{target}: ok ({checks} field checks)",
-                         checks=checks)
+                         f', "checks": {checks}')
     return source, {"from": source, "to": target}, handle
 
 
@@ -241,17 +256,17 @@ def _cmd_eq(reg, args) -> int:
     inputs = _gather_inputs(args)
     if len(inputs) != 2:
         raise _ConfigError(f"eq needs exactly two inputs, got {len(inputs)}")
-    record = {"input": inputs, "type": args.type_name, "mode": args.mode}
+    start = _encode({"input": inputs, "type": args.type_name, "mode": args.mode})[:-1]
     values = []
     for index, raw in enumerate(inputs):
         result = reg.from_raw(args.type_name, raw)
         if isinstance(result, Err):
-            return _rejected(args, record, raw, result.error.parse,
-                             prefix=f"input {index}: ", index=index)
+            return _rejected(args, start, raw, result.error.parse,
+                             prefix=f"input {index}: ", extra=f', "index": {index}')
         values.append(result.value)
     equal = _EQ_MODES[args.mode](*values)
-    return _accepted(args, record, None, lambda: f"{args.mode}: "
-                     f"{'equal' if equal else 'not equal'}", equal=equal)
+    return _accepted(args, start, None, lambda: f"{args.mode}: "
+                     f"{'equal' if equal else 'not equal'}", _members(equal=equal))
 
 
 def _cmd_list_types(reg, args) -> int:

@@ -24,6 +24,18 @@ def records(stdout):
     return [json.loads(line) for line in stdout.split("\n") if line]
 
 
+def cli_without_json_accelerator(monkeypatch):
+    """A fresh copy of ``strtype.cli`` loaded as if ``_json`` were missing:
+    ``json`` is imported afresh under it, with no C parts."""
+    monkeypatch.setitem(sys.modules, "_json", None)
+    for name in ("json", "json.decoder", "json.encoder", "json.scanner"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    spec = importlib.util.find_spec("strtype.cli")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestValidate:
     def test_accepting_record(self, capsys):
         code, out, err = run_cli(
@@ -613,21 +625,9 @@ class TestStreaming:
     RECORDS = ([{"input": "x", "value": value} for value in VALUES]
                + [{f"k{i}": value for i, value in enumerate(VALUES)}, {}])
 
-    @staticmethod
-    def cli_without_json_accelerator(monkeypatch):
-        """A fresh copy of ``strtype.cli`` loaded as if ``_json`` were missing:
-        ``json`` is imported afresh under it, with no C parts."""
-        monkeypatch.setitem(sys.modules, "_json", None)
-        for name in ("json", "json.decoder", "json.encoder", "json.scanner"):
-            monkeypatch.delitem(sys.modules, name, raising=False)
-        spec = importlib.util.find_spec("strtype.cli")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
     def test_emit_writes_what_json_dumps_gives(self, capsys, monkeypatch):
         from strtype import cli
-        for emit in (cli._emit, self.cli_without_json_accelerator(monkeypatch)._emit):
+        for emit in (cli._emit, cli_without_json_accelerator(monkeypatch)._emit):
             for record in self.RECORDS:
                 emit(record)
                 assert capsys.readouterr().out == json.dumps(record, ensure_ascii=False) + "\n"
@@ -637,16 +637,133 @@ class TestStreaming:
         for record in ({"x": {1}}, {"x": [object()]}, {"x": b"a"}):
             with pytest.raises(TypeError) as want:
                 json.dumps(record, ensure_ascii=False)
-            for emit in (cli._emit, self.cli_without_json_accelerator(monkeypatch)._emit):
+            for emit in (cli._emit, cli_without_json_accelerator(monkeypatch)._emit):
                 with pytest.raises(TypeError) as got:
                     emit(record)
                 assert str(got.value) == str(want.value)
 
     def test_without_json_accelerator_emit_uses_the_encoder(self, monkeypatch):
-        module = self.cli_without_json_accelerator(monkeypatch)
+        module = cli_without_json_accelerator(monkeypatch)
         encoder = module._encode.__self__
         assert module.json.encoder.c_make_encoder is None
         assert type(encoder) is module.json.JSONEncoder
         assert module._encode.__func__ is module.json.JSONEncoder.encode
         assert vars(encoder) == vars(module.json.JSONEncoder(ensure_ascii=False))
         assert not hasattr(module, "_chunks")
+        assert module.encode_basestring is module.json.encoder.py_encode_basestring
+
+    def test_strings_are_encoded_by_the_encoders_own_function(self):
+        from strtype import cli
+        assert cli.encode_basestring is json.encoder.c_encode_basestring
+
+
+_ODD = ['"', "\\", "\u2028", "\u2029", "\x01", "\x1f", "\x7f", "\u00e9", "\U0001f600"]
+_REG = strtype.build_registry()
+
+
+class TestRecordWriter:
+    """Every record is the line ``json.dumps(record, ensure_ascii=False)``
+    gives for the record built as a dict: ``input``, the command's head,
+    ``ok``, ``normalized``, the command's own members, and an ``error``
+    holding ``pos``, ``expected`` and the error's own members. Checked with
+    ``_json`` and with the module copy that loads without it."""
+
+    TEXTS = ["", "r", "x", *_ODD, *(f"{c}r{c}" for c in _ODD)]
+    PATHS = ["/home/user/notes.txt", "a\\b\\c.txt", "notes", "/", "", "a/",
+             *(f"/h{c}/x{c}.t" for c in _ODD), *_ODD]
+    UNITS = ["100000000000000000000px", "0.000015px", "auto", "12px", "1e20px", *_ODD]
+    EMAILS = ["a@gmail.com", "a@yahoo.com", "a@gmailx.com", 'a"b@c.d', "", *_ODD]
+    RUNS = [
+        (("validate", "--type", "InnerR"), TEXTS),
+        (("normalize", "--type", "CssUnit"), UNITS),
+        (("extract", "--type", "InnerR"), TEXTS),
+        (("extract", "--type", "FilePath"), PATHS),
+        (("extract", "--type", "CssUnit"), UNITS),
+        (("extract", "--type", "CssUnit", "--field", "value"), UNITS),
+        (("extract", "--type", "FilePath", "--field", "dirs"), PATHS),
+        (("narrow", "--from", "Email", "--to", "Gmail"), EMAILS),
+        (("narrow", "--from", "FilePath", "--to", "WindowsPath"), PATHS),
+        (("narrow", "--from", "FilePath", "--to", "HomeDotFile"),
+         ["/home/.x", "/home/x", "/etc/.x", *PATHS]),
+    ]
+    PAIRS = [("1px", "1.0px"), ("1px", "1px"), ("1px", "2px"), ("auto", "auto"),
+             ('"', "1px"), ("1px", "\u2028"), ("", "")]
+
+    @pytest.fixture(params=["_json", "no _json"])
+    def cli_main(self, request, monkeypatch):
+        if request.param == "_json":
+            return main
+        return cli_without_json_accelerator(monkeypatch).main
+
+    @staticmethod
+    def line(record):
+        return json.dumps(record, ensure_ascii=False) + "\n"
+
+    def expected(self, argv, raw):
+        command, options = argv[0], dict(zip(argv[1::2], argv[2::2]))
+        if command == "narrow":
+            type_name, head = options["--from"], {"from": options["--from"],
+                                                  "to": options["--to"]}
+        else:
+            type_name, head = options["--type"], {"type": options["--type"]}
+            if "--field" in options:
+                head["field"] = options["--field"]
+        record = {"input": raw, **head}
+        result = _REG.from_raw(type_name, raw)
+        error = {}
+        if command == "narrow" and isinstance(result, strtype.Ok):
+            before = strtype.field_checks()
+            result = result.value.narrow(options["--to"])
+            checks = strtype.field_checks() - before
+            error = {} if isinstance(result, strtype.Ok) else {"field": result.error.field}
+        if isinstance(result, strtype.Err):
+            parse = result.error.parse
+            record.update(ok=False, error={"pos": parse.pos, "expected": parse.expected,
+                                           **error})
+            return self.line(record)
+        value = result.value
+        record.update(ok=True, normalized=value.cast())
+        if command == "narrow":
+            record["checks"] = checks
+        elif command == "extract" and "--field" in options:
+            record["value"] = getattr(value.structure, options["--field"])
+        elif command == "extract":
+            record["fields"] = {name: getattr(value.structure, name)
+                                for name in _REG.get(type_name).fields}
+        return self.line(record)
+
+    @pytest.mark.parametrize("argv, inputs", RUNS, ids=[" ".join(a) for a, _ in RUNS])
+    def test_per_input_commands(self, capsys, cli_main, argv, inputs):
+        code = cli_main([*argv, *inputs])
+        out = capsys.readouterr().out
+        want = [self.expected(argv, raw) for raw in inputs]
+        assert out == "".join(want)
+        assert code == 1
+        assert any('"ok": true' in line for line in want)
+
+    @pytest.mark.parametrize("mode", ["raw", "weak", "strict"])
+    def test_eq(self, capsys, cli_main, mode):
+        for pair in self.PAIRS:
+            code = cli_main(["eq", "--type", "CssUnit", "--mode", mode, *pair])
+            record = {"input": list(pair), "type": "CssUnit", "mode": mode}
+            values = [_REG.from_raw("CssUnit", raw) for raw in pair]
+            bad = [i for i, result in enumerate(values) if isinstance(result, strtype.Err)]
+            if bad:
+                parse = values[bad[0]].error.parse
+                record.update(ok=False, error={"pos": parse.pos, "expected": parse.expected,
+                                               "index": bad[0]})
+            else:
+                equal = getattr(strtype.ParsedString, f"{mode}_eq")(*(v.value for v in values))
+                record.update(ok=True, equal=equal)
+            assert (code, capsys.readouterr().out) == (int(bool(bad)), self.line(record))
+
+    def test_list_types(self, capsys, cli_main):
+        assert cli_main(["list-types"]) == 0
+        want = []
+        for name in _REG.names():
+            descriptor, parent = _REG.get(name), _REG.get(name).parent
+            own = descriptor.checks[len(_REG.get(parent).checks):] if parent else ()
+            want.append(self.line({"type": name, "parent": parent,
+                                   "overrides": [field for field, _ in own],
+                                   "fields": list(descriptor.fields)}))
+        assert capsys.readouterr().out == "".join(want)

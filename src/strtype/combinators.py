@@ -22,23 +22,21 @@ never terminate, so ``many`` raises :class:`NontermError` when it detects
 that at run time. ``some``, ``times`` and ``chain_left`` are built from
 ``seq`` and ``many``, so ``many`` detects it for them too.
 
-A token (``lit``, ``one_of``, ``pattern``) is a pattern, an optional
-``conv`` of the consumed text, and its label. The pattern is its ``tree``,
-a ``TokenPattern``: a ``lit`` is the pattern of its escaped characters, a
-``one_of`` the class of them. Its parse function takes the pattern's
-longest match, so a token fails only at its start, with its label.
-``map`` and ``desc`` over a token pass the pattern on, and
-``fallback("")`` over one with no ``conv`` makes it optional (a pattern
-that matches "" is kept as it is); these are tokens too. ``satisfy`` is a
-plain parser, with no tree. An ``alt`` of tokens keeps their patterns,
-``trees``: ``check_to_end``, a field check, runs only patterns on either.
+A token (``lit``, ``one_of``, ``pattern``) is its choices, ``trees``, a
+tuple of ``TokenPattern``s, an optional ``conv`` of the consumed text, and
+its label. One rule holds: inside a pattern the longest match wins, and
+across a token's choices, as across ``alt``, the first choice that
+matches. So a token fails only at its start, with its label. A ``lit`` is
+the pattern of its escaped characters, a ``one_of`` the class of them;
+``map``, ``desc``, an ``alt`` of tokens with no ``conv`` (their choices in
+order) and ``fallback("")`` (one more, empty, choice) over tokens are
+tokens too; ``satisfy`` is not. ``check_to_end`` runs only their patterns.
 
-When every part of a ``record`` has a tree and no pattern among them walks
-the DFA, the record parses with one ``re`` match
+When every part of a ``record`` is a token and no pattern among them
+walks the DFA, the record parses with one ``re`` match
 (``patterns.sequence_match``), compiled at its first parse; any other
 record runs its parts' parse functions in turn. Both give the same
-outcome, since a token takes its longest match and fails only at its
-start, with its label.
+outcome, since a token fails only at its start, with its label.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable, Generic, TypeVar
 
-from .patterns import PatternError, Record, TokenPattern, _nullable, sequence_match
+from .patterns import PatternError, Record, TokenPattern, sequence_match
 
 __all__ = [
     "Success", "Failure", "Parser", "NontermError", "PatternError",
@@ -88,27 +86,27 @@ class Parser(Generic[A]):
 
     ``parts`` maps field names to the parsers that consume them: a
     ``record``'s named parts, merged by ``alt``; empty for other parsers.
-    A token also has its pattern, ``tree``, and ``conv``, an ``alt`` of
-    tokens their patterns, ``trees`` (see the module docstring); any other
+    A token also has its choices, ``trees``, tried in order, each taking
+    its longest match, and ``conv`` (see the module docstring); any other
     parser has them None.
     """
 
-    __slots__ = ("fn", "label", "parts", "conv", "tree", "trees")
+    __slots__ = ("fn", "label", "parts", "conv", "trees")
 
     def __init__(self, fn: Callable[[str, int], Success | Failure], label: str | None = None):
         self.fn = fn
         self.label = label
         self.parts = {}
-        self.conv = self.tree = self.trees = None
+        self.conv = self.trees = None
 
     def run(self, text: str, pos: int = 0) -> Success | Failure:
         return self.fn(text, pos)
 
     def map(self, f: Callable[[A], B]) -> "Parser[B]":
         """Apply ``f`` to the parsed value; acceptance is unchanged."""
-        if self.tree is not None:
+        if self.trees is not None:
             conv = self.conv
-            return _token(self.tree, self.label,
+            return _token(self.trees, self.label,
                           f if conv is None else lambda text: f(conv(text)))
         def parse(text, pos):
             out = self.fn(text, pos)
@@ -133,8 +131,8 @@ class Parser(Generic[A]):
         """
         if not label:
             raise ValueError("desc label must be non-empty")
-        if self.tree is not None:
-            return _token(self.tree, label, self.conv)
+        if self.trees is not None:
+            return _token(self.trees, label, self.conv)
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -144,12 +142,9 @@ class Parser(Generic[A]):
 
     def fallback(self, default: B) -> "Parser[A | B]":
         """Yield ``default`` without consuming input when ``self`` fails."""
-        if self.tree is not None and self.conv is None and default == "":
-            # The default is the empty text at ``pos``. A pattern that
-            # matches it already cannot fail, and stays unambiguous.
-            if _nullable(self.tree._tree):
-                return self
-            return _token(TokenPattern(f"({self.tree.source})?"), self.label)
+        if self.trees is not None and self.conv is None and default == "":
+            # The default is the empty text at ``pos``: a last choice.
+            return _token((*self.trees, TokenPattern("")), self.label)
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -164,18 +159,20 @@ class Parser(Generic[A]):
         return f"Parser({self.label})" if self.label else f"Parser at {id(self):#x}"
 
 
-def _token(tree: TokenPattern, label: str, conv: Callable[[str], A] | None = None) -> Parser[A]:
-    """The token of pattern ``tree``, ``label`` and ``conv``."""
+def _token(trees: tuple, label: str, conv: Callable[[str], A] | None = None) -> Parser[A]:
+    """The token of ``label`` and ``conv`` whose choices, ``trees``, are
+    tried in order: the first that matches takes its longest match."""
     def parse(text, pos):
-        # Looked up at each call, so a wrapper set on the class sees it.
-        end = tree.match_end(text, pos)
-        if end is None:
-            return Failure(pos, label)
-        value = text[pos:end]
-        return Success(value if conv is None else conv(value), end)
+        for tree in trees:
+            # Looked up at each call, so a wrapper set on the class sees it.
+            end = tree.match_end(text, pos)
+            if end is not None:
+                value = text[pos:end]
+                return Success(value if conv is None else conv(value), end)
+        return Failure(pos, label)
     out = Parser(parse, label)
     out.conv = conv
-    out.tree = tree
+    out.trees = trees
     return out
 
 
@@ -203,12 +200,12 @@ def one_of(chars: str) -> Parser[str]:
     """Consume one character drawn from ``chars``."""
     if not chars:
         raise ValueError("one_of needs at least one character")
-    return _token(TokenPattern(f"[{_escaped(chars)}]"), f"one of {chars!r}")
+    return _token((TokenPattern(f"[{_escaped(chars)}]"),), f"one of {chars!r}")
 
 
 def lit(expected: str) -> Parser[str]:
     """Consume exactly the string ``expected``."""
-    return _token(TokenPattern(_escaped(expected)), f'"{expected}"')
+    return _token((TokenPattern(_escaped(expected)),), f'"{expected}"')
 
 
 def pattern(source: str) -> Parser[str]:
@@ -218,7 +215,7 @@ def pattern(source: str) -> Parser[str]:
     :mod:`strtype.patterns`); unsupported syntax raises
     :class:`PatternError` here, at construction time.
     """
-    return _token(TokenPattern(source), f"/{source}/")
+    return _token((TokenPattern(source),), f"/{source}/")
 
 
 def seq(*parsers: Parser) -> Parser[tuple]:
@@ -243,10 +240,14 @@ def alt(*parsers: Parser) -> Parser:
     reported; branches that tie have their expectations joined with "or".
     When every branch has parts, a field's part is the ``alt`` of the
     branches' parts for it, or the one branch's part if only one has it.
-    An ``alt`` of tokens keeps their patterns and, as label, its failure's.
+    An ``alt`` of tokens with no ``conv`` is the token of their choices in
+    order, each still taking its longest match, labelled as it fails.
     """
     if not parsers:
         raise ValueError("alt needs at least one parser")
+    if all(p.trees is not None and p.conv is None for p in parsers):
+        return _token(tuple(tree for p in parsers for tree in p.trees),
+                      reduce(lambda a, b: a if b == a else f"{a} or {b}", [p.label for p in parsers]))
     merged: dict[str, list[Parser]] = {}
     if all(p.parts for p in parsers):
         for p in parsers:
@@ -265,9 +266,6 @@ def alt(*parsers: Parser) -> Parser:
         return best
     out = Parser(parse)
     out.parts = {name: ps[0] if len(ps) == 1 else alt(*ps) for name, ps in merged.items()}
-    if all(p.tree is not None for p in parsers):
-        out.trees = tuple(p.tree for p in parsers)
-        out.label = reduce(lambda a, b: a if b == a else f"{a} or {b}", [p.label for p in parsers])
     return out
 
 
@@ -322,7 +320,7 @@ def record(cls: Callable[..., A], *parts) -> Parser[tuple[A, dict]]:
     ``spans`` maps each field to the half-open span its parser consumed:
     the pair a type's recognizer yields. A field named twice raises
     ``ValueError``. Fails as ``seq`` over the same parsers does. When
-    every part has a tree and no pattern among them walks the DFA, the
+    every part is a token and no pattern among them walks the DFA, the
     parse is one ``re`` match (see the module docstring). The returned
     parser's ``parts`` are the named pairs.
     """
@@ -332,12 +330,12 @@ def record(cls: Callable[..., A], *parts) -> Parser[tuple[A, dict]]:
     if twice is not None:
         raise ValueError(f"record field {twice!r} is named twice")
     steps = [(name, p.fn) for name, p in named]
-    trees = [p.tree for _, p in named]
+    trees = [p.trees for _, p in named]
     labels = [p.label for _, p in named]
     # Part i of the single match ends where group i + 1 is.
     groups = [(i, name, p.conv) for i, (name, p) in enumerate(named) if name is not None]
     # None until the first parse: then the single match, or False.
-    match = None if all(tree is not None for tree in trees) else False
+    match = None if all(choices is not None for choices in trees) else False
     def parse(text, pos):
         nonlocal match
         if match is None:
@@ -410,16 +408,12 @@ def run_to_end(p: Parser[A], text: str) -> Success | Failure:
 
 
 def check_to_end(p: Parser, text: str) -> Failure | None:
-    """``run_to_end``'s failure, or None; a token or an ``alt`` of them runs only patterns."""
-    if (tree := p.tree) is not None:
-        end = tree.match_end(text, 0)
-    elif p.trees is not None:
-        for tree in p.trees:
-            if (end := tree.match_end(text, 0)) is not None:
-                break
-    else:
+    """``run_to_end``'s failure, or None. A token runs only its patterns, in
+    order: the first that matches decides, with its longest match."""
+    if p.trees is None:
         out = run_to_end(p, text)
         return out if isinstance(out, Failure) else None
-    if end is None:
-        return Failure(0, p.label)
-    return None if end == len(text) else Failure(end, "end of input")
+    for tree in p.trees:
+        if (end := tree.match_end(text, 0)) is not None:
+            return None if end == len(text) else Failure(end, "end of input")
+    return Failure(0, p.label)

@@ -30,13 +30,12 @@ that loops on some classes skips the run of them with one ``re`` scan;
 ``re`` only scans a character set there, so the longest-match semantics
 are unchanged.
 
-Every token of :mod:`strtype.combinators` is a :class:`TokenPattern`: a
-``lit`` or a ``one_of`` is the pattern of its escaped characters. A
-sequence of tokens, as a ``record`` of them has, is matched by one regex
-too: :func:`sequence_match` takes each token's pattern, writes its tree as
-above and nests the tokens in optional groups, so that one ``re`` call
-finds how many of them match in a row and where each ends. It answers
-None when a pattern among them walks the DFA.
+A token of :mod:`strtype.combinators` is :class:`TokenPattern` choices,
+tried in order. A sequence of tokens, as a ``record`` of them has, is
+matched by one regex too: :func:`sequence_match` writes each choice's tree
+as above, a token as ``(?:A|B)``, and nests the tokens in optional groups,
+so that one ``re`` call finds how many of them match in a row and where
+each ends. It answers None when a pattern among them walks the DFA.
 
 This module also holds :class:`Record` and :class:`FrozenRecord`, the
 slotted base of every record in the package, and :class:`Structure`, the
@@ -692,26 +691,26 @@ class TokenPattern:
         return f"TokenPattern({self.source!r})"
 
 
-def sequence_match(patterns):
-    """One ``re`` match for tokens in sequence, each taking its longest match.
+def sequence_match(parts):
+    """One ``re`` match for tokens in sequence, ``parts`` their choices.
 
-    ``patterns`` holds each token's :class:`TokenPattern`. Returns the
-    ``match`` of a regex whose group ``i`` is empty, at the end of token
-    ``i - 1``: the tokens are nested in optional groups,
-    ``(?:T0()(?:T1())?)?``, so ``lastindex`` counts the tokens that
-    matched in a row and the match's end is where the next one failed,
-    or the end of the last. Every group after a token is optional, so the
-    first match never backtracks into a token, and a token's first match
-    is its longest (:meth:`TokenPattern.plain_tree`). A group that marks
-    an end, not one around the token, leaves the first token to match as
-    fast as alone: once a group has matched, ``re`` saves the groups at
-    each pass of a repeat that is more than one class. Returns None when
-    a pattern among them walks the DFA.
+    Returns the ``match`` of a regex whose group ``i`` is empty, at the
+    end of token ``i - 1``: the tokens, ``(?:A|B)`` for choices ``A`` and
+    ``B``, are nested in optional groups, ``(?:T0()(?:T1())?)?``, so
+    ``lastindex`` counts the tokens that matched in a row and the match's
+    end is where the next one failed, or the end of the last. Every group
+    after a token is optional, so the first match never backtracks into a
+    token: it takes the first choice that matches, and a choice's first
+    match is its longest (:meth:`TokenPattern.plain_tree`). A group that
+    marks an end, not one around the token, leaves the first token to
+    match as fast as alone: once a group has matched, ``re`` saves the
+    groups at each pass of a repeat that is more than one class. Returns
+    None when a pattern among them walks the DFA.
     """
     body = ""
-    for compiled in reversed(patterns):
-        tree = compiled.plain_tree()
-        if tree is None:
+    for choices in reversed(parts):
+        trees = [compiled.plain_tree() for compiled in choices]
+        if None in trees:
             return None
-        body = f"(?:{_regex_source(tree)}(){body})?"
+        body = f"(?:(?:{'|'.join(map(_regex_source, trees))})(){body})?"
     return re.compile(body, re.DOTALL).match

@@ -1080,7 +1080,7 @@ class TestSpansSatisfyFieldRecognizers:
 
 def _registry_without_scans():
     """The builtin registry built again with every part given to ``record``
-    stripped to its parse function and label, with no tree, so
+    stripped to its parse function and label, with no patterns, so
     that each record runs its parts' parse functions in turn."""
     import importlib.util
 
@@ -1129,11 +1129,19 @@ class TestRecordPartsScan:
         assert names == ["CssColour", "CssUnit", "Email", "Gmail", "InnerR",
                          "PxOrAuto", "Sanitised", "USPhone", "UserName"]
         for name in names:
-            assert all(p.tree is None for p in plain.get(name).recognizer.parts.values())
+            assert all(p.trees is None for p in plain.get(name).recognizer.parts.values())
         # A root that is one record: each of its fields is a single token.
         for name in ["Email", "InnerR", "Sanitised", "USPhone", "UserName"]:
             parts = _REGISTRY.get(name).recognizer.parts.values()
-            assert all(p.tree is not None for p in parts), name
+            assert all(p.trees is not None for p in parts), name
+        # Every root part is a token but CssUnit's value, the hand-written
+        # number parser, and CssColour's channels, each an alt of two tokens
+        # with different convs. CssUnit's unit, an alt of tokens, is one.
+        without = {(name, field) for name in names
+                   for field, p in _REGISTRY.get(name).recognizer.parts.items()
+                   if p.trees is None}
+        assert without == {("CssColour", "red"), ("CssColour", "green"),
+                           ("CssColour", "blue"), ("CssUnit", "value")}
 
     @pytest.mark.parametrize("type_name", _record_root_types())
     def test_scans_agree_with_parse_functions(self, reg, plain, type_name):

@@ -29,7 +29,7 @@ from strtype.combinators import (
     succeed,
     times,
 )
-from strtype.patterns import TokenPattern, _Cls, _Rep, _Seq, sequence_match
+from strtype.patterns import TokenPattern, _Cls, _Seq, sequence_match
 
 
 def outcomes(p, texts):
@@ -622,8 +622,15 @@ def random_texts(rng, count=12):
     return texts
 
 
+def first_end(token, text, pos):
+    """Where the first of ``token``'s choices that matches at ``pos`` ends,
+    or None: ordered choice across the choices, longest match in each."""
+    return next((end for tree in token.trees
+                 if (end := tree.match_end(text, pos)) is not None), None)
+
+
 class TestTokens:
-    """A token's parse function is derived from its pattern, ``conv`` and
+    """A token's parse function is derived from its choices, ``conv`` and
     label, and gives what the hand-written closures gave."""
 
     def test_tree_and_conv_agree_with_fn_and_the_closures(self):
@@ -631,14 +638,14 @@ class TestTokens:
         tokens = 0
         for _ in range(400):
             token, closure = random_token(rng)
-            tokens += token.tree is not None
+            tokens += token.trees is not None
             for text in random_texts(rng):
                 for pos in range(len(text) + 1):
                     out = token.fn(text, pos)
                     assert out == closure.fn(text, pos), (token, text, pos)
-                    if token.tree is None:
+                    if token.trees is None:
                         continue
-                    end = token.tree.match_end(text, pos)
+                    end = first_end(token, text, pos)
                     if end is None:
                         assert out == Failure(pos, token.label), (token, text, pos)
                     else:
@@ -649,39 +656,51 @@ class TestTokens:
         assert tokens > 200
 
     def test_constructors_map_and_desc_give_tokens(self):
-        for token in (lit("ab"), one_of("ab"), pattern("[a-z]+")):
-            assert isinstance(token.tree, TokenPattern) and token.conv is None
-            assert token.desc("x").tree is token.tree
-            assert token.map(len).tree is token.tree
+        for token in (lit("ab"), one_of("ab"), pattern("[a-z]+"), lit("a") | one_of("bc")):
+            assert all(isinstance(tree, TokenPattern) for tree in token.trees)
+            assert token.conv is None
+            assert token.desc("x").trees is token.trees
+            assert token.map(len).trees is token.trees
             assert token.map(len).conv is len
             assert token.map(len).desc("x").label == "x"
+        for token in (lit("ab"), one_of("ab"), pattern("[a-z]+")):
+            assert len(token.trees) == 1
 
     def test_only_an_empty_default_over_bare_text_keeps_a_tree(self):
-        assert one_of("ab").fallback("").tree is not None
-        assert one_of("ab").fallback(None).tree is None
-        assert one_of("ab").map(len).fallback("").tree is None
+        assert one_of("ab").fallback("").trees is not None
+        assert (lit("a") | lit("b")).fallback("").trees is not None
+        assert one_of("ab").fallback(None).trees is None
+        assert one_of("ab").map(len).fallback("").trees is None
         assert pattern("a*").fallback("").run("b", 0) == Success("", 0)
 
     def test_other_parsers_have_no_tree(self):
         digit = one_of("12")
-        for p in (seq(digit), alt(digit, digit), many(digit), succeed(1),
+        for p in (seq(digit), many(digit), succeed(1),
                   record(Pair, ("left", digit), ("right", digit)),
                   seq(digit).map(len), seq(digit).desc("x"),
-                  satisfy(str.isdigit, "a digit")):
-            assert p.tree is None and p.conv is None
+                  satisfy(str.isdigit, "a digit"), alt(digit, satisfy(str.isdigit, "a digit")),
+                  alt(digit.map(int), digit.map(int)), alt(digit, digit.map(int))):
+            assert p.trees is None and p.conv is None
+        # An alt of tokens with no conv is a token: their choices in order.
+        both = alt(digit, digit)
+        assert both.trees == digit.trees * 2 and both.conv is None and both.label == digit.label
 
     def test_an_empty_default_keeps_a_token_that_matches_empty(self, monkeypatch):
         """A token whose pattern matches "" cannot fail, so ``fallback("")``
-        returns it unchanged, and a record over it still compiles its
-        single match."""
+        parses as it does: its appended empty choice is never reached, and
+        a record over it still compiles its single match."""
         compiled = []
         def counted(trees):
             compiled.append(sequence_match(trees))
             return compiled[-1]
         monkeypatch.setattr(strtype.combinators, "sequence_match", counted)
-        for token in (pattern("a*"), pattern("a|b?"), lit(""), one_of("ab").fallback("")):
+        for token in (pattern("a*"), pattern("a|b?"), lit(""), one_of("ab").fallback(""),
+                      pattern("a*") | lit("b")):
             optional = token.fallback("")
-            assert optional is token and optional.tree.plain_tree() is not None
+            assert optional.trees[:-1] == token.trees and optional.trees[-1].source == ""
+            assert all(tree.plain_tree() is not None for tree in optional.trees)
+            for text in ("", "a", "ab", "b", "c"):
+                assert optional.run(text, 0) == token.run(text, 0), (token, text)
             assert record(dict, ("f", optional)).run("", 0).end == 0
             assert compiled.pop() is not None, token
 
@@ -693,7 +712,7 @@ class TestTokens:
             token = lit(t)
             for pos in range(len(sample) + 1):
                 want = pos + len(t) if sample.startswith(t, pos) else None
-                assert token.tree.match_end(sample, pos) == want, (t, pos)
+                assert token.trees[0].match_end(sample, pos) == want, (t, pos)
         for c in chars:
             token = one_of(c + "q")
             assert token.run(c) == Success(c, 1), c
@@ -708,22 +727,29 @@ class TestTokens:
         assert p.run("12;", 0) == Failure(2, '","')
 
     def test_tokens_keep_their_trees(self):
-        assert lit("aé").tree.source == "a\\é"
-        assert lit("aé").tree._tree == _Seq((_Cls(((97, 97),)), _Cls(((233, 233),))))
-        assert lit("").tree._tree == _Seq(())
-        assert one_of("cbaé").tree.source == "[cba\\é]"
-        assert one_of("cbaé").tree._tree == _Cls(((97, 99), (233, 233)))
+        (tree,) = lit("aé").trees
+        assert tree.source == "a\\é"
+        assert tree._tree == _Seq((_Cls(((97, 97),)), _Cls(((233, 233),))))
+        assert lit("").trees[0]._tree == _Seq(())
+        (tree,) = one_of("cbaé").trees
+        assert tree.source == "[cba\\é]"
+        assert tree._tree == _Cls(((97, 99), (233, 233)))
         word = pattern("[a-z]+")
-        assert isinstance(word.tree, TokenPattern) and word.tree.source == "[a-z]+"
-        assert word.map(len).desc("x").tree is word.tree
-        assert word.fallback("").tree.source == "([a-z]+)?"
-        assert word.fallback("").tree._tree == _Rep(word.tree._tree, 0, 1)
-        assert word.fallback(None).tree is None
-        assert satisfy(str.isdigit, "a digit").tree is None
-        assert satisfy(str.isdigit, "a digit").fallback("").tree is None
-        for p in (seq(word), alt(word, word), many(word), succeed(1),
+        (tree,) = word.trees
+        assert isinstance(tree, TokenPattern) and tree.source == "[a-z]+"
+        assert word.map(len).desc("x").trees is word.trees
+        # The empty default is one more choice, the last.
+        assert [t.source for t in word.fallback("").trees] == ["[a-z]+", ""]
+        assert word.fallback("").trees[0] is tree
+        assert word.fallback("").trees[1]._tree == _Seq(())
+        assert word.fallback(None).trees is None
+        assert satisfy(str.isdigit, "a digit").trees is None
+        assert satisfy(str.isdigit, "a digit").fallback("").trees is None
+        assert alt(word, word).trees == (tree, tree)
+        assert [t.source for t in alt(word, lit("-") | word).trees] == ["[a-z]+", "\\-", "[a-z]+"]
+        for p in (seq(word), many(word), succeed(1),
                   record(Pair, ("left", word), ("right", word)), seq(word).desc("x")):
-            assert p.tree is None
+            assert p.trees is None
 
 
 # Patterns that walk the DFA, so a record holding one runs the step loop.
@@ -735,7 +761,8 @@ def run_to_end_failure(p, text):
 
 class TestCheckToEnd:
     """``check_to_end`` gives ``run_to_end``'s failure, or None where it
-    succeeds, on tokens, alts of them and any other parser."""
+    succeeds, on tokens, alts of them (tokens too, when no branch has a
+    ``conv``) and any other parser."""
 
     CASES = [alt(lit("p"), lit("px")), alt(pattern("a*"), lit("b")),
              alt(lit("b"), pattern("a*")), alt(alt(lit("a"), lit("b")), lit("p")),
@@ -747,15 +774,19 @@ class TestCheckToEnd:
         parsers = list(self.CASES)
         for _ in range(400):
             parsers.append(random_token(rng)[0])
-            parsers.append(alt(*(random_token(rng)[0] for _ in range(rng.randint(1, 3)))))
+            branches = [random_token(rng)[0] for _ in range(rng.randint(1, 3))]
+            parsers.append(alt(*branches))
+            # The same with no conv, and a literal: mostly a token.
+            parsers.append(alt(*(b for b in branches if b.conv is None), lit("p")))
         texts = ["", "p", "px", "pxa", "a", "aab", "b", "ba", "auto", "x"]
         for p in parsers:
             for text in texts + random_texts(rng):
                 assert check_to_end(p, text) == run_to_end_failure(p, text), (p, text)
-        # Plenty of tokens and of alts of them take the patterns-only path.
-        assert sum(p.tree is not None for p in parsers) > 200
-        assert sum(p.trees is not None for p in parsers) > 120
-        assert sum(p.tree is None and p.trees is None for p in parsers) > 200
+        # Plenty of tokens, of one choice and of several, take the
+        # patterns-only path, and plenty of other parsers run_to_end's.
+        assert sum(p.trees is not None and len(p.trees) == 1 for p in parsers) > 200
+        assert sum(p.trees is not None and len(p.trees) > 1 for p in parsers) > 120
+        assert sum(p.trees is None for p in parsers) > 200
 
     def test_joins_labels_as_alt_does(self):
         assert check_to_end(alt(lit("p"), lit("px")), "px") == Failure(1, "end of input")
@@ -798,20 +829,41 @@ class TestCheckToEnd:
 RECORD_ALPHABET = "ab\n\u00e91 0f"
 
 
+# Alts of tokens whose ordered choice differs from a longest match over
+# their union: a prefix of a later choice, a nullable first choice, and a
+# choice on the DFA.
+RECORD_ALTS = [lambda: lit("p") | lit("px"), lambda: pattern("a*") | lit("b"),
+               lambda: lit("a") | pattern("(a*)*b")]
+
+
+def random_alt(rng):
+    """An ``alt`` of 1-3 random tokens with no ``conv``, so that it is
+    mostly a token too, or one of ``RECORD_ALTS``."""
+    branches = [token for _ in range(rng.randint(1, 3))
+                if (token := random_token(rng, sources=TOKEN_SOURCES + DFA_SOURCES)[0]).conv is None]
+    if not branches or rng.random() < 0.2:
+        return rng.choice(RECORD_ALTS)()
+    return alt(*branches)
+
+
 def random_record_parts(rng):
-    """1-4 parts for ``record``, named or not, each a token stack. A part
-    with no tree, or with a pattern that walks the DFA, is mostly redrawn,
-    so that most records take the single match."""
+    """1-4 parts for ``record``, named or not, each a token stack or an
+    ``alt`` of them, and how many are alts. A part that is not a token, or
+    has a pattern that walks the DFA, is mostly redrawn, so that most
+    records take the single match."""
     parts = []
+    alts = 0
     for i in range(rng.randint(1, 4)):
+        is_alt = rng.random() < 0.3
         for _ in range(4):
-            token, _ = random_token(rng, sources=TOKEN_SOURCES + DFA_SOURCES)
-            if token.tree is not None and sequence_match([token.tree]) is not None:
+            token = random_alt(rng) if is_alt else random_token(rng, sources=TOKEN_SOURCES + DFA_SOURCES)[0]
+            if token.trees is not None and sequence_match([token.trees]) is not None:
                 break
             if rng.random() < 0.2:
                 break
+        alts += is_alt
         parts.append(token if rng.random() < 0.3 else (f"f{i}", token))
-    return parts
+    return parts, alts
 
 
 def strip(part):
@@ -824,9 +876,10 @@ def strip(part):
 
 
 class TestSingleMatch:
-    """A record whose parts all have trees, none of them a pattern that
+    """A record whose parts are all tokens, none of them with a pattern that
     walks the DFA, parses with one ``re`` match. It gives what the step loop
-    gives over the same parts stripped to their parse functions."""
+    gives over the same parts stripped to their parse functions: ordered
+    choice across a token's choices, longest match inside each."""
 
     def test_agrees_with_the_step_loop(self, monkeypatch):
         compiled = []
@@ -839,18 +892,22 @@ class TestSingleMatch:
         monkeypatch.setattr(strtype.combinators, "sequence_match", counted)
         rng = random.Random(19)
         records = 1000
+        with_alts = 0
         for _ in range(records):
-            parts = random_record_parts(rng)
+            parts, alts = random_record_parts(rng)
             single, stepped = record(dict, *parts), record(dict, *map(strip, parts))
-            texts = ["", "\n", "\u00e9", *("".join(rng.choice(RECORD_ALPHABET)
-                                             for _ in range(rng.randrange(1, 9)))
-                                         for _ in range(8))]
+            texts = ["", "\n", "\u00e9", "px", "pxb", "aab",
+                     *("".join(rng.choice(RECORD_ALPHABET) for _ in range(rng.randrange(1, 9)))
+                       for _ in range(8))]
+            before = len(compiled)
             for text in texts:
                 for pos in range(len(text) + 1):
                     assert single.fn(text, pos) == stepped.fn(text, pos), (parts, text, pos)
-        # Each record compiles at its first parse, if all its parts have trees.
+            with_alts += alts > 0 and len(compiled) > before and compiled[-1]
+        # Each record compiles at its first parse, if all its parts are tokens.
         assert sum(compiled) > records // 2, (sum(compiled), len(compiled))
         assert not all(compiled)
+        assert with_alts > 100, with_alts
 
     def test_reports_where_and_what_the_step_loop_reports(self):
         p = record(dict, ("w", pattern("[a-z]+").map(len)), lit("@"),
@@ -865,11 +922,13 @@ class TestSingleMatch:
     def test_a_record_compiles_only_its_single_match(self):
         word = pattern("[a-z]+")
         assert record(dict, ("w", word)).run("ab", 0) == Success(({"w": "ab"}, {"w": (0, 2)}), 2)
-        assert word.tree._match is None
+        assert word.trees[0]._match is None
 
     def test_a_pattern_on_the_dfa_gives_no_single_match(self):
         dfa = TokenPattern("(a*)*b")
-        assert sequence_match([TokenPattern(""), dfa]) is None
-        assert sequence_match([TokenPattern("((a*)*b)?")]) is None
-        assert sequence_match([TokenPattern("(a+)?")]) is not None
+        assert sequence_match([(TokenPattern(""),), (dfa,)]) is None
+        assert sequence_match([(TokenPattern("((a*)*b)?"),)]) is None
+        assert sequence_match([(TokenPattern("a"), dfa)]) is None
+        assert sequence_match([(TokenPattern("(a+)?"),)]) is not None
+        assert sequence_match([(TokenPattern("a"), TokenPattern("(a+)?"))]) is not None
 

@@ -37,7 +37,7 @@ from .combinators import (
     seq,
 )
 from .core import StringType, TypeRegistry, opaque_type, subtype
-from .patterns import FrozenRecord, Structure, TokenPattern, _set
+from .patterns import FrozenRecord, Structure, TokenPattern, _setters
 
 __all__ = [
     "CssColour", "CssUnit", "Email", "FilePath", "USPhone", "EqualAandB",
@@ -52,10 +52,12 @@ class CssColour(Structure):
     __slots__ = ("red", "green", "blue")
 
     def __init__(self, red: int, green: int, blue: int):
-        _set(self, "red", red)
-        _set(self, "green", green)
-        _set(self, "blue", blue)
+        _set_red(self, red)
+        _set_green(self, green)
+        _set_blue(self, blue)
 
+
+_set_red, _set_green, _set_blue = _setters(CssColour)
 
 _HEX_PAIR = pattern("[0-9a-fA-F]{2}").map(lambda t: int(t, 16)).desc("a hex digit")
 _HEX_SHORT = pattern("[0-9a-fA-F]").map(lambda c: int(c + c, 16)).desc("a hex digit")
@@ -77,8 +79,11 @@ class CssUnit(Structure):
     __slots__ = ("value", "unit")
 
     def __init__(self, value: float | None, unit: str):
-        _set(self, "value", value)
-        _set(self, "unit", unit)
+        _set_value(self, value)
+        _set_unit(self, unit)
+
+
+_set_value, _set_unit = _setters(CssUnit)
 
 
 def _format_number(v: float) -> str:
@@ -127,10 +132,12 @@ class Email(Structure):
     __slots__ = ("name", "domain_left", "domain_right")
 
     def __init__(self, name: str, domain_left: str, domain_right: str):
-        _set(self, "name", name)
-        _set(self, "domain_left", domain_left)
-        _set(self, "domain_right", domain_right)
+        _set_name(self, name)
+        _set_domain_left(self, domain_left)
+        _set_domain_right(self, domain_right)
 
+
+_set_name, _set_domain_left, _set_domain_right = _setters(Email)
 
 _EMAIL_NAME = pattern("[0-9a-zA-Z]+").desc("an email name")
 _DOMAIN = pattern("[0-9a-zA-Z-]+").desc("a domain name")
@@ -150,12 +157,14 @@ class FilePath(Structure):
 
     def __init__(self, absolute: bool, dirs: tuple[str, ...], file_name: str,
                  ext: str | None, separator: str):
-        _set(self, "absolute", absolute)
-        _set(self, "dirs", dirs)
-        _set(self, "file_name", file_name)
-        _set(self, "ext", ext)
-        _set(self, "separator", separator)
+        _set_absolute(self, absolute)
+        _set_dirs(self, dirs)
+        _set_file_name(self, file_name)
+        _set_ext(self, ext)
+        _set_separator(self, separator)
 
+
+_set_absolute, _set_dirs, _set_file_name, _set_ext, _set_separator = _setters(FilePath)
 
 _SEGMENT = pattern(r"[^/\\]+").desc("a path segment")
 _SEPARATOR = one_of("/\\")
@@ -228,10 +237,12 @@ class USPhone(Structure):
     __slots__ = ("area", "office", "uniq")
 
     def __init__(self, area: int, office: int, uniq: int):
-        _set(self, "area", area)
-        _set(self, "office", office)
-        _set(self, "uniq", uniq)
+        _set_area(self, area)
+        _set_office(self, office)
+        _set_uniq(self, uniq)
 
+
+_set_area, _set_office, _set_uniq = _setters(USPhone)
 
 _PHONE_SEP = one_of(" ./-").fallback("")
 _AREA = pattern("[2-9][0-9]{2}").map(int).desc("a valid area code")
@@ -252,8 +263,10 @@ class EqualAandB(Structure):
     __slots__ = ("count",)
 
     def __init__(self, count: int):
-        _set(self, "count", count)
+        _set_count(self, count)
 
+
+[_set_count] = _setters(EqualAandB)
 
 # How many b's to read depends on how many a's came before, which a single
 # pattern cannot express. The count comes from two run scans, the run of
@@ -289,9 +302,11 @@ class InnerR(Structure):
     __slots__ = ("left", "right")
 
     def __init__(self, left: str, right: str):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
 
+
+_set_left, _set_right = _setters(InnerR)
 
 # The first "r" is the pivot: everything before it is r-free, everything
 # after it is kept verbatim.

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from .builtins import build_registry
@@ -148,29 +149,34 @@ def _members(**members) -> str:
 _OK, _NOT_OK = _members(ok=True), _members(ok=False)
 
 
-def _accepted(args, start: str, parsed, human, extra: str = "") -> int:
+def _accepted(start: str | None, parsed, result, human, members=None) -> int:
     """End the record ``start`` opens with ``ok``, ``parsed``'s canonical form
-    (if given) and members ``extra``; under --human, print ``human()``."""
-    if args.human:
-        print(human())
+    (if given) and ``members(result)``, if given; with no ``start`` (under
+    --human), print ``human(result)``."""
+    if start is None:
+        print(human(result))
     else:
         normalized = ("" if parsed is None else
                       f', "normalized": {encode_basestring(parsed.cast())}')
+        extra = "" if members is None else members(result)
         sys.stdout.write(f"{start}{_OK}{normalized}{extra}}}\n")
     return 0
 
 
-def _rejected(args, start: str, raw: str, parse, prefix: str = "",
-              note: str | None = None, extra: str = "") -> int:
+def _rejected(start: str | None, raw: str, parse, prefix: str = "",
+              field: str | None = None, extra: str = "") -> int:
     """End the record ``start`` opens with ``ok: false`` and an error ending
-    in members ``extra``; under --human, ``prefix`` and input, a caret, the
-    expectation, ``note``."""
-    if args.human:
+    in the failed ``field`` (if given) and members ``extra``; with no
+    ``start`` (under --human), print ``prefix`` and input, a caret, the
+    expectation and the failed field."""
+    if start is None:
         print(f"{prefix}{raw}\n{' ' * (len(prefix) + parse.pos)}^\n"
               f"expected {parse.expected} at position {parse.pos}")
-        if note is not None:
-            print(note)
+        if field is not None:
+            print(f"field {field} failed")
     else:
+        if field is not None:
+            extra = f', "field": {encode_basestring(field)}{extra}'
         sys.stdout.write(f'{start}{_NOT_OK}, "error": {{"pos": {parse.pos}, "expected": '
                          f"{encode_basestring(parse.expected)}{extra}}}}}\n")
     return 1
@@ -187,16 +193,18 @@ def _json_value(value):
 
 def _each_input(command):
     """The driver. ``command(reg, args)`` checks the configuration and gives
-    the type to parse as, the record's first fields and the value handler."""
+    the type to parse as, the record's first fields and the value handler,
+    which gets the record's opening, or None under --human, where nothing
+    of a record is built."""
     def run(reg, args) -> int:
         type_name, head, handle = command(reg, args)
-        head = _members(**head)
+        head = None if args.human else _members(**head)
         status = 0
         for raw in _gather_inputs(args):
-            start = f'{{"input": {encode_basestring(raw)}{head}'
+            start = None if head is None else f'{{"input": {encode_basestring(raw)}{head}'
             result = reg.from_raw(type_name, raw)
             if isinstance(result, Err):
-                status |= _rejected(args, start, raw, result.error.parse)
+                status |= _rejected(start, raw, result.error.parse)
             else:
                 status |= handle(start, raw, result.value)
         return status
@@ -206,9 +214,11 @@ def _each_input(command):
 def _parse(reg, args):
     """validate and normalize, which differ only in the --human line for an
     accepted input: "ok" for one, the canonical form for the other."""
-    def handle(start: str, raw: str, value) -> int:
-        human = (lambda: "ok") if args.command == "validate" else value.cast
-        return _accepted(args, start, value, human)
+    human = (lambda value: "ok") if args.command == "validate" else (
+        lambda value: value.cast())
+
+    def handle(start: str | None, raw: str, value) -> int:
+        return _accepted(start, value, value, human)
     return args.type_name, {"type": args.type_name}, handle
 
 
@@ -216,16 +226,21 @@ def _extract(reg, args):
     field, fields = args.field, reg.get(args.type_name).fields
     if field is not None and field not in fields:
         raise _ConfigError(f"type {args.type_name!r} has no field {field!r}")
+    if field is not None:
+        pick, human, key = attrgetter(field), _json_value, "value"
+    else:
+        def pick(structure):
+            return {name: getattr(structure, name) for name in fields}
 
-    def handle(start: str, raw: str, value) -> int:
-        if field is not None:
-            got = getattr(value.structure, field)
-            return _accepted(args, start, value, lambda: _json_value(got),
-                             _members(value=got))
-        got = {name: getattr(value.structure, name) for name in fields}
-        return _accepted(args, start, value, lambda: ", ".join(
-            f"{k}={_json_value(v)!r}" for k, v in got.items()) or "(no fields)",
-            _members(fields=got))
+        def human(got):
+            return ", ".join(f"{k}={_json_value(v)!r}" for k, v in got.items()) or "(no fields)"
+        key = "fields"
+
+    def members(got):
+        return _members(**{key: got})
+
+    def handle(start: str | None, raw: str, value) -> int:
+        return _accepted(start, value, pick(value.structure), human, members)
     named = {} if field is None else {"field": field}
     return args.type_name, {"type": args.type_name, **named}, handle
 
@@ -237,18 +252,19 @@ def _narrow(reg, args):
     if not reg.is_descendant(target, source):
         raise _ConfigError(f"{target} is not a subtype of {source}")
 
-    def handle(start: str, raw: str, value) -> int:
+    def human(checks):
+        return f"{target}: ok ({checks} field checks)"
+
+    def members(checks):
+        return f', "checks": {checks}'
+
+    def handle(start: str | None, raw: str, value) -> int:
         before = field_checks()
         narrowed = value.narrow(target)
         checks = field_checks() - before
         if isinstance(narrowed, Err):
-            failed = narrowed.error.field
-            return _rejected(args, start, raw, narrowed.error.parse,
-                             note=f"field {failed} failed",
-                             extra=f', "field": {encode_basestring(failed)}')
-        return _accepted(args, start, narrowed.value,
-                         lambda: f"{target}: ok ({checks} field checks)",
-                         f', "checks": {checks}')
+            return _rejected(start, raw, narrowed.error.parse, field=narrowed.error.field)
+        return _accepted(start, narrowed.value, checks, human, members)
     return source, {"from": source, "to": target}, handle
 
 
@@ -256,17 +272,18 @@ def _cmd_eq(reg, args) -> int:
     inputs = _gather_inputs(args)
     if len(inputs) != 2:
         raise _ConfigError(f"eq needs exactly two inputs, got {len(inputs)}")
-    start = _encode({"input": inputs, "type": args.type_name, "mode": args.mode})[:-1]
+    start = None if args.human else _encode(
+        {"input": inputs, "type": args.type_name, "mode": args.mode})[:-1]
     values = []
     for index, raw in enumerate(inputs):
         result = reg.from_raw(args.type_name, raw)
         if isinstance(result, Err):
-            return _rejected(args, start, raw, result.error.parse,
+            return _rejected(start, raw, result.error.parse,
                              prefix=f"input {index}: ", extra=f', "index": {index}')
         values.append(result.value)
-    equal = _EQ_MODES[args.mode](*values)
-    return _accepted(args, start, None, lambda: f"{args.mode}: "
-                     f"{'equal' if equal else 'not equal'}", _members(equal=equal))
+    return _accepted(start, None, _EQ_MODES[args.mode](*values),
+                     lambda equal: f"{args.mode}: {'equal' if equal else 'not equal'}",
+                     lambda equal: _members(equal=equal))
 
 
 def _cmd_list_types(reg, args) -> int:

@@ -36,7 +36,9 @@ When every part of a ``record`` is a token and no pattern among them
 walks the DFA, the record parses with one ``re`` match
 (``patterns.sequence_match``), compiled at its first parse; any other
 record runs its parts' parse functions in turn. Both give the same
-outcome, since a token fails only at its start, with its label.
+outcome, since a token fails only at its start, with its label. Its
+whole-string entry, ``whole``, reads the pair off that match and checks
+the end itself, with no ``Success`` built.
 """
 
 from __future__ import annotations
@@ -87,17 +89,18 @@ class Parser(Generic[A]):
     ``parts`` maps field names to the parsers that consume them: a
     ``record``'s named parts, merged by ``alt``; empty for other parsers.
     A token also has its choices, ``trees``, tried in order, each taking
-    its longest match, and ``conv`` (see the module docstring); any other
-    parser has them None.
+    its longest match, and ``conv`` (see the module docstring), and a
+    ``record`` its whole-string entry ``whole``; any other parser has them
+    None.
     """
 
-    __slots__ = ("fn", "label", "parts", "conv", "trees")
+    __slots__ = ("fn", "label", "parts", "conv", "trees", "whole")
 
     def __init__(self, fn: Callable[[str, int], Success | Failure], label: str | None = None):
         self.fn = fn
         self.label = label
         self.parts = {}
-        self.conv = self.trees = None
+        self.conv = self.trees = self.whole = None
 
     def run(self, text: str, pos: int = 0) -> Success | Failure:
         return self.fn(text, pos)
@@ -316,57 +319,77 @@ def record(cls: Callable[..., A], *parts) -> Parser[tuple[A, dict]]:
     """Run ``parts`` in order and build ``cls`` from the named ones.
 
     A part is a bare parser, whose value is dropped, or a ``(field,
-    parser)`` pair. The value is ``(cls(**fields), spans)``, where
-    ``spans`` maps each field to the half-open span its parser consumed:
-    the pair a type's recognizer yields. A field named twice raises
-    ``ValueError``. Fails as ``seq`` over the same parsers does. When
-    every part is a token and no pattern among them walks the DFA, the
-    parse is one ``re`` match (see the module docstring). The returned
-    parser's ``parts`` are the named pairs.
+    parser)`` pair. The value is ``(cls(...), spans)``, where ``spans``
+    maps each field to the half-open span its parser consumed: the pair a
+    type's recognizer yields. ``cls`` takes the fields positionally if
+    they are its ``_field_names`` in order, else by keyword. A field named
+    twice raises ``ValueError``. Fails as ``seq`` over the same parsers
+    does. When every part is a token and no pattern among them walks the
+    DFA, the parse is one ``re`` match (see the module docstring). The
+    returned parser's ``parts`` are the named pairs, and ``whole(text)``
+    is ``run_to_end``'s value or failure, read off that match if any.
     """
     named = [(None, part) if isinstance(part, Parser) else part for part in parts]
-    names = [name for name, _ in named if name is not None]
+    names = tuple(name for name, _ in named if name is not None)
     twice = next((name for name in names if names.count(name) > 1), None)
     if twice is not None:
         raise ValueError(f"record field {twice!r} is named twice")
+    make = cls if getattr(cls, "_field_names", None) == names else (
+        lambda *values: cls(**dict(zip(names, values))))
     steps = [(name, p.fn) for name, p in named]
     trees = [p.trees for _, p in named]
     labels = [p.label for _, p in named]
     # Part i of the single match ends where group i + 1 is.
     groups = [(i, name, p.conv) for i, (name, p) in enumerate(named) if name is not None]
-    # None until the first parse: then the single match, or False.
-    match = None if all(choices is not None for choices in trees) else False
-    def parse(text, pos):
+    def compile_match(text, pos):
         nonlocal match
-        if match is None:
-            match = sequence_match(trees) or False
-        fields = {}
+        match = sequence_match(trees) or False
+        return match and match(text, pos)
+    # Compiled at the first parse: then the single match, or False.
+    match = compile_match if all(choices is not None for choices in trees) else False
+    def read(text, found, pos):
+        """The pair from the single match ``found``, or where it stopped."""
+        taken = found.lastindex or 0
+        if taken < len(labels):
+            return Failure(found.end(), labels[taken])
+        values = []
         spans = {}
-        if match:
-            found = match(text, pos)
-            taken = found.lastindex or 0
-            if taken < len(labels):
-                return Failure(found.end(), labels[taken])
-            for i, name, conv in groups:
-                start = found.end(i) if i else pos
-                end = found.end(i + 1)
-                value = text[start:end]
-                fields[name] = value if conv is None else conv(value)
-                spans[name] = (start, end)
-            return Success((cls(**fields), spans), found.end())
+        for i, name, conv in groups:
+            start = found.end(i) if i else pos
+            end = found.end(i + 1)
+            value = text[start:end]
+            values.append(value if conv is None else conv(value))
+            spans[name] = (start, end)
+        return make(*values), spans
+    def parse(text, pos):
+        found = match and match(text, pos)
+        if found:
+            out = read(text, found, pos)
+            return out if isinstance(out, Failure) else Success(out, found.end())
+        values = []
+        spans = {}
         cur = pos
         for name, fn in steps:
             out = fn(text, cur)
             if isinstance(out, Failure):
                 return out
             if name is not None:
-                fields[name] = out.value
+                values.append(out.value)
                 spans[name] = (cur, out.end)
             cur = out.end
-        return Success((cls(**fields), spans), cur)
-    out = Parser(parse)
-    out.parts = {name: p for name, p in named if name is not None}
-    return out
+        return Success((make(*values), spans), cur)
+    def whole(text):
+        found = match and match(text, 0)
+        if not found:
+            out = run_to_end(recognizer, text)
+            return out if isinstance(out, Failure) else out.value
+        if found.end() < len(text) and (found.lastindex or 0) == len(labels):
+            return Failure(found.end(), "end of input")
+        return read(text, found, 0)
+    recognizer = Parser(parse)
+    recognizer.parts = {name: p for name, p in named if name is not None}
+    recognizer.whole = whole
+    return recognizer
 
 
 class _Forward(Parser):

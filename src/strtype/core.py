@@ -10,6 +10,11 @@ field checks; :meth:`ParsedString.narrow` from any ancestor runs the same
 checks, in the same order, against the recorded spans, and re-parses
 nothing else.
 
+The registry keeps one parse per type name, built at registration with
+nothing compiled: a ``record`` root's ``whole``, a subtype's parent parse
+and then its own checks, ``run_to_end`` for any other root. Each gives
+``run_to_end``'s pair or failure over the type's recognizer.
+
 Registering a type gives it a value class that holds its descriptor, name
 (``type_name``) and registry, and subclasses its parent's value class, or
 :class:`ParsedString` for a root. Every value is an instance of its type's
@@ -39,7 +44,7 @@ from enum import Enum
 from typing import Any, Callable, Mapping
 
 from .combinators import Failure, Parser, Success, check_to_end, pattern, record, run_to_end
-from .patterns import FrozenRecord, Structure, _set
+from .patterns import FrozenRecord, Structure, _set, _setters
 
 __all__ = [
     "RegistryError", "DuplicateTypeError", "UnknownTypeError",
@@ -134,7 +139,10 @@ class Opaque(Structure):
     __slots__ = ("raw",)
 
     def __init__(self, raw: str):
-        _set(self, "raw", raw)
+        _set_opaque_raw(self, raw)
+
+
+[_set_opaque_raw] = _setters(Opaque)
 
 
 class StringType(FrozenRecord):
@@ -301,7 +309,7 @@ class ParsedString(FrozenRecord):
                 ErrorKind.PARSE,
                 f"field {name!r} does not satisfy {sub_name}: expected {out.expected}",
                 parse=ParseError(out.pos, out.expected, sub_name), field=name))
-        return Ok(cls(self.structure, self.spans, self.raw))
+        return _ok(cls, self.structure, self.spans, self.raw)
 
     def widen(self, super_name: str):
         """Rebind to a supertype; no parsing is involved.
@@ -318,7 +326,45 @@ class ParsedString(FrozenRecord):
         if cls is None or not isinstance(self, cls):
             raise NotASupertypeError(
                 f"{super_name!r} is not a supertype of {self.type_name!r}")
-        return cls(self.structure, self.spans, self.raw)
+        return _ok(cls, self.structure, self.spans, self.raw).value
+
+
+_new = object.__new__
+_set_structure, _set_spans, _set_raw = _setters(ParsedString)
+[_set_ok] = _setters(Ok)
+
+
+def _ok(cls: type[ParsedString], structure: Any, spans: Mapping[str, tuple[int, int]],
+        raw: str) -> Ok:
+    """``Ok`` of a ``cls`` value; each slot is set through its descriptor,
+    and neither constructor runs."""
+    value, ok = _new(cls), _new(Ok)
+    _set_structure(value, structure)
+    _set_spans(value, spans)
+    _set_raw(value, raw)
+    _set_ok(ok, value)
+    return ok
+
+
+def _parse_of(descriptor: StringType, parent_parse: Callable | None) -> Callable:
+    """``descriptor``'s parse (see the module docstring), given its parent's."""
+    if parent_parse is not None:
+        own = descriptor.checks[len(descriptor.parent_type.checks):]
+        def parse(raw):
+            out = parent_parse(raw)
+            if not isinstance(out, Failure):
+                bad = _first_bad_field(own, raw, out[1], check_to_end)
+                if bad is not None:
+                    return bad[1]
+            return out
+        return parse
+    recognizer = descriptor.recognizer
+    if recognizer.whole is not None:
+        return recognizer.whole
+    def parse(raw):
+        out = run_to_end(recognizer, raw)
+        return out if isinstance(out, Failure) else out.value
+    return parse
 
 
 class TypeRegistry:
@@ -330,6 +376,7 @@ class TypeRegistry:
 
     def __init__(self):
         self._classes: dict[str, type[ParsedString]] = {}
+        self._parses: dict[str, Callable] = {}
         self._frozen = False
 
     def register(self, descriptor: StringType) -> StringType:
@@ -352,6 +399,8 @@ class TypeRegistry:
         self._classes[descriptor.name] = type(descriptor.name, (base,), {
             "__slots__": (), "_descriptor": descriptor,
             "type_name": descriptor.name, "registry": self})
+        self._parses[descriptor.name] = _parse_of(
+            descriptor, None if parent is None else self._parses[parent.name])
         return descriptor
 
     def freeze(self) -> None:
@@ -386,18 +435,19 @@ class TypeRegistry:
         """Parse ``raw`` as ``type_name``.
 
         Returns ``Ok(ParsedString)`` or ``Err`` carrying the parse error;
-        an unregistered type name raises :class:`UnknownTypeError`.
+        an unregistered type name raises :class:`UnknownTypeError`. Runs
+        the one parse the registry keeps for the type.
         """
         cls = self.value_class(type_name)
-        out = run_to_end(cls._descriptor.recognizer, raw)
+        out = self._parses[type_name](raw)
         if isinstance(out, Failure):
             parse = ParseError(out.pos, out.expected, type_name)
             return Err(OpError(
                 ErrorKind.PARSE,
                 f"not a {type_name}: expected {out.expected} at {out.pos}",
                 parse=parse))
-        structure, spans = out.value
-        return Ok(cls(structure, spans, raw))
+        structure, spans = out
+        return _ok(cls, structure, spans, raw)
 
 
 def from_structure(registry: TypeRegistry, type_name: str, structure: Any) -> ParsedString:

@@ -24,6 +24,7 @@ from .core import (
     ParsedString,
     UnknownFieldError,
     _first_bad_field,
+    _ok,
     check_field,
     from_structure,
 )
@@ -109,7 +110,7 @@ def append_to_name(e: ParsedString, suffix: str) -> Ok | Err:
         if name != "name":
             spans[name] = (fs + delta, fe + delta) if fs >= end else (fs, fe)
     structure = e.structure.__replace__(name=e.structure.name + suffix)
-    return Ok(type(e)(structure, spans, raw))
+    return _ok(type(e), structure, spans, raw)
 
 
 def project_field(v: ParsedString, field_name: str) -> Projection:

@@ -100,6 +100,12 @@ class Record:
 _set = object.__setattr__
 
 
+def _setters(cls: type) -> list:
+    """The setter of each of ``cls``'s own slots, in order: a call that
+    stores into the slot, frozen or not, without ``_set``'s name lookup."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
 def _rebuild(cls: type, values: tuple) -> Record:
     """A ``cls`` record with ``values`` in its slots, its constructor unrun."""
     record = object.__new__(cls)

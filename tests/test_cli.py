@@ -767,3 +767,40 @@ class TestRecordWriter:
                                    "overrides": [field for field, _ in own],
                                    "fields": list(descriptor.fields)}))
         assert capsys.readouterr().out == "".join(want)
+
+
+def _refuse(*args):
+    raise AssertionError("a record was encoded under --human")
+
+
+class TestHumanEncodesNothing:
+    """Under --human no part of a JSON record is built: with the encoder's
+    string function and the record encoder both refusing, every command
+    prints the same lines, for accepted and rejected inputs alike."""
+
+    RUNS = [
+        (("validate", "--type", "Email", "a@b.c", "a@b"), 1,
+         'ok\na@b\n   ^\nexpected "." at position 3\n'),
+        (("normalize", "--type", "USPhone", "212.555.1234", "1"), 1,
+         "212-555-1234\n1\n^\nexpected a valid area code at position 0\n"),
+        (("extract", "--type", "Email", "a@b.c", "a@b"), 1,
+         "name='a', domain_left='b', domain_right='c'\n"
+         'a@b\n   ^\nexpected "." at position 3\n'),
+        (("extract", "--type", "Email", "--field", "name", "a@b.c", "a@b"), 1,
+         'a\na@b\n   ^\nexpected "." at position 3\n'),
+        (("extract", "--type", "Expr", "1+2"), 0, "(no fields)\n"),
+        (("narrow", "--from", "Email", "--to", "Gmail", "a@gmail.com", "a@yahoo.com", "a@b"), 1,
+         "Gmail: ok (1 field checks)\n"
+         'a@yahoo.com\n  ^\nexpected "gmail" at position 2\nfield domain_left failed\n'
+         'a@b\n   ^\nexpected "." at position 3\n'),
+        (("eq", "--type", "CssUnit", "1px", "1.0px"), 0, "strict: equal\n"),
+        (("eq", "--type", "CssUnit", "1px", "x"), 1,
+         'input 1: x\n         ^\nexpected a number or "auto" at position 0\n'),
+    ]
+
+    @pytest.mark.parametrize("argv, code, out", RUNS, ids=[" ".join(a) for a, _, _ in RUNS])
+    def test_lines_are_unchanged(self, capsys, monkeypatch, argv, code, out):
+        from strtype import cli
+        monkeypatch.setattr(cli, "encode_basestring", _refuse)
+        monkeypatch.setattr(cli, "_encode", _refuse)
+        assert run_cli(capsys, *argv, "--human") == (code, out, "")

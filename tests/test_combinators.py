@@ -909,6 +909,41 @@ class TestSingleMatch:
         assert not all(compiled)
         assert with_alts > 100, with_alts
 
+    def test_whole_gives_what_run_to_end_gives_on_the_step_loop(self):
+        rng = random.Random(29)
+        for _ in range(400):
+            parts, _ = random_record_parts(rng)
+            single, stepped = record(dict, *parts), record(dict, *map(strip, parts))
+            assert stepped.whole is not None and Parser(stepped.fn).whole is None
+            for text in ["", "px", "aab", *("".join(rng.choice(RECORD_ALPHABET)
+                                                for _ in range(rng.randrange(1, 7)))
+                                        for _ in range(6))]:
+                want = run_to_end(stepped, text)
+                got = single.whole(text)
+                assert got == (want if isinstance(want, Failure) else want.value), (parts, text)
+
+    def test_fields_are_positional_only_in_the_class_order(self):
+        from strtype.patterns import Structure
+
+        class Pair(Structure):
+            __slots__ = ("a", "b")
+
+            def __init__(self, a, b):
+                object.__setattr__(self, "a", a)
+                object.__setattr__(self, "b", b)
+
+        a, b = pattern("[a-z]+"), pattern("[0-9]+")
+        forward, backward = record(Pair, ("a", a), ("b", b)), record(Pair, ("b", b), ("a", a))
+        assert forward.whole("x1") == (Pair("x", "1"), {"a": (0, 1), "b": (1, 2)})
+        assert backward.whole("1x") == (Pair("x", "1"), {"b": (0, 1), "a": (1, 2)})
+        assert backward.run("1x", 0) == Success(backward.whole("1x"), 2)
+        assert record(partial(Pair, a="-"), ("b", b)).whole("12") == (Pair("-", "12"), {"b": (0, 2)})
+        # A part on the DFA leaves the step loop, whose answer ``whole`` gives.
+        dfa = record(Pair, ("a", pattern("(a*)*b")), ("b", b))
+        assert dfa.whole("aab1") == (Pair("aab", "1"), {"a": (0, 3), "b": (3, 4)})
+        assert dfa.whole("aab1x") == Failure(4, "end of input")
+        assert dfa.whole("aa") == Failure(0, "/(a*)*b/")
+
     def test_reports_where_and_what_the_step_loop_reports(self):
         p = record(dict, ("w", pattern("[a-z]+").map(len)), lit("@"),
                    ("d", one_of("xy").fallback("")), lit("."))

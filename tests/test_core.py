@@ -1,12 +1,13 @@
 import copy
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import pytest
 
-from generators import accepted_strings
-from strtype.builtins import build_registry
-from strtype.combinators import Failure, alt, lit, pattern, record, seq, spanned
+from generators import ACCEPTED_GENERATORS, accepted_strings
+from strtype.builtins import CssUnit, Email, build_registry
+from strtype.combinators import Failure, alt, lit, pattern, record, run_to_end, seq, spanned
 from strtype.core import (
     DuplicateTypeError,
     Err,
@@ -16,6 +17,7 @@ from strtype.core import (
     NotASupertypeError,
     Ok,
     Opaque,
+    ParseError,
     ParsedString,
     RegistryError,
     RegistryFrozenError,
@@ -552,3 +554,121 @@ class TestValueClasses:
                 assert cls.__slots__ == ()
                 assert not [attr for attr, value in vars(cls).items()
                             if callable(value)], (name, cls)
+
+
+def _reversed_email(email):
+    return f"{email.domain_right}.{email.domain_left}@{email.name}"
+
+
+def oracle_registry():
+    """The builtin types, plus record roots that test ``whole``'s edges: a
+    pattern on the DFA, a ``partial`` class, and fields in another order
+    than the class's, with a subtype of each of the last two kinds."""
+    reg = build_registry()
+    hexish = reg.register(opaque_type("Hexish", "[0-9a-f]*[0-9]"))
+    reg.register(subtype(hexish, "HexNine", raw=pattern("[0-9a-f]*9")))
+    reg.register(StringType("Bare", record(
+        partial(CssUnit, value=None), ("unit", pattern("[a-z]+"))), lambda unit: unit.unit))
+    word = pattern("[a-z]+")
+    backward = reg.register(StringType("Backward", record(
+        Email, ("domain_right", word), lit("."), ("domain_left", word), lit("@"),
+        ("name", word)), _reversed_email))
+    reg.register(subtype(backward, "BackwardCom", domain_right=lit("com")))
+    return reg
+
+
+def _oracle_samples(type_name, rng):
+    """Accepted strings of ``type_name``, from ``tests/generators.py`` for a
+    builtin type."""
+    if type_name in ACCEPTED_GENERATORS:
+        return accepted_strings(type_name, 4)
+    def word():
+        return "".join(rng.choice("abcmo") for _ in range(rng.randint(1, 5)))
+    if type_name in ("Hexish", "HexNine"):
+        return ["".join(rng.choice("0123456789abcdef") for _ in range(rng.randint(0, 8)))
+                + rng.choice("0129") for _ in range(4)]
+    if type_name == "Bare":
+        return [word() for _ in range(4)]
+    return [f"{rng.choice([word(), 'com'])}.{word()}@{word()}" for _ in range(4)]
+
+
+EDIT_CHARS = "a9@.r/#-x mé"
+
+
+def one_character_edits(raw):
+    """Every deletion of one character of ``raw``, and every insertion and
+    substitution of one of ``EDIT_CHARS``."""
+    out = [raw[:i] + raw[i + 1:] for i in range(len(raw))]
+    for c in EDIT_CHARS:
+        out += [raw[:i] + c + raw[i:] for i in range(len(raw) + 1)]
+        out += [raw[:i] + c + raw[i + 1:] for i in range(len(raw))]
+    return out
+
+
+class TestOneParsePerType:
+    """``from_raw`` runs the one parse the registry keeps for each type: a
+    record root's ``whole``, a subtype's parent parse plus its own checks, or
+    ``run_to_end``. Every route gives what the kernel route,
+    ``run_to_end`` over the type's recognizer, gives."""
+
+    def test_agrees_with_the_kernel_route(self):
+        reg = oracle_registry()
+        rng = random.Random(29)
+        inputs = accepted = 0
+        for type_name in reg.names():
+            recognizer = reg.get(type_name).recognizer
+            for sample in _oracle_samples(type_name, rng):
+                for raw in [sample, *one_character_edits(sample)]:
+                    inputs += 1
+                    got, want = reg.from_raw(type_name, raw), run_to_end(recognizer, raw)
+                    if isinstance(want, Failure):
+                        assert isinstance(got, Err), (type_name, raw, got)
+                        error = got.error
+                        assert (error.kind, error.field) == (ErrorKind.PARSE, None)
+                        assert error.parse == ParseError(want.pos, want.expected, type_name)
+                        assert error.detail == (f"not a {type_name}: expected "
+                                                f"{want.expected} at {want.pos}")
+                        continue
+                    accepted += 1
+                    assert isinstance(got, Ok), (type_name, raw, want)
+                    value, (structure, spans) = got.value, want.value
+                    assert type(value) is reg.value_class(type_name)
+                    assert value.structure == structure, (type_name, raw)
+                    assert list(value.spans.items()) == list(spans.items()), (type_name, raw)
+                    assert value.raw == raw
+        assert inputs >= 5000 and accepted >= 200, (inputs, accepted)
+
+    def test_whole_edges(self):
+        reg = oracle_registry()
+
+        def report(type_name, raw):
+            parse = reg.from_raw(type_name, raw).error.parse
+            return parse.pos, parse.expected
+
+        assert report("Hexish", "ab12c") == (4, "end of input")
+        assert reg.from_raw("Hexish", "ab12c3").value.structure == Opaque("ab12c3")
+        assert report("HexNine", "ab12") == (0, "/[0-9a-f]*9/")
+        bare = reg.from_raw("Bare", "auto").value
+        assert (bare.structure, bare.spans) == (CssUnit(None, "auto"), {"unit": (0, 4)})
+        backward = reg.from_raw("BackwardCom", "com.b@a").value
+        assert backward.structure == Email("a", "b", "com")
+        assert list(backward.spans) == ["domain_right", "domain_left", "name"]
+        assert report("BackwardCom", "org.b@a") == (0, '"com"')
+        assert report("BackwardCom", "com.b@a!") == (7, "end of input")
+
+    def test_record_roots_and_their_subtypes_skip_run_to_end(self, monkeypatch):
+        import strtype.core
+        calls = []
+
+        def counted(p, text):
+            calls.append(text)
+            return run_to_end(p, text)
+
+        monkeypatch.setattr(strtype.core, "run_to_end", counted)
+        reg = build_registry()
+        direct = {"Email", "Gmail", "USPhone", "InnerR", "Sanitised", "UserName"}
+        for type_name in reg.names():
+            for raw in accepted_strings(type_name, 3) + ["", "x"]:
+                del calls[:]
+                reg.from_raw(type_name, raw)
+                assert len(calls) == (type_name not in direct), (type_name, raw)

@@ -10,10 +10,10 @@ field checks; :meth:`ParsedString.narrow` from any ancestor runs the same
 checks, in the same order, against the recorded spans, and re-parses
 nothing else.
 
-The registry keeps one parse per type name, built at registration with
-nothing compiled: a ``record`` root's ``whole``, a subtype's parent parse
-and then its own checks, ``run_to_end`` for any other root. Each gives
-``run_to_end``'s pair or failure over the type's recognizer.
+The registry keeps, per type name, its root's parse (a ``record`` root's
+``whole``, else ``run_to_end``) and its ``checks`` past the root's, so
+parsing as a subtype is parsing as its root, then the loop ``narrow`` runs
+from the root: the same pair or failure as ``run_to_end`` over its recognizer.
 
 Registering a type gives it a value class that holds its descriptor, name
 (``type_name``) and registry, and subclasses its parent's value class, or
@@ -41,6 +41,7 @@ accept them.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from .combinators import Failure, Parser, Success, check_to_end, pattern, record, run_to_end
@@ -346,25 +347,10 @@ def _ok(cls: type[ParsedString], structure: Any, spans: Mapping[str, tuple[int, 
     return ok
 
 
-def _parse_of(descriptor: StringType, parent_parse: Callable | None) -> Callable:
-    """``descriptor``'s parse (see the module docstring), given its parent's."""
-    if parent_parse is not None:
-        own = descriptor.checks[len(descriptor.parent_type.checks):]
-        def parse(raw):
-            out = parent_parse(raw)
-            if not isinstance(out, Failure):
-                bad = _first_bad_field(own, raw, out[1], check_to_end)
-                if bad is not None:
-                    return bad[1]
-            return out
-        return parse
-    recognizer = descriptor.recognizer
-    if recognizer.whole is not None:
-        return recognizer.whole
-    def parse(raw):
-        out = run_to_end(recognizer, raw)
-        return out if isinstance(out, Failure) else out.value
-    return parse
+def _run_whole(recognizer: Parser, raw: str):
+    """A root's parse where it has no ``whole``: ``run_to_end``'s pair or failure."""
+    out = run_to_end(recognizer, raw)
+    return out if isinstance(out, Failure) else out.value
 
 
 class TypeRegistry:
@@ -376,14 +362,15 @@ class TypeRegistry:
 
     def __init__(self):
         self._classes: dict[str, type[ParsedString]] = {}
-        self._parses: dict[str, Callable] = {}
+        self._parses: dict[str, tuple[Callable, tuple]] = {}
         self._frozen = False
 
     def register(self, descriptor: StringType) -> StringType:
         """Add a type and its value class. A parent must be registered first,
         which keeps the chain acyclic, and be the descriptor (or an equal
         copy) its subtype was derived from, whose ``checks`` ``narrow``
-        skips. The name ``"string"`` is reserved for the universal supertype."""
+        skips. Keeps the type's root parse and its checks past the root's.
+        The name ``"string"`` is reserved for the universal supertype."""
         if self._frozen:
             raise RegistryFrozenError("registry is frozen")
         if descriptor.name == "string":  # ``widen`` reserves it for the plain string
@@ -399,8 +386,13 @@ class TypeRegistry:
         self._classes[descriptor.name] = type(descriptor.name, (base,), {
             "__slots__": (), "_descriptor": descriptor,
             "type_name": descriptor.name, "registry": self})
-        self._parses[descriptor.name] = _parse_of(
-            descriptor, None if parent is None else self._parses[parent.name])
+        if parent is None:
+            recognizer = descriptor.recognizer
+            entry = recognizer.whole or partial(_run_whole, recognizer), ()
+        else:
+            root, past_root = self._parses[parent.name]
+            entry = root, past_root + descriptor.checks[len(parent.checks):]
+        self._parses[descriptor.name] = entry
         return descriptor
 
     def freeze(self) -> None:
@@ -436,16 +428,21 @@ class TypeRegistry:
 
         Returns ``Ok(ParsedString)`` or ``Err`` carrying the parse error;
         an unregistered type name raises :class:`UnknownTypeError`. Runs
-        the one parse the registry keeps for the type.
+        the root's parse, then, for a subtype, its checks past the root,
+        uncounted: the root's failure wins, then the first failing check.
         """
         cls = self.value_class(type_name)
-        out = self._parses[type_name](raw)
+        root, past_root = self._parses[type_name]
+        out = root(raw)
+        if past_root and not isinstance(out, Failure):
+            bad = _first_bad_field(past_root, raw, out[1], check_to_end)
+            if bad is not None:
+                out = bad[1]
         if isinstance(out, Failure):
-            parse = ParseError(out.pos, out.expected, type_name)
             return Err(OpError(
                 ErrorKind.PARSE,
                 f"not a {type_name}: expected {out.expected} at {out.pos}",
-                parse=parse))
+                parse=ParseError(out.pos, out.expected, type_name)))
         structure, spans = out
         return _ok(cls, structure, spans, raw)
 

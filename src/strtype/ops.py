@@ -28,7 +28,7 @@ from .core import (
     check_field,
     from_structure,
 )
-from .patterns import FrozenRecord
+from .patterns import FrozenRecord, _set
 
 __all__ = [
     "Projection", "blend", "concat_names", "raw_concat", "append_to_name",
@@ -43,9 +43,9 @@ class Projection(FrozenRecord):
     __slots__ = ("value", "origin_type", "field_name")
 
     def __init__(self, value: Any, origin_type: str, field_name: str):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "origin_type", origin_type)
-        object.__setattr__(self, "field_name", field_name)
+        _set(self, "value", value)
+        _set(self, "origin_type", origin_type)
+        _set(self, "field_name", field_name)
 
 
 def _expect(value: ParsedString, structure_type: type, op: str) -> None:

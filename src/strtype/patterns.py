@@ -110,7 +110,7 @@ def _rebuild(cls: type, values: tuple) -> Record:
     """A ``cls`` record with ``values`` in its slots, its constructor unrun."""
     record = object.__new__(cls)
     for name, value in zip(cls._field_names, values):
-        object.__setattr__(record, name, value)
+        _set(record, name, value)
     return record
 
 
@@ -201,30 +201,30 @@ class _Cls(FrozenRecord):
     __slots__ = ("spans",)
 
     def __init__(self, spans: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "spans", spans)
+        _set(self, "spans", spans)
 
 
 class _Seq(FrozenRecord):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple):
-        object.__setattr__(self, "parts", parts)
+        _set(self, "parts", parts)
 
 
 class _Alt(FrozenRecord):
     __slots__ = ("options",)
 
     def __init__(self, options: tuple):
-        object.__setattr__(self, "options", options)
+        _set(self, "options", options)
 
 
 class _Rep(FrozenRecord):
     __slots__ = ("node", "low", "high")
 
     def __init__(self, node: object, low: int, high: int | None):
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
+        _set(self, "node", node)
+        _set(self, "low", low)
+        _set(self, "high", high)
 
 
 class _PatternReader:

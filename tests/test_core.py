@@ -562,11 +562,12 @@ def _reversed_email(email):
 
 def oracle_registry():
     """The builtin types, plus record roots that test ``whole``'s edges: a
-    pattern on the DFA, a ``partial`` class, and fields in another order
-    than the class's, with a subtype of each of the last two kinds."""
+    pattern on the DFA, with a chain of two subtypes under it, a ``partial``
+    class, and fields in another order than the class's, with a subtype."""
     reg = build_registry()
     hexish = reg.register(opaque_type("Hexish", "[0-9a-f]*[0-9]"))
-    reg.register(subtype(hexish, "HexNine", raw=pattern("[0-9a-f]*9")))
+    hex_nine = reg.register(subtype(hexish, "HexNine", raw=pattern("[0-9a-f]*9")))
+    reg.register(subtype(hex_nine, "HexOne", raw=pattern("1[0-9a-f]*")))
     reg.register(StringType("Bare", record(
         partial(CssUnit, value=None), ("unit", pattern("[a-z]+"))), lambda unit: unit.unit))
     word = pattern("[a-z]+")
@@ -584,8 +585,9 @@ def _oracle_samples(type_name, rng):
         return accepted_strings(type_name, 4)
     def word():
         return "".join(rng.choice("abcmo") for _ in range(rng.randint(1, 5)))
-    if type_name in ("Hexish", "HexNine"):
-        return ["".join(rng.choice("0123456789abcdef") for _ in range(rng.randint(0, 8)))
+    if type_name in ("Hexish", "HexNine", "HexOne"):
+        head = "1" if type_name == "HexOne" else ""
+        return [head + "".join(rng.choice("0123456789abcdef") for _ in range(rng.randint(0, 8)))
                 + rng.choice("0129") for _ in range(4)]
     if type_name == "Bare":
         return [word() for _ in range(4)]
@@ -606,10 +608,10 @@ def one_character_edits(raw):
 
 
 class TestOneParsePerType:
-    """``from_raw`` runs the one parse the registry keeps for each type: a
-    record root's ``whole``, a subtype's parent parse plus its own checks, or
-    ``run_to_end``. Every route gives what the kernel route,
-    ``run_to_end`` over the type's recognizer, gives."""
+    """``from_raw`` runs the type's root parse, a record root's ``whole`` or
+    ``run_to_end``, then, for a subtype, the checks past the root's. Every
+    route gives what the kernel route, ``run_to_end`` over the type's
+    recognizer, gives."""
 
     def test_agrees_with_the_kernel_route(self):
         reg = oracle_registry()
@@ -648,6 +650,14 @@ class TestOneParsePerType:
         assert report("Hexish", "ab12c") == (4, "end of input")
         assert reg.from_raw("Hexish", "ab12c3").value.structure == Opaque("ab12c3")
         assert report("HexNine", "ab12") == (0, "/[0-9a-f]*9/")
+        # Checks run ancestor first: HexNine's fails before HexOne's is tried.
+        assert report("HexOne", "13") == (0, "/[0-9a-f]*9/")
+        assert report("HexOne", "29") == (0, "/1[0-9a-f]*/")
+        assert report("HexOne", "ab12c") == (4, "end of input")
+        assert reg.from_raw("HexOne", "1a9").value.structure == Opaque("1a9")
+        assert report("HomeDotFile", "\\usr\\a") == (0, '"/"')
+        assert report("HomeDotFile", "/home/x/.a") == (5, "end of input")
+        assert report("HomeDotFile", "/home/a") == (6, '/\\.[^/\\\\]*/')
         bare = reg.from_raw("Bare", "auto").value
         assert (bare.structure, bare.spans) == (CssUnit(None, "auto"), {"unit": (0, 4)})
         backward = reg.from_raw("BackwardCom", "com.b@a").value

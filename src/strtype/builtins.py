@@ -8,11 +8,11 @@ its named parts are the type's fields and field recognizers), and a cast
 function renders the canonical surface form of that structure. Three root
 types have hand-written parse functions instead, and name their fields
 themselves; each agrees with a kernel grammar that the tests keep as its
-oracle: ``FilePath``, one ``re`` match whose first separator fixes the
-rest and whose rejections a kernel ``alt`` reports, ``EqualAandB``, which
-counts, and ``Expr``, which nests without bound; the first two compile
-their regexes at their first parse, so building the registry compiles
-none. A subtype is declared once, by ``subtype``, as its parent plus a
+oracle: ``FilePath``, ``str`` scans whose first separator fixes the rest
+and whose rejections a kernel ``alt`` reports, ``EqualAandB``, which
+counts, and ``Expr``, which nests without bound; ``EqualAandB`` compiles
+its regexes at its first parse, so building the registry compiles none.
+A subtype is declared once, by ``subtype``, as its parent plus a
 recognizer for each field it overrides: it parses with its parent's
 grammar and then checks those fields' spans, exactly as narrowing from
 any ancestor does.
@@ -183,33 +183,35 @@ def _split_segment(segment: str) -> tuple[str, str | None]:
     return segment, None
 
 
-_PATH_RE = r"([/\\])?[^/\\]+(?:(?(1)\1|([/\\]))[^/\\]+(?:(?(1)\1|\2)[^/\\]+)*)?"
-_path_match = None  # ``_PATH_RE`` compiled, at the first parse
 _NO_PATH = alt(seq(_SEPARATOR, _SEGMENT), _SEGMENT)
 
 
 def _path(text, pos):
     """Paths whose first separator, wherever it appears, fixes the style.
 
-    ``_PATH_RE`` captures a leading separator, which makes the path
-    absolute, in group 1, or else the first separator after a segment in
-    group 2; every later separator must repeat it, so a path mixing
-    separators stops part-way. A single relative segment shows no
-    separator, so it defaults to "/" with no separator span. Where no
-    segment starts the match fails, and ``_NO_PATH`` reports why.
+    Two ``find``s fix the first separator, which makes the path absolute
+    at ``pos``, and the first of the other kind, which bounds the body.
+    The body splits into segments, and the path ends before its first
+    empty one, so a path mixing separators, or with a doubled or trailing
+    one, stops part-way. A single relative segment shows no separator, so
+    it defaults to "/" with no separator span. Where no segment starts,
+    ``_NO_PATH`` reports why.
     """
-    global _path_match
-    if _path_match is None:
-        _path_match = re.compile(_PATH_RE).match
-    m = _path_match(text, pos)
-    if m is None:
-        return _NO_PATH.fn(text, pos)
-    lead = m.group(1)
-    sep = lead or m.group(2)
-    spans = {"separator": m.span(1 if lead else 2)} if sep else {}
-    start = m.end(1) if lead else pos
-    end = m.end()
-    dirs = text[start:end].split(sep) if sep else [text[start:end]]
+    slash, back = text.find("/", pos), text.find("\\", pos)
+    if back >= 0 and (slash < 0 or back < slash):
+        sep, lead, bound = "\\", back == pos, slash
+    else:
+        sep, lead, bound = "/", slash == pos, back
+    start = pos + lead
+    end = bound if bound >= 0 else len(text)
+    dirs = text[start:end].split(sep)
+    if "" in dirs:
+        del dirs[dirs.index(""):]
+        if not dirs:
+            return _NO_PATH.fn(text, pos)
+        end = start + sum(map(len, dirs)) + len(dirs) - 1
+    at = pos if lead else pos + len(dirs[0])
+    sep, spans = (sep, {"separator": (at, at + 1)}) if lead or len(dirs) > 1 else ("/", {})
     last = dirs.pop()
     fs = end - len(last)
     spans["dirs"] = (start, fs - 1) if dirs else (fs, fs)
@@ -218,7 +220,7 @@ def _path(text, pos):
     spans["file_name"] = (fs, dot)
     if ext is not None:
         spans["ext"] = (dot + 1, end)
-    return Success((FilePath(bool(lead), tuple(dirs), file_name, ext, sep or "/"), spans), end)
+    return Success((FilePath(lead, tuple(dirs), file_name, ext, sep), spans), end)
 
 
 _PATH = Parser(_path)

@@ -17,8 +17,8 @@ first match its backtracking finds, not the longest, and may backtrack
 exponentially, so a pattern is compiled to a small NFA, and its first
 match chooses the engine once. When the NFA is unambiguous, so that a
 text fixes at most one path through it, the pattern is translated to
-``re`` source with every class written as explicit code point ranges,
-and one ``re`` call finds the longest match in linear time (see
+``re`` source with every class written as explicit code points, and
+one ``re`` call finds the longest match in linear time (see
 :meth:`TokenPattern._choose`). A bounded repeat ``X{1,3}`` is wired as
 ``X(X(X)?)?``, not ``XX?X?``, so that a text fixes how many copies of
 ``X`` it takes. Any other pattern walks a DFA built lazily from the NFA
@@ -462,8 +462,11 @@ def _charset(spans) -> str:
 
     Every range is written as explicit code points, never as a shorthand
     class, which ``re`` reads as Unicode. sre expands the BMP part of a
-    class one code point at a time, so a set holding most of the BMP is
-    written as its negated complement.
+    class one code point at a time, so a set holding most of the BMP, which
+    would take milliseconds to compile, is written as its negated
+    complement. A lone point is written bare, ``\\Uxxxxxxxx`` or
+    ``[^\\Uxxxxxxxx]``, which sre runs in its LITERAL and NOT_LITERAL loops,
+    several times faster over a long run than a one-range set.
     """
     negated = not spans or sum(max(0, min(high, 0xFFFF) - low + 1)
                                for low, high in spans) > 0x8000
@@ -471,6 +474,8 @@ def _charset(spans) -> str:
         spans = _complement(spans)
         if not spans:
             return "."
+    if len(spans) == 1 and spans[0][0] == spans[0][1]:
+        return f"[^\\U{spans[0][0]:08x}]" if negated else f"\\U{spans[0][0]:08x}"
     body = "".join(f"\\U{low:08x}-\\U{high:08x}" for low, high in spans)
     return f"[{'^' if negated else ''}{body}]"
 

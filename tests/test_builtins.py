@@ -21,6 +21,7 @@ from strtype.builtins import (
     InnerR,
     Mult,
     USPhone,
+    _PATH,
     _SEGMENT,
     _split_segment,
     build_registry,
@@ -456,6 +457,37 @@ class TestFilePath:
         assert len(inputs) == 21_845 + 341 + 20_000 + 3
         assert self.count_agreeing(oracle, reg, inputs) == {
             "FilePath": 4_670, "UnixPath": 2_869, "WindowsPath": 2_831, "HomeDotFile": 15}
+
+    def test_agrees_with_kernel_oracle_mid_text_and_on_long_paths(self, reg):
+        # After a prefix, so the scans start past 0: outcome, end and span
+        # order as the kernel grammar's, on every short string.
+        short = self.path_inputs()[:21_845]
+        assert short[-1] == "\\" * 7
+        ours, kernel = seq(lit("x"), _PATH), seq(lit("x"), _path_grammar())
+        for raw in short:
+            got, want = ours.run("x" + raw), kernel.run("x" + raw)
+            assert got == want, (raw, got, want)
+            if isinstance(want, Success):
+                assert list(got.value[1][1]) == list(want.value[1][1]), raw
+        # Long paths with non-ASCII segments, and each rejection tail of the
+        # bench's long paths: a trailing separator, the other separator, and
+        # a doubled one.
+        rng = random.Random(31)
+        alphabet = "ab._- é中\U0001f600"
+        inputs = []
+        for length in [200, 4_000] + [rng.randint(200, 4_000) for _ in range(40)]:
+            sep = rng.choice("/\\")
+            other = "\\" if sep == "/" else "/"
+            lead = sep if rng.random() < 0.5 else ""
+            count = rng.randint(2, 6)
+            body = length - len(lead) - (count - 1)
+            segments = ["".join(rng.choices(alphabet, k=body // count + (i < body % count)))
+                        for i in range(count)]
+            raw = lead + sep.join(segments)
+            assert len(raw) == length
+            inputs += [raw + tail for tail in ("", sep, other + "x", sep + sep + "x")]
+        accepted = self.count_agreeing(self.oracle_registry(reg), reg, inputs)
+        assert accepted["FilePath"] == 42, accepted
 
     def test_segments_hold_any_character_but_a_separator(self, reg):
         # Line breaks, NUL and an astral character are segment characters

@@ -104,7 +104,7 @@ def test_import_and_registry_build_compile_no_regex():
         "FilePath(absolute=True, dirs=('a',), file_name='b', ext=None, separator='/') "
         "{'separator': (0, 1), 'dirs': (1, 2), 'file_name': (3, 4)}",
         "EqualAandB(count=1) {}",
-        str(["strtype.builtins"] * 3),
+        str(["strtype.builtins"] * 2),
     ]
 
 

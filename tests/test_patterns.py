@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import strtype.builtins
-from strtype.patterns import PatternError, TokenPattern, _Alt, _Cls, _Rep, _Seq
+from strtype.combinators import lit
+from strtype.patterns import (_TOP, PatternError, TokenPattern, _Alt, _charset, _Cls,
+                              _complement, _merged, _regex_source, _Rep, _Seq)
 
 
 def oracle_end(source, text, pos):
@@ -395,6 +397,55 @@ class TestEngineChoice:
         assert takes_re(p)
         assert [ends(p, text, 0) for text in ["y", "yz", "x", "z", ""]] == [1, 2, 1, 1, 0]
         assert TokenPattern("x?|y?").match_end("y", 0) == 1
+
+
+# Points where sre's reading of a class could go wrong: both ends of the
+# code space and of the surrogates, the BMP's end, and the characters a
+# class body gives meaning to.
+_EDGES = [0, 0xD7FF, 0xD800, 0xDFFF, 0xE000, 0xFFFF, 0x10000, _TOP] + list(map(ord, "]^-\\"))
+
+
+def _span_sets(rng):
+    """Every edge point alone and its complement, the empty and the full
+    set, and 400 seeded sets of up to four ranges whose ends lie on or
+    next to an edge or anywhere."""
+    points = [[(c, c)] for c in _EDGES]
+    sets = points + [_complement(p) for p in points] + [[], [(0, _TOP)]]
+    for _ in range(400):
+        ranges = []
+        for _ in range(rng.randint(1, 4)):
+            low = rng.choice([rng.choice(_EDGES) + rng.choice([-1, 0, 1]),
+                              rng.randrange(_TOP + 1)])
+            low = min(max(low, 0), _TOP)
+            high = low if rng.random() < 0.4 else min(low + rng.choice([1, 2, 300, 70_000]), _TOP)
+            ranges.append((low, high))
+        spans = _merged(ranges)
+        sets.append(_complement(spans) if rng.random() < 0.5 else spans)
+    return sets
+
+
+class TestCharset:
+    def test_agrees_with_membership_at_every_edge(self):
+        rng = random.Random(31)
+        shapes = set()
+        for spans in _span_sets(rng):
+            source = _charset(spans)
+            shapes.add(source[:2])
+            compiled = re.compile(source, re.DOTALL)
+            probes = {c + d for low, high in spans for c in (low, high) for d in (-1, 0, 1)}
+            for c in probes.union(_EDGES) - {-1, _TOP + 1}:
+                inside = any(low <= c <= high for low, high in spans)
+                assert bool(compiled.fullmatch(chr(c))) == inside, (spans, source, hex(c))
+        assert shapes == {".", "[^", "[\\", "\\U"}, shapes
+
+    def test_lone_points_are_written_bare(self):
+        # sre runs a bare point in its LITERAL loop and [^x] in its
+        # NOT_LITERAL loop, several times faster than a one-range set.
+        assert _regex_source(TokenPattern("[^r]*").plain_tree()) == r"[^\U00000072]{0,}"
+        assert _regex_source(lit("@").trees[0].plain_tree()) == r"\U00000040"
+        assert _charset([(0x40, 0x40)]) == r"\U00000040"
+        assert _charset(_complement([(0x72, 0x72)])) == r"[^\U00000072]"
+        assert _charset([(0x41, 0x42)]) == r"[\U00000041-\U00000042]"
 
 
 _ATOMS = ["a", "b", "c", "[ab]", "[^a]", ".", "[a-c]"]

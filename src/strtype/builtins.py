@@ -10,8 +10,8 @@ types have hand-written parse functions instead, and name their fields
 themselves; each agrees with a kernel grammar that the tests keep as its
 oracle: ``FilePath``, ``str`` scans whose first separator fixes the rest
 and whose rejections a kernel ``alt`` reports, ``EqualAandB``, which
-counts, and ``Expr``, which nests without bound; ``EqualAandB`` compiles
-its regexes at its first parse, so building the registry compiles none.
+counts, and ``Expr``, which nests without bound over tokens that ``str``
+methods cut; only ``EqualAandB`` compiles regexes, at its first parse.
 A subtype is declared once, by ``subtype``, as its parent plus a
 recognizer for each field it overrides: it parses with its parent's
 grammar and then checks those fields' spans, exactly as narrowing from
@@ -272,8 +272,8 @@ class EqualAandB(Structure):
 
 # How many b's to read depends on how many a's came before, which a single
 # pattern cannot express. The count comes from two run scans, the run of
-# a's and then at most that many b's, as ``_expr`` scans a number's digits,
-# with no call per character. It accepts and fails as the kernel form
+# a's and then at most that many b's, with no call per character. It
+# accepts and fails as the kernel form
 # ``many(a).bind(lambda run: times(b, len(run)))`` does, which the tests
 # keep as its oracle: too few b's fail at the first non-b, expecting "'b'".
 _ab_runs = None  # the two scans' matches, compiled at the first parse
@@ -408,72 +408,87 @@ Expr = Const | Add | Mult
 #     atom = alt(number, seq("(", sum, ")"))
 #
 # does, with whitespace skipped after every token; the tests keep that
-# grammar as its oracle. An operand that fails after an operator gives the
-# operator back, and its level ends before it; any other failure is the
-# report. A digit run longer than int() converts fails at its start.
-_EXPR_WS = " \t\n\r"
+# grammar as its oracle. It steps over tokens that str methods cut in C:
+# lstrip bounds the run of characters the grammar knows, so split (with
+# the operators padded) cuts at no other whitespace, and a digit token
+# holds ASCII digits only. A sentinel "" ends the tokens; a stop before it
+# steps from the nearer end to find its position. The run is cut whole even
+# when a parse stops early: "1 2" + " + 3" * 2000 takes 118 µs, not 1.1 as
+# a loop over characters (Xeon, 3.11). An operand failing after an operator
+# gives it back, ending its level before it; any other failure is the
+# report, and a digit run too long for int() fails at its start.
+_EXPR_CHARS = "0123456789()*+ \t\n\r"  # digits, operators and whitespace
 # 0 means no limit, as on a Python 3.10 too old to have one.
 _int_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
+def _token_start(text, pos, tokens, i, last):
+    """Where ``tokens[i]`` starts: only whitespace lies between tokens."""
+    if 2 * i < len(tokens) - 1:
+        for token in tokens[:i]:
+            pos = text.find(token, pos) + len(token)
+        return text.find(tokens[i], pos)
+    for token in reversed(tokens[i:-1]):
+        last = text.rfind(token, pos, last)
+    return last
+
+
 def _expr(text, pos):
-    n = len(text)
-    limit = _int_max_digits() or n
+    last = len(text) - len(text[pos:].lstrip(_EXPR_CHARS))
+    run = text[pos:last].replace("(", " ( ").replace(")", " ) ")
+    tokens = run.replace("*", " * ").replace("+", " + ").split()
+    tokens.append("")
+    limit = _int_max_digits() or len(text)
     stack = []  # for each open bracket, the enclosing level's (total, product, op)
-    # This level's sum so far, the product being added to it, and where the
-    # operator before the pending operand is.
+    # This level's sum so far, the product being added to it, and the index
+    # of the operator before the pending operand.
     total = product = op = None
+    i = 0
     while True:
-        while pos < n and text[pos] in _EXPR_WS:
-            pos += 1
-        end = pos
-        while end < n and text[end] in "0123456789":
-            end += 1
-        if pos < end <= pos + limit:
-            value = Const(int(text[pos:end]))
-            pos = end
-        elif end == pos and text.startswith("(", pos):
+        token = tokens[i]
+        if token.isdigit() and len(token) <= limit:
+            value = Const(int(token))
+            i += 1
+        elif token == "(":
             stack.append((total, product, op))
             total = product = None
-            pos += 1
+            i += 1
             continue
         else:
-            value = None
-            failure = Failure(pos, f"a number of at most {limit} digits" if end > pos
-                              else 'a number or "("')
+            value, failed = None, i
+            expected = (f"a number of at most {limit} digits" if token.isdigit()
+                        else 'a number or "("')
         # Fold the operand in, closing brackets, until an operator asks for
         # the next operand.
         while True:
             if value is not None:
-                while pos < n and text[pos] in _EXPR_WS:
-                    pos += 1
-                op = pos
+                op = i
                 product = value if product is None else Mult(product, value)
-                if text.startswith("*", pos):
-                    pos += 1
+                if tokens[i] == "*":
+                    i += 1
                     break
             elif total is None and product is None:
                 # A level's first operand failed, and with it the bracket.
                 if not stack:
-                    return failure
+                    return Failure(_token_start(text, pos, tokens, failed, last), expected)
                 total, product, op = stack.pop()
                 continue
             else:
-                pos = op  # the operand after an operator failed: give it back
+                i = op  # the operand after an operator failed: give it back
             if product is not None:
                 total = product if total is None else Add(total, product)
                 product = None
-            if value is not None and text.startswith("+", pos):
-                pos += 1
+            if value is not None and tokens[i] == "+":
+                i += 1
                 break
             if not stack:
-                return Success((total, {}), pos)
-            if text.startswith(")", pos):
+                return Success((total, {}), _token_start(text, pos, tokens, i, last)
+                               if tokens[i] else last)
+            if tokens[i] == ")":
                 value = total
-                pos += 1
+                i += 1
             else:
-                value = None
-                failure = Failure(pos, '")"')
+                value, failed, expected = None, i, '")"'
             total, product, op = stack.pop()
 
 

@@ -21,6 +21,7 @@ from strtype.builtins import (
     InnerR,
     Mult,
     USPhone,
+    _EXPR,
     _PATH,
     _SEGMENT,
     _split_segment,
@@ -673,6 +674,11 @@ class TestExpr:
         "1 + + 2": (2, "end of input"),
         "(3": (2, '")"'),
         " ( 1 + ": (5, '")"'),
+        # Whitespace and digits that str.split and str.isdigit know and the
+        # grammar does not.
+        "1\xa0+2": (1, "end of input"),
+        "1+\u0663": (1, "end of input"),
+        "(1\u2028)": (2, '")"'),
     }
 
     @pytest.mark.parametrize("bad", list(REJECTIONS))
@@ -798,6 +804,56 @@ class TestExpr:
             assert got.value.structure == structure, raw
             assert got.value.spans == spans, raw
         assert accepted == 382 + 7_661
+
+    def test_agrees_with_kernel_oracle_where_str_methods_disagree(self, reg):
+        # Whitespace that str.split cuts at and the grammar lacks, digits that
+        # str.isdigit accepts and the grammar lacks, and the grammar's own
+        # characters: verdict, structure and report as the kernel grammar's.
+        alphabet = "\x0b\x0c\x1c\x85\xa0\u2028\u3000\u0663\xb2" + "09\n\rx" + "1+*() "
+        rng = random.Random(32)
+        inputs = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
+                  for _ in range(10_000)]
+        for _ in range(2_000):
+            raw = render_expr_loose(rng, gen_expr_tree(rng, rng.randint(1, 4)))
+            inputs += _mutations(rng, raw, alphabet, count=2)
+        accepted = 0
+        for raw in inputs:
+            want = run_to_end(self.ORACLE, raw)
+            got = reg.from_raw("Expr", raw)
+            if isinstance(want, Failure):
+                assert isinstance(got, Err), (raw, got)
+                assert _report(got) == (want.pos, want.expected), raw
+                continue
+            accepted += 1
+            assert isinstance(got, Ok), (raw, got)
+            assert got.value.structure == want.value[0], raw
+        assert accepted > 1_000
+
+    def test_agrees_with_kernel_oracle_inside_a_larger_grammar(self):
+        # After a prefix, every position is offset by one; before a suffix,
+        # a parse that stops early must end where the kernel grammar's does.
+        short = ["".join(t) for size in range(7)
+                 for t in itertools.product("1+*() x", repeat=size)]
+        ours, kernel = seq(lit("x"), _EXPR), seq(lit("x"), self.ORACLE)
+        for raw in short:
+            assert ours.run("x" + raw) == kernel.run("x" + raw), raw
+        # A prefix that holds a token: positions are found after it.
+        ours, kernel = seq(lit("1"), _EXPR), seq(lit("1"), self.ORACLE)
+        for raw in [raw for raw in short if len(raw) <= 5]:
+            assert ours.run("1" + raw) == kernel.run("1" + raw), raw
+        ours, kernel = seq(_EXPR, lit(";")), seq(self.ORACLE, lit(";"))
+        for raw in ["1 + 2;", "1 2;", "(1) (2);", "1 + + 2;"]:
+            assert ours.run(raw) == kernel.run(raw), raw
+        assert [ours.run(raw).pos for raw in ["1 2;", "(1) (2);", "1 + + 2;"]] == [2, 4, 2]
+
+    def test_reports_on_long_inputs(self, reg):
+        # A report before the end is found by stepping over the tokens from
+        # the nearer end of the token list.
+        flat = " + ".join(["1"] * 2_000) + " +"
+        for raw, report in [(flat, (len(flat) - 1, "end of input")),
+                            ("1 2" + " + 3" * 2_000, (2, "end of input"))]:
+            want = run_to_end(self.ORACLE, raw)
+            assert _report(reg.from_raw("Expr", raw)) == report == (want.pos, want.expected)
 
     def test_deep_nesting_is_data(self, reg):
         n = 10 ** 5

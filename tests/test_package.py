@@ -79,7 +79,8 @@ def test_cli_import_leaves_json_unloaded():
 
 
 def test_import_and_registry_build_compile_no_regex():
-    # Each regex is compiled at the first parse that runs it.
+    # Each regex is compiled at the first parse that runs it; an Expr parse
+    # runs none.
     out = _run_fresh([
         "import re",
         "calls, compile = [], re.compile",
@@ -97,6 +98,8 @@ def test_import_and_registry_build_compile_no_regex():
         "print(repr(path.structure), path.spans)",
         "ab = reg.from_raw('EqualAandB', 'ab').value",
         "print(repr(ab.structure), ab.spans)",
+        "expr = reg.from_raw('Expr', '(1+2)*3').value",
+        "print(expr.cast())",
         "print(ours())",
     ])
     assert out == [
@@ -104,6 +107,7 @@ def test_import_and_registry_build_compile_no_regex():
         "FilePath(absolute=True, dirs=('a',), file_name='b', ext=None, separator='/') "
         "{'separator': (0, 1), 'dirs': (1, 2), 'file_name': (3, 4)}",
         "EqualAandB(count=1) {}",
+        "(1 + 2) * 3",
         str(["strtype.builtins"] * 2),
     ]
 

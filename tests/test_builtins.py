@@ -847,8 +847,8 @@ class TestExpr:
         assert [ours.run(raw).pos for raw in ["1 2;", "(1) (2);", "1 + + 2;"]] == [2, 4, 2]
 
     def test_reports_on_long_inputs(self, reg):
-        # A report before the end is found by stepping over the tokens from
-        # the nearer end of the token list.
+        # A report before the end is found by stepping back over the tokens
+        # from the end of the known run.
         flat = " + ".join(["1"] * 2_000) + " +"
         for raw, report in [(flat, (len(flat) - 1, "end of input")),
                             ("1 2" + " + 3" * 2_000, (2, "end of input"))]:

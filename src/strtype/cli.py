@@ -15,6 +15,10 @@ constant members are encoded once per run and each input encodes only
 its own strings, through the encoder's string function; each record is
 one write to stdout, made as soon as its input is handled.
 
+Arguments are read by ``parse_args`` from the command table, as argparse
+would read them, except that inputs may be split by options and a "-..."
+argument with a space that names no option is an input.
+
 Extra types can be supplied without touching code: point the
 ``STRTYPE_TYPES`` environment variable at a directory of definition
 files, each holding a type name on the first line and a whole-string
@@ -23,11 +27,11 @@ token pattern on the second.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 from operator import attrgetter
-from pathlib import Path
+from types import SimpleNamespace
 
 from .builtins import build_registry
 from .core import (Err, ParsedString, RegistryError, TypeRegistry,
@@ -61,7 +65,8 @@ def _lines(data: bytes | str, source: str) -> list[str]:
 
 def _read_lines(path) -> list[str]:
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError as exc:
         raise _ConfigError(f"cannot read {path}: {exc}") from exc
     return _lines(data, path)
@@ -87,12 +92,12 @@ def _gather_inputs(args) -> list[str]:
 # ------------------------------------------------------------- registry
 
 def _load_extra_types(reg: TypeRegistry, directory: str) -> None:
-    root = Path(directory)
-    if not root.is_dir():
+    if not os.path.isdir(directory):
         raise _ConfigError(f"STRTYPE_TYPES is not a directory: {directory}")
-    for entry in sorted(root.iterdir()):
-        if not entry.is_file() or entry.name.startswith("."):
-            continue
+    with os.scandir(directory) as entries:
+        files = sorted(entry.path for entry in entries
+                       if entry.is_file() and not entry.name.startswith("."))
+    for entry in files:
         lines = _read_lines(entry)
         if len(lines) < 2 or not lines[0].strip():
             raise _ConfigError(
@@ -324,32 +329,119 @@ _INPUT_COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="strtype",
-        description="validate, normalize and compare typed strings")
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, summary, run, *own in _INPUT_COMMANDS:
-        sub = commands.add_parser(name, help=summary)
-        sub.set_defaults(run=run)
-        sub.add_argument(
-            "inputs", nargs="*", metavar="STRING",
-            help="input strings; falls back to --file, then stdin")
-        sub.add_argument("--file",
-                         help="read inputs from this file, one per line")
-        sub.add_argument("--human", action="store_true",
-                         help="readable output instead of JSON records")
-        for flag, options in own:
-            sub.add_argument(flag, **options)
-    list_types = commands.add_parser(
-        "list-types", help="show every registered type")
-    list_types.set_defaults(run=_cmd_list_types)
-    list_types.add_argument("--human", action="store_true")
-    return parser
+_HELP = dict.fromkeys(("-h", "--help"),
+                      {"action": "help", "help": "show this help message and exit"})
+_INPUT_OPTIONS = (("--file", {"help": "read inputs from this file, one per line"}),
+                  ("--human", {"action": "store_true",
+                               "help": "readable output instead of JSON records"}))
+
+# Each level of the command line: its prog, help line, usage tail, help rows
+# before its options', its options by flag and, for a command, how to run it.
+_LEVELS = {name: (f"strtype {name}", summary, "[STRING ...]",
+                  [("STRING", "input strings; falls back to --file, then stdin")],
+                  {**_HELP, **dict(_INPUT_OPTIONS + tuple(own))}, run)
+           for name, summary, run, *own in _INPUT_COMMANDS}
+_LEVELS["list-types"] = ("strtype list-types", "show every registered type", "", [],
+                         {**_HELP, **dict(_INPUT_OPTIONS[1:])}, _cmd_list_types)
+_TOP = ("strtype", "validate, normalize and compare typed strings", "COMMAND ...",
+        [(name, level[1]) for name, level in _LEVELS.items()], _HELP, None)
+
+
+def _dest(flag: str, spec: dict) -> str:
+    return spec.get("dest", flag[2:])
+
+
+def _exit(level: tuple, error: str = ""):
+    """Print the help of one ``level`` and exit 0; or, given an ``error``,
+    print the usage line and the error to stderr and exit 2."""
+    prog, summary, tail, rows, options, _ = level
+    shown = {}
+    for flag, spec in options.items():
+        choices = spec.get("choices")
+        metavar = "{" + ",".join(choices) + "}" if choices else _dest(flag, spec).upper()
+        shown[flag] = flag if "action" in spec else f"{flag} {metavar}"
+    del shown["--help"]
+    usage = " ".join(["usage:", prog, *(text if options[flag].get("required") else f"[{text}]"
+                                        for flag, text in shown.items()), tail]).rstrip()
+    if error:
+        sys.stderr.write(f"{usage}\n{prog}: error: {error}\n")
+        raise SystemExit(2)
+    rows = rows + [(text + ", --help" * (flag == "-h"), options[flag].get("help", ""))
+                   for flag, text in shown.items()]
+    print(usage, "", summary, "", *(f"  {left:<26}{right}".rstrip() for left, right in rows),
+          sep="\n")
+    raise SystemExit(0)
+
+
+def _option(level: tuple, arg: str):
+    """How argparse reads ``arg`` (not "--"): None for an input, else the flag
+    it names (None if unknown) and the value after "=", if any. Unlike
+    argparse, "-..." with a space that names no option before "=" is an input."""
+    options, (name, eq, value) = level[4], arg.partition("=")
+    found = [name] if name in options else [
+        flag for flag in options if name.startswith("--") and flag.startswith(name)]
+    if len(found) > 1:
+        _exit(level, f"ambiguous option: {arg} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    if arg[:1] != "-" or arg == "-" or " " in arg or re.match(r"^-\d+$|^-\d*\.\d+$", arg):
+        return None
+    return None, None
+
+
+def _read(level: tuple, args: list[str]):
+    """Read ``args`` as argparse does: an ambiguous prefix before "--" fails
+    first, then options are taken from left to right and checked. Gives the
+    options' values, the inputs and unknown options before "--", and the rest."""
+    options, head = level[4], args[:args.index("--")] if "--" in args else args
+    kinds = [_option(level, arg) for arg in head]
+    values = {_dest(flag, spec): spec.get("default", False if "action" in spec else None)
+              for flag, spec in options.items() if flag not in _HELP}
+    inputs, unknown, taken = [], [], iter(zip(head, kinds))
+    for arg, kind in taken:
+        spec = options.get(kind and kind[0])
+        if spec is None:
+            (unknown if kind else inputs).append(arg)
+            continue
+        flag, value = kind
+        if "action" in spec and value is not None:
+            _exit(level, f"argument {flag}: ignored explicit argument {value!r}")
+        if flag in _HELP:
+            _exit(level)
+        if value is None:
+            value, kind = (True, None) if "action" in spec else next(taken, (None, ()))
+            if kind is not None:
+                _exit(level, f"argument {flag}: expected one argument")
+        if value not in spec.get("choices", (value,)):
+            _exit(level, f"argument {flag}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(spec['choices'])})")
+        values[_dest(flag, spec)] = value
+    if missing := [flag for flag, spec in options.items()
+                   if spec.get("required") and values[_dest(flag, spec)] is None]:
+        _exit(level, f"the following arguments are required: {', '.join(missing)}")
+    return values, inputs, unknown, args[len(head):]
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """``argv`` read against the command table: the command, its ``run``,
+    its options' values and, if it reads any, its ``inputs``."""
+    # Before the command only -h and --help are known; unknown options fail last.
+    at = next((i for i, arg in enumerate(argv) if arg == "--" or not _option(_TOP, arg)),
+              len(argv))
+    unknown = _read(_TOP, argv[:at])[2]
+    level = _LEVELS.get(argv[at] if at < len(argv) else None)
+    if level is None:
+        _exit(_TOP, f"choose a command from {', '.join(_LEVELS)}")
+    values, inputs, more, rest = _read(level, argv[at + 1:])
+    if level[3]:  # it reads inputs: those before "--" and all after it
+        values["inputs"], inputs, rest = inputs + rest[1:], [], []
+    if unknown := unknown + more + inputs + rest:
+        _exit(level, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=argv[at], run=level[5], **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.run(_make_registry(), args)
     except (_ConfigError, RegistryError) as exc:

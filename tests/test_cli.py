@@ -1,7 +1,12 @@
+import argparse
+import collections
+import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +15,8 @@ import pytest
 
 from generators import accepted_strings
 import strtype
-from strtype.cli import main
+from strtype import cli
+from strtype.cli import _INPUT_COMMANDS, _cmd_list_types, main
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +85,12 @@ class TestValidate:
         assert code == 2
         assert out == ""
         assert "unknown type" in err
+
+    def test_an_option_value_after_equals_is_kept_as_written(self, capsys):
+        # argparse before 3.13 read "--type=--" as an empty list, and the
+        # registry lookup raised TypeError on it.
+        code, out, err = run_cli(capsys, "validate", "x", "--type=--")
+        assert (code, out) == (2, "") and "unknown type '--'" in err
 
     def test_human_prints_ok_per_accepted_input(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--human", "#fff", "#1a2b3c",
@@ -804,3 +816,174 @@ class TestHumanEncodesNothing:
         monkeypatch.setattr(cli, "encode_basestring", _refuse)
         monkeypatch.setattr(cli, "_encode", _refuse)
         assert run_cli(capsys, *argv, "--human") == (code, out, "")
+
+
+# ---------------------------------------------------------------- argv oracle
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="strtype",
+        description="validate, normalize and compare typed strings")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, summary, run, *own in _INPUT_COMMANDS:
+        sub = commands.add_parser(name, help=summary)
+        sub.set_defaults(run=run)
+        sub.add_argument(
+            "inputs", nargs="*", metavar="STRING",
+            help="input strings; falls back to --file, then stdin")
+        sub.add_argument("--file",
+                         help="read inputs from this file, one per line")
+        sub.add_argument("--human", action="store_true",
+                         help="readable output instead of JSON records")
+        for flag, options in own:
+            sub.add_argument(flag, **options)
+    list_types = commands.add_parser(
+        "list-types", help="show every registered type")
+    list_types.set_defaults(run=_cmd_list_types)
+    list_types.add_argument("--human", action="store_true")
+    return parser
+
+
+def _outcome(parse, argv):
+    """("ok", fields) for an argv that ``parse`` accepts, else ("exit", status)."""
+    try:
+        return "ok", vars(parse(argv))
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+class TestArgv:
+    """``parse_args`` reads argv as the argparse parser it replaced reads it,
+    except for two widenings: inputs may be split by options, and a "-..."
+    argument with a space whose text before "=" names no option is an input."""
+
+    COMMANDS = [name for name, *_ in _INPUT_COMMANDS] + ["list-types"]
+    INPUTS = ["a", "", "-", "-5", "-1.5", "-x", "-a b", "--ty pe", "-hello world", "--x=y", "é"]
+    FLAGS = ["--file", "--fi", "--f", "--human", "--hu", "--h", "--type", "--ty", "--t",
+             "--field", "--fie", "--mode", "--mo", "--m", "--from", "--fr", "--to", "--x"]
+    VALUES = INPUTS + ["T", "1", "raw", "weak", "strict", "bad"]
+    REQUIRED = {"narrow": ["--from", "--to"], "list-types": []}
+
+    @staticmethod
+    def flags(command):
+        own = {name: [flag for flag, _ in own] for name, _, _, *own in _INPUT_COMMANDS}
+        return ["-h", "--help", "--human"] + (["--file"] + own[command] if command in own else [])
+
+    def random_argv(self, rng):
+        command = rng.choice(self.COMMANDS) if rng.random() < 0.95 else rng.choice(["nope", None])
+        pieces = [[arg] for arg in rng.choices(self.INPUTS, k=rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 2)):
+            pieces.append(self.option(rng, rng.choice(self.FLAGS)))
+        for flag in self.REQUIRED.get(command, ["--type"]):
+            if rng.random() < 0.9:
+                pieces.append(self.option(rng, flag))
+        if rng.random() < 0.15:
+            pieces.append(["--"])
+        if rng.random() < 0.08:
+            pieces.append([rng.choice(["-h", "--help", "--he"])])
+        rng.shuffle(pieces)
+        head = [rng.choice(["-h", "--x", "--human"])] if rng.random() < 0.03 else []
+        return head + [command] * (command is not None) + [arg for piece in pieces for arg in piece]
+
+    def option(self, rng, flag):
+        values = ["raw", "weak", "strict", "bad", ""] if flag.startswith("--m") else self.VALUES
+        form = rng.randrange(4)
+        if form == 0:
+            return [flag]  # a switch, or an option missing its value
+        if form == 1:
+            return [f"{flag}="]
+        if form == 2:
+            return [f"{flag}={rng.choice(values)}"]
+        return [flag, rng.choice(values + ["--", "-h", "--human", "--ty"])]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_comes_from_the_table(self, capsys, command):
+        for argv, prog, rows in [(["-h"], "strtype", self.COMMANDS),
+                                 ([command, "--help"], f"strtype {command}", self.flags(command))]:
+            with pytest.raises(SystemExit) as caught:
+                cli.parse_args(argv)
+            out, err = capsys.readouterr()
+            assert (caught.value.code, err) == (0, "")
+            assert out.startswith(f"usage: {prog} [-h]")
+            assert all(f"\n  {row}" in out for row in rows if row != "--help"), out
+
+    def test_a_usage_error_goes_to_stderr_with_the_usage_line(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            cli.parse_args(["narrow", "--f", "X"])
+        out, err = capsys.readouterr()
+        assert (caught.value.code, out) == (2, "")
+        assert err.splitlines() == [
+            "usage: strtype narrow [-h] [--file FILE] [--human] --from FROM_TYPE --to TO "
+            "[STRING ...]",
+            "strtype narrow: error: ambiguous option: --f could match --file, --from"]
+
+    def test_agrees_with_argparse_but_for_the_widenings(self, monkeypatch):
+        # Argparse's messages are not compared: skip their formatting and lookups.
+        for name in ("print_usage", "print_help"):
+            monkeypatch.setattr(argparse.ArgumentParser, name, lambda self, file=None: None)
+        monkeypatch.setattr(argparse, "_", str)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        oracle, seen = build_parser(), collections.Counter()
+        rng = random.Random(33)
+        for _ in range(10_000):
+            argv = self.random_argv(rng)
+            want, got = _outcome(oracle.parse_args, argv), _outcome(cli.parse_args, argv)
+            if want == got:
+                seen[want[0], want[1] if want[0] == "exit" else "ok"] += 1
+                continue
+            # A widening: argparse exits where the new parser reads inputs
+            # split by options, or "-hello world", which argparse reads as -h
+            # given a value (an error; help from 3.13). It reads the same once
+            # the inputs are moved after "--" and "-hello world" is replaced.
+            assert want[0] == "exit", (argv, want, got)
+            command = next((arg for arg in argv if arg in self.COMMANDS), None)
+            widened, back = self.widened(oracle, argv, command)
+            again = _outcome(oracle.parse_args, widened)
+            if again[0] == "ok":
+                again = "ok", {key: [back.get(v, v) for v in value] if key == "inputs" else
+                               back.get(value, value) for key, value in again[1].items()}
+            assert again == got, (argv, widened, again, got)
+            seen["widened", "-hello world" in argv] += 1
+        assert min(seen["ok", "ok"], seen["exit", 0], seen["exit", 2],
+                   seen["widened", True], seen["widened", False]) > 100, seen
+
+    def widened(self, oracle, argv, command):
+        """``argv`` in the form in which argparse reads what ``parse_args``
+        reads: its inputs moved, in order, after one "--" at the end, and
+        each "-..." argument with a space that names no option before "="
+        replaced by a placeholder, which ``back`` maps to the argument."""
+        flags = self.flags(command) if command else ["-h", "--help"]
+        values = [flag for flag in flags if flag not in ("-h", "--help", "--human")]
+        required = [arg for flag in self.REQUIRED.get(command, ["--type"]) for arg in (flag, "T")]
+        back = {}
+
+        def named(arg, among):
+            name = arg.partition("=")[0]
+            return [flag for flag in among if flag == name or
+                    name.startswith("--") and flag.startswith(name)]
+
+        def placed(arg):
+            if arg[:1] != "-" or " " not in arg or named(arg, flags):
+                return arg
+            back[f"placeholder {len(back)}"] = arg
+            return f"placeholder {len(back) - 1}"
+
+        def an_input(arg):
+            outcome = _outcome(oracle.parse_args, [command, *required, arg])
+            return outcome[0] == "ok" and outcome[1].get("inputs") == [arg]
+
+        if command is None:
+            return list(map(placed, argv)), back
+        at = argv.index(command)
+        options, inputs, rest = argv[:at + 1], [], iter(argv[at + 1:])
+        for arg in map(placed, rest):
+            if arg == "--":
+                inputs += map(placed, rest)
+            elif an_input(arg):
+                inputs.append(arg)
+            else:
+                options.append(arg)
+                if "=" not in arg and len(named(arg, flags)) == 1 and named(arg, values):
+                    options += map(placed, itertools.islice(rest, 1))
+        return options + ["--"] * bool(inputs) + inputs, back

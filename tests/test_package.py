@@ -44,20 +44,32 @@ def test_star_import_gives_exactly_the_public_names():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
 
 
-def test_import_leaves_dataclasses_and_inspect_unloaded():
-    # -S, so that no site hook loads either module, or hides that strtype does.
+UNLOADED = {"dataclasses", "inspect", "argparse", "gettext", "pathlib"}
+
+
+def test_import_leaves_dataclasses_inspect_argparse_gettext_and_pathlib_unloaded():
+    # -S, so that no site hook loads these modules, or hides that strtype does.
     src = str(Path(strtype.__file__).resolve().parent.parent)
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {src!r})",
         "import strtype.cli",
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        f"print(sorted({UNLOADED!r} & set(sys.modules)))",
         "import dataclasses, strtype",
         "print([f.name for f in dataclasses.fields(strtype.Email)])",
     ])
     out = subprocess.run([sys.executable, "-S", "-c", script],
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["[]", "['name', 'domain_left', 'domain_right']"]
+
+
+def test_no_module_imports_argparse_gettext_or_pathlib():
+    for path in sorted(Path(strtype.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", None)]
+                assert not {"argparse", "gettext", "pathlib"} & set(names), f"{path.name}:{node.lineno}"
 
 
 def _run_fresh(lines):

@@ -377,6 +377,7 @@ def _option(level: tuple, arg: str):
     """How argparse reads ``arg`` (not "--"): None for an input, else the flag
     it names (None if unknown) and the value after "=", if any. Unlike
     argparse, "-..." with a space that names no option before "=" is an input."""
+    arg = "-h" if arg[1:] and arg.rstrip("h") == "-" else arg  # -hh is -h run together
     options, (name, eq, value) = level[4], arg.partition("=")
     found = [name] if name in options else [
         flag for flag in options if name.startswith("--") and flag.startswith(name)]

@@ -156,9 +156,11 @@ def sub_expressions(e: Expr) -> list[Expr]:
     found, pending = [], [e]
     while pending:
         node = pending.pop()
-        if isinstance(node, (Add, Mult)):
-            pending += (node.r, node.l)
-        elif not isinstance(node, Const):
+        while node.__class__ is not Const and isinstance(node, (Add, Mult)):
+            found.append(node)  # and on down the left spine
+            pending.append(node.r)
+            node = node.l
+        if node.__class__ is not Const and not isinstance(node, Const):
             raise TypeError(f"not an expression tree: {node!r}")
         found.append(node)
     return found

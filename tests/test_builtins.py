@@ -22,6 +22,7 @@ from strtype.builtins import (
     Mult,
     USPhone,
     _EXPR,
+    _LEAVES,
     _PATH,
     _SEGMENT,
     _split_segment,
@@ -847,13 +848,66 @@ class TestExpr:
         assert [ours.run(raw).pos for raw in ["1 2;", "(1) (2);", "1 + + 2;"]] == [2, 4, 2]
 
     def test_reports_on_long_inputs(self, reg):
-        # A report before the end is found by stepping back over the tokens
-        # from the end of the known run.
+        # A report before the end is found by stepping over the tokens from
+        # the nearer end of the known run.
         flat = " + ".join(["1"] * 2_000) + " +"
         for raw, report in [(flat, (len(flat) - 1, "end of input")),
                             ("1 2" + " + 3" * 2_000, (2, "end of input"))]:
             want = run_to_end(self.ORACLE, raw)
             assert _report(reg.from_raw("Expr", raw)) == report == (want.pos, want.expected)
+
+    def test_early_stops_in_long_runs_agree_with_kernel_oracle(self, reg):
+        # Each stop sits at the start, the middle or the end of a run of
+        # 2,000 terms, so its position is found stepping forward from the
+        # start or back from the end; also after a one-character prefix.
+        rng = random.Random(34)
+        terms = [rng.choice([" + 3", "\t*  45", " +(6)", "+7", " * ( 8 + 9 )"])
+                 for _ in range(2_000)]
+        stops = [" 2", " + + 2", " )", " x", " * (1 2)", "  (1"]
+        prefixed = seq(lit("x"), _EXPR), seq(lit("x"), self.ORACLE)
+        for at in (0, 1, 1_000, 1_999, 2_000):
+            for stop in stops:
+                raw = "1" + "".join(terms[:at]) + stop + "".join(terms[at:])
+                want = run_to_end(self.ORACLE, raw)
+                got = reg.from_raw("Expr", raw)
+                assert isinstance(got, Err) and isinstance(want, Failure), (at, stop)
+                assert _report(got) == (want.pos, want.expected), (at, stop)
+                ours, kernel = (p.run("x" + raw) for p in prefixed)
+                assert ours == kernel, (at, stop)
+        assert _report(reg.from_raw("Expr", "1 2" + " + 3" * 2_000)) == (2, "end of input")
+
+    def test_small_leaves_are_shared(self, reg):
+        tree = ok(reg, "Expr", "7+7").structure
+        assert tree == Add(Const(7), Const(7)) and tree.l is tree.r
+        assert ok(reg, "Expr", "(007) * 7").structure.l is not tree.l
+        long = ok(reg, "Expr", "1234 + 1234").structure
+        assert long.l == long.r and long.l is not long.r
+
+    def test_shared_leaves_do_not_change_trees(self, reg):
+        rng = random.Random(341)
+        big = [Const(n) for n in (1_000, 99_999, 10 ** 30)]
+        for _ in range(500):
+            tree = gen_expr_tree(rng, rng.randint(1, 6))
+            if rng.random() < 0.3:
+                tree = Mult(tree, rng.choice(big))
+            parsed = ok(reg, "Expr", expr_text(tree)).structure
+            assert parsed == tree and hash(parsed) == hash(tree)
+            assert {tree: 1}[parsed] == 1
+            for clone in (copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
+                assert clone == tree and hash(clone) == hash(tree)
+
+    def test_leaf_table_is_bounded(self, reg):
+        # 10,000 distinct digit runs of 1 to 6 digits: only those of at most
+        # 3 digits, 1,110 in all, are kept.
+        rng = random.Random(342)
+        raws = set()
+        while len(raws) < 10_000:
+            raws.add("".join(rng.choices("0123456789", k=rng.randint(1, 6))))
+        for raw in raws:
+            assert ok(reg, "Expr", raw).structure == Const(int(raw))
+        assert 100 < len(_LEAVES) <= 1_110
+        assert all(len(token) <= 3 and leaf == Const(int(token))
+                   for token, leaf in _LEAVES.items())
 
     def test_deep_nesting_is_data(self, reg):
         n = 10 ** 5

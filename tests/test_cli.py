@@ -917,6 +917,14 @@ class TestArgv:
             "[STRING ...]",
             "strtype narrow: error: ambiguous option: --f could match --file, --from"]
 
+    def test_help_flags_run_together_print_help(self, capsys):
+        # Argparse reads "-hh" as "-h -h". The generator draws no such run,
+        # because argparse reads "-hx" and "-h=h" differently across versions.
+        for argv in (["validate", "-hh"], ["-hh"]):
+            want = _outcome(build_parser().parse_args, argv)
+            assert _outcome(cli.parse_args, argv) == want == ("exit", 0), argv
+            assert capsys.readouterr().out.startswith("usage: strtype")
+
     def test_agrees_with_argparse_but_for_the_widenings(self, monkeypatch):
         # Argparse's messages are not compared: skip their formatting and lookups.
         for name in ("print_usage", "print_help"):

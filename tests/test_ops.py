@@ -332,6 +332,23 @@ class TestSubExpressions:
                 for deeper in sub_expressions(sub):
                     assert deeper in subs
 
+    def test_walks_subclasses_of_the_nodes(self, reg):
+        class Sum(Add):
+            __slots__ = ()
+
+        class Leaf(Const):
+            __slots__ = ()
+
+        tree = Mult(Sum(Const(1), Leaf(2)), Sum(Mult(Const(3), Const(4)), Const(5)))
+        subs = sub_expressions(tree)
+        assert subs == [tree, tree.l, Const(1), Leaf(2), tree.r, tree.r.l,
+                        Const(3), Const(4), Const(5)]
+        assert [sub.__class__ for sub in subs[:5]] == [Mult, Sum, Const, Leaf, Sum]
+        assert expr_text(tree) == "(1 + 2) * (3 * 4 + 5)"
+        assert expr_text(Sum(Const(1), Sum(Const(2), Const(3)))) == "1 + (2 + 3)"
+        assert ok(reg, "Expr", expr_text(tree)).structure == Mult(
+            Add(Const(1), Const(2)), Add(Mult(Const(3), Const(4)), Const(5)))
+
     def test_rejects_non_trees(self):
         with pytest.raises(TypeError):
             sub_expressions("3 + 4")

@@ -36,7 +36,7 @@ from .combinators import (
     record,
     seq,
 )
-from .core import StringType, TypeRegistry, _new, opaque_type, subtype
+from .core import StringType, TypeRegistry, opaque_type, subtype
 from .patterns import FrozenRecord, Structure, TokenPattern, _setters
 
 __all__ = [
@@ -412,11 +412,12 @@ Expr = Const | Add | Mult
 # lstrip bounds the run of characters the grammar knows, so split (with
 # the operators padded) cuts at no other whitespace, and a digit token
 # holds ASCII digits only. A sentinel "" ends the tokens; a stop before it
-# steps over them from the nearer end of the run to find its position, but
-# the whole run is cut even when a parse stops early. An operand failing
-# after an operator gives it back, ending its level before it; any other
-# failure is the report, and a digit run too long for int() fails at its
-# start. Small leaves are shared, and nodes built with constructors unrun.
+# steps back from the end to find its position. The run is cut whole even
+# when a parse stops early, so an early stop costs time linear in the run,
+# not in what was parsed. An operand failing after an operator gives it
+# back, ending its level before it; any other failure is the report, and a
+# digit run too long for int() fails at its start. Numbers of at most 3
+# digits share their Const leaves: trees compare by structure, not identity.
 _EXPR_CHARS = "0123456789()*+ \t\n\r"  # digits, operators and whitespace
 _LEAVES = {}  # digit token of at most 3 characters -> its Const (1,110 at most)
 # 0 means no limit, as on a Python 3.10 too old to have one.
@@ -425,10 +426,6 @@ _int_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 def _token_start(text, pos, tokens, i, last):
     """Where ``tokens[i]`` starts: only whitespace lies between tokens."""
-    if 2 * i < len(tokens) - 1:  # nearer the start: step forward from pos
-        for token in tokens[:i + 1]:
-            pos = text.find(token, pos) + len(token)
-        return pos - len(tokens[i])
     for token in reversed(tokens[i:-1]):
         last = text.rfind(token, pos, last)
     return last
@@ -468,14 +465,7 @@ def _expr(text, pos):
         while True:
             if value is not None:
                 op = i
-                if product is None:
-                    product = value
-                else:  # Mult(product, value), its constructor unrun
-                    node = _new(Mult)
-                    _set_l(node, product)
-                    _set_r(node, value)
-                    _set_hash(node, hash((Mult, product._hash, value._hash)))
-                    product = node
+                product = value if product is None else Mult(product, value)
                 if tokens[i] == "*":
                     i += 1
                     break
@@ -488,20 +478,14 @@ def _expr(text, pos):
             else:
                 i = op  # the operand after an operator failed: give it back
             if product is not None:
-                if total is None:
-                    total = product
-                else:  # Add(total, product), its constructor unrun
-                    node = _new(Add)
-                    _set_l(node, total)
-                    _set_r(node, product)
-                    _set_hash(node, hash((Add, total._hash, product._hash)))
-                    total = node
+                total = product if total is None else Add(total, product)
                 product = None
             if value is not None and tokens[i] == "+":
                 i += 1
                 break
             if not stack:
-                return Success((total, {}), _token_start(text, pos, tokens, i, last))
+                return Success((total, {}), _token_start(text, pos, tokens, i, last)
+                               if tokens[i] else last)
             if tokens[i] == ")":
                 value = total
                 i += 1
@@ -530,8 +514,13 @@ def expr_text(e: Expr) -> str:
             continue
         op, node, floor = item
         out.append(op)
-        while node.__class__ is not Const and isinstance(node, (Add, Mult)):
-            level, op = (1, " + ") if isinstance(node, Add) else (2, " * ")
+        while (cls := node.__class__) is not Const:
+            if cls is Add or cls is not Mult and isinstance(node, Add):
+                level, op = 1, " + "
+            elif cls is Mult or isinstance(node, Mult):
+                level, op = 2, " * "
+            else:
+                break  # a subclass of Const
             if level < floor:
                 out.append("(")
                 pending.append(")")

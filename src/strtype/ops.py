@@ -156,11 +156,12 @@ def sub_expressions(e: Expr) -> list[Expr]:
     found, pending = [], [e]
     while pending:
         node = pending.pop()
-        while node.__class__ is not Const and isinstance(node, (Add, Mult)):
+        while (cls := node.__class__) is Add or cls is Mult or (
+                cls is not Const and isinstance(node, (Add, Mult))):
             found.append(node)  # and on down the left spine
             pending.append(node.r)
             node = node.l
-        if node.__class__ is not Const and not isinstance(node, Const):
+        if cls is not Const and not isinstance(node, Const):
             raise TypeError(f"not an expression tree: {node!r}")
         found.append(node)
     return found

@@ -848,8 +848,8 @@ class TestExpr:
         assert [ours.run(raw).pos for raw in ["1 2;", "(1) (2);", "1 + + 2;"]] == [2, 4, 2]
 
     def test_reports_on_long_inputs(self, reg):
-        # A report before the end is found by stepping over the tokens from
-        # the nearer end of the known run.
+        # A report before the end is found by stepping back over the tokens
+        # from the end of the known run.
         flat = " + ".join(["1"] * 2_000) + " +"
         for raw, report in [(flat, (len(flat) - 1, "end of input")),
                             ("1 2" + " + 3" * 2_000, (2, "end of input"))]:
@@ -858,8 +858,8 @@ class TestExpr:
 
     def test_early_stops_in_long_runs_agree_with_kernel_oracle(self, reg):
         # Each stop sits at the start, the middle or the end of a run of
-        # 2,000 terms, so its position is found stepping forward from the
-        # start or back from the end; also after a one-character prefix.
+        # 2,000 terms, so its position is found stepping back over few or
+        # many tokens; also after a one-character prefix.
         rng = random.Random(34)
         terms = [rng.choice([" + 3", "\t*  45", " +(6)", "+7", " * ( 8 + 9 )"])
                  for _ in range(2_000)]

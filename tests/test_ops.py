@@ -336,14 +336,17 @@ class TestSubExpressions:
         class Sum(Add):
             __slots__ = ()
 
+        class Product(Mult):
+            __slots__ = ()
+
         class Leaf(Const):
             __slots__ = ()
 
-        tree = Mult(Sum(Const(1), Leaf(2)), Sum(Mult(Const(3), Const(4)), Const(5)))
+        tree = Mult(Sum(Const(1), Leaf(2)), Sum(Product(Const(3), Const(4)), Const(5)))
         subs = sub_expressions(tree)
         assert subs == [tree, tree.l, Const(1), Leaf(2), tree.r, tree.r.l,
                         Const(3), Const(4), Const(5)]
-        assert [sub.__class__ for sub in subs[:5]] == [Mult, Sum, Const, Leaf, Sum]
+        assert [sub.__class__ for sub in subs[:6]] == [Mult, Sum, Const, Leaf, Sum, Product]
         assert expr_text(tree) == "(1 + 2) * (3 * 4 + 5)"
         assert expr_text(Sum(Const(1), Sum(Const(2), Const(3)))) == "1 + (2 + 3)"
         assert ok(reg, "Expr", expr_text(tree)).structure == Mult(

@@ -519,8 +519,10 @@ def expr_text(e: Expr) -> str:
                 level, op = 1, " + "
             elif cls is Mult or isinstance(node, Mult):
                 level, op = 2, " * "
-            else:
+            elif isinstance(node, Const):
                 break  # a subclass of Const
+            else:
+                raise TypeError(f"not an expression tree: {node!r}")
             if level < floor:
                 out.append("(")
                 pending.append(")")
@@ -533,13 +535,17 @@ def expr_text(e: Expr) -> str:
 # ------------------------------------------------------------ registration
 
 _SANITISED_PATTERN = "[0-9a-zA-Z _.-]+"
+# Roots whose canonical forms strtype.ops renders: shared, so known by identity.
+_COLOUR_TYPE = StringType("CssColour", _COLOUR, cast_colour)
+_UNIT_TYPE = StringType("CssUnit", _UNIT, cast_unit)
+_EMAIL_TYPE = StringType("Email", _EMAIL, cast_email)
 
 
 def register_builtins(reg: TypeRegistry) -> TypeRegistry:
-    reg.register(StringType("CssColour", _COLOUR, cast_colour))
-    unit = reg.register(StringType("CssUnit", _UNIT, cast_unit))
+    reg.register(_COLOUR_TYPE)
+    unit = reg.register(_UNIT_TYPE)
     reg.register(subtype(unit, "PxOrAuto", unit=lit("px") | lit("auto")))
-    email = reg.register(StringType("Email", _EMAIL, cast_email))
+    email = reg.register(_EMAIL_TYPE)
     reg.register(subtype(email, "Gmail", domain_left=lit("gmail")))
     path = reg.register(StringType(
         "FilePath", _PATH, cast_path,

@@ -30,7 +30,8 @@ matches. So a token fails only at its start, with its label. A ``lit`` is
 the pattern of its escaped characters, a ``one_of`` the class of them;
 ``map``, ``desc``, an ``alt`` of tokens with no ``conv`` (their choices in
 order) and ``fallback("")`` (one more, empty, choice) over tokens are
-tokens too; ``satisfy`` is not. ``check_to_end`` runs only their patterns.
+tokens too; ``satisfy`` is not. ``check_to_end`` runs only their patterns,
+and those of an ``alt`` of tokens that convert their text.
 
 When every part of a ``record`` is a token and no pattern among them
 walks the DFA, the record parses with one ``re`` match
@@ -90,17 +91,17 @@ class Parser(Generic[A]):
     ``record``'s named parts, merged by ``alt``; empty for other parsers.
     A token also has its choices, ``trees``, tried in order, each taking
     its longest match, and ``conv`` (see the module docstring), and a
-    ``record`` its whole-string entry ``whole``; any other parser has them
-    None.
+    ``record`` its whole-string entry ``whole``, and an ``alt`` of tokens
+    that convert its ``token`` (see ``alt``); any other parser has them None.
     """
 
-    __slots__ = ("fn", "label", "parts", "conv", "trees", "whole")
+    __slots__ = ("fn", "label", "parts", "conv", "trees", "whole", "token")
 
     def __init__(self, fn: Callable[[str, int], Success | Failure], label: str | None = None):
         self.fn = fn
         self.label = label
         self.parts = {}
-        self.conv = self.trees = self.whole = None
+        self.conv = self.trees = self.whole = self.token = None
 
     def run(self, text: str, pos: int = 0) -> Success | Failure:
         return self.fn(text, pos)
@@ -244,13 +245,17 @@ def alt(*parsers: Parser) -> Parser:
     When every branch has parts, a field's part is the ``alt`` of the
     branches' parts for it, or the one branch's part if only one has it.
     An ``alt`` of tokens with no ``conv`` is the token of their choices in
-    order, each still taking its longest match, labelled as it fails.
+    order, each still taking its longest match, labelled as it fails; one
+    of tokens that convert keeps that token, for ``check_to_end``, as ``token``.
     """
     if not parsers:
         raise ValueError("alt needs at least one parser")
-    if all(p.trees is not None and p.conv is None for p in parsers):
-        return _token(tuple(tree for p in parsers for tree in p.trees),
-                      reduce(lambda a, b: a if b == a else f"{a} or {b}", [p.label for p in parsers]))
+    token = None
+    if all(p.trees is not None for p in parsers):
+        token = _token(tuple(tree for p in parsers for tree in p.trees),
+                       reduce(lambda a, b: a if b == a else f"{a} or {b}", [p.label for p in parsers]))
+        if all(p.conv is None for p in parsers):
+            return token
     merged: dict[str, list[Parser]] = {}
     if all(p.parts for p in parsers):
         for p in parsers:
@@ -269,6 +274,7 @@ def alt(*parsers: Parser) -> Parser:
         return best
     out = Parser(parse)
     out.parts = {name: ps[0] if len(ps) == 1 else alt(*ps) for name, ps in merged.items()}
+    out.token = token
     return out
 
 
@@ -431,12 +437,14 @@ def run_to_end(p: Parser[A], text: str) -> Success | Failure:
 
 
 def check_to_end(p: Parser, text: str) -> Failure | None:
-    """``run_to_end``'s failure, or None. A token runs only its patterns, in
-    order: the first that matches decides, with its longest match."""
-    if p.trees is None:
+    """``run_to_end``'s failure, or None. A token, or an ``alt`` of tokens
+    that convert, runs only the patterns, in order: the first that matches
+    decides, with its longest match."""
+    token = p if p.trees is not None else p.token
+    if token is None:
         out = run_to_end(p, text)
         return out if isinstance(out, Failure) else None
-    for tree in p.trees:
+    for tree in token.trees:
         if (end := tree.match_end(text, 0)) is not None:
             return None if end == len(text) else Failure(end, "end of input")
-    return Failure(0, p.label)
+    return Failure(0, token.label)

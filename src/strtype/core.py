@@ -452,9 +452,13 @@ def from_structure(registry: TypeRegistry, type_name: str, structure: Any) -> Pa
 
     The canonical rendering is parsed back once to recover field spans; a
     structure whose rendering its own type rejects, or that does not
-    round-trip, raises :class:`InvalidStructureError`.
+    round-trip, raises :class:`InvalidStructureError`, as does (chained) one
+    the cast cannot render, such as a structure of another class.
     """
-    raw = registry.get(type_name).cast_fn(structure)
+    try:
+        raw = registry.get(type_name).cast_fn(structure)
+    except (AttributeError, TypeError) as error:
+        raise InvalidStructureError(f"{structure!r} has no {type_name} rendering") from error
     result = registry.from_raw(type_name, raw)
     if isinstance(result, Err):
         raise InvalidStructureError(

@@ -385,6 +385,13 @@ class TestFromStructure:
         with pytest.raises(InvalidStructureError):
             from_structure(reg, "Pair", Pair("AB", "1"))
 
+    @pytest.mark.parametrize("type_name", ["Expr", "CssColour", "Email", "USPhone",
+                                           "Sanitised", "FilePath"])
+    def test_rejects_structures_of_another_class(self, type_name):
+        with pytest.raises(InvalidStructureError) as raised:
+            from_structure(build_registry(), type_name, "3 + 4")
+        assert isinstance(raised.value.__cause__, (AttributeError, TypeError))
+
 
 class TestChecks:
     def test_every_field_check_ancestor_end_first(self, reg):
@@ -411,6 +418,30 @@ class TestChecks:
         assert isinstance(parsed(reg, "Pair", "ho:1").narrow("HoPair"), Ok)
         assert parsed(reg, "HoPair", "hi:1").type_name == "HoPair"
         assert reg.from_raw("HoPair", "hu:1").error.parse.pos == 0
+        # So is an alt of tokens that convert their text, whose parse is not
+        # a token's: its choices in order, the first that matches deciding,
+        # with the failure run_to_end gives, labels joined as alt joins them.
+        def converting():
+            branches = (pattern("[0-9]{2}").map(int), lit("x"),
+                        pattern("[0-9]").map(lambda t: -int(t)).desc("a digit"),
+                        pattern("[a-c]+"), pattern("[5-9]").map(int).desc("a digit"))
+            return alt(*branches), branches
+        checked, branches = converting()
+        oracle, _ = converting()
+        assert checked.trees is None
+        for p in branches:
+            p.fn = refuse
+        rng = random.Random("alt-of-converting-tokens")
+        verdicts = set()
+        for _ in range(3000):
+            text = "".join(rng.choice("0159abx!") for _ in range(rng.randint(0, 4)))
+            want = run_to_end(oracle, text)
+            got = check_field(checked, text)
+            assert got == (want if isinstance(want, Failure) else None), text
+            verdicts.add(got if got is None else got.pos)
+        assert verdicts >= {None, 0, 1, 2}, verdicts
+        assert check_field(checked, "") == Failure(
+            0, '/[0-9]{2}/ or "x" or a digit or /[a-c]+/ or a digit')
 
     # Each subtype's own overrides, sorted by field name.
     OVERRIDES = {"HiPair": ["left"], "HiNinePair": ["right"], "PxOrAuto": ["unit"],

@@ -1,23 +1,34 @@
+import math
 import random
 
 import pytest
 
 from generators import accepted_strings, gen_expr_tree
 from strtype.builtins import (
+    _CM_PER_UNIT,
+    _COLOUR,
+    _EMAIL,
     Add,
     Const,
+    CssColour,
     CssUnit,
+    Email,
     Mult,
     build_registry,
+    cast_colour,
     expr_text,
 )
 from strtype.combinators import pattern
 from strtype.core import (
     Err,
     ErrorKind,
+    InvalidStructureError,
     Ok,
+    StringType,
+    TypeRegistry,
     UnknownFieldError,
     field_checks,
+    from_structure,
     reset_field_checks,
     subtype,
 )
@@ -211,6 +222,152 @@ class TestAppendToName:
         assert min(verdicts.values()) >= 100, verdicts
 
 
+def colour_mix(a, b):
+    return CssColour(min(255, a.red + b.red), min(255, a.green + b.green),
+                     min(255, a.blue + b.blue))
+
+
+def joined_names(a, b):
+    return Email(a.name + b.name, a.domain_left, a.domain_right)
+
+
+def unit_sum(a, b):
+    """The structure ``add_units`` builds, or the kind of its ``Err``."""
+    if "auto" in (a.unit, b.unit):
+        return ErrorKind.INCOMPATIBLE
+    scale = 1.0 if a.unit == b.unit else _CM_PER_UNIT[b.unit] / _CM_PER_UNIT[a.unit]
+    value = a.value + b.value * scale
+    return ErrorKind.CLOSURE if value == math.inf else CssUnit(value, a.unit)
+
+
+def raised(f):
+    """``f()``, or the class of what it raised."""
+    try:
+        return f()
+    except Exception as error:  # the class is the outcome compared
+        return type(error)
+
+
+class TestAgainstFromStructure:
+    """Each op that builds a value gives what ``from_structure`` gives for the
+    structure it computes, spans in the same order, or raises what it
+    raises: on subtypes that restrict a rewritten field, and on hand-built
+    operands whose fields leave the language."""
+
+    @pytest.fixture(scope="class")
+    def sub_reg(self):
+        reg = build_registry()
+        reg.register(subtype(reg.get("Email"), "ShortName", name=pattern("[a-z]{1,3}")))
+        reg.register(subtype(reg.get("CssColour"), "DimRed", red=pattern("[0-7][0-9a-f]")))
+        reg.register(subtype(reg.get("CssUnit"), "Small", value=pattern("[0-9]{1,2}(\\.[0-9]+)?")))
+        return reg
+
+    @staticmethod
+    def values(reg, type_name, raws):
+        results = (reg.from_raw(type_name, raw) for raw in raws)
+        return [r.value for r in results if isinstance(r, Ok)]
+
+    @staticmethod
+    def hand_built(reg, type_name, structures):
+        cls = reg.value_class(type_name)
+        return [cls(structure, {}, "") for structure in structures]
+
+    def pools(self, reg, rng):
+        """Left and right operands per op, each of a type the op declares."""
+        colours = accepted_strings("CssColour", 300, seed=409)
+        emails = accepted_strings("Email", 300, seed=410)
+        units = accepted_strings("CssUnit", 300, seed=411) + ["1" + "0" * 308 + "pc"] * 20
+        short = [f"{rng.choice(['a', 'bc', 'xyz'])}@{raw.split('@')[1]}" for raw in emails[:100]]
+        small = [f"{rng.randint(0, 120)}.{rng.randint(0, 9)}{rng.choice(['px', 'cm'])}"
+                 for _ in range(100)]
+        odd_colours = self.hand_built(reg, "CssColour", [
+            CssColour(-rng.randint(1, 300), rng.randint(0, 255), rng.randint(0, 255))
+            for _ in range(30)])
+        odd_emails = self.hand_built(reg, "Email", [
+            Email(rng.choice(["a@b", "@", "x@"]), "d", "e") for _ in range(15)] + [
+            Email("n", "d.e", "f") for _ in range(15)])
+        odd_units = self.hand_built(reg, "CssUnit", [
+            CssUnit(rng.randint(0, 50) / 4, "em") for _ in range(30)])
+        colour_pool = self.values(reg, "CssColour", colours) + odd_colours
+        email_pool = self.values(reg, "Email", emails) + odd_emails
+        unit_pool = self.values(reg, "CssUnit", units) + odd_units
+        return {
+            blend: (colour_pool + self.values(reg, "DimRed", colours), colour_pool, colour_mix),
+            concat_names: (email_pool + self.values(reg, "Gmail", accepted_strings("Gmail", 100))
+                           + self.values(reg, "ShortName", short), email_pool, joined_names),
+            add_units: (unit_pool + self.values(reg, "PxOrAuto", units)
+                        + self.values(reg, "Small", small), unit_pool, unit_sum),
+        }
+
+    def test_each_result_is_what_from_structure_gives(self, sub_reg):
+        rng = random.Random("ops-against-from-structure")
+        seen = {}
+        for op, (lefts, rights, make) in self.pools(sub_reg, rng).items():
+            for _ in range(3500):
+                a, b = rng.choice(lefts), rng.choice(rights)
+                got = raised(lambda: op(a, b))
+                want = raised(lambda: make(a.structure, b.structure))
+                if isinstance(want, ErrorKind):
+                    assert isinstance(got, Err) and got.error.kind is want, (a, b, got)
+                    outcome = want
+                else:
+                    if not isinstance(want, type):
+                        want = raised(lambda: from_structure(sub_reg, a.type_name, want))
+                    if isinstance(got, Ok):
+                        got = got.value
+                    if isinstance(want, type):
+                        assert got is want, (op.__name__, a, b, got)
+                        outcome = want
+                    else:
+                        assert (type(got), got.structure, list(got.spans.items()), got.raw) == (
+                            type(want), want.structure, list(want.spans.items()), want.raw), (a, b)
+                        outcome = "ok"
+                key = (op.__name__, a.type_name, outcome)
+                seen[key] = seen.get(key, 0) + 1
+        for key in [("blend", "CssColour", "ok"), ("blend", "DimRed", "ok"),
+                    ("blend", "DimRed", InvalidStructureError),
+                    ("blend", "CssColour", InvalidStructureError),
+                    ("concat_names", "Email", "ok"), ("concat_names", "Gmail", "ok"),
+                    ("concat_names", "ShortName", InvalidStructureError),
+                    ("concat_names", "Email", InvalidStructureError),
+                    ("add_units", "CssUnit", "ok"), ("add_units", "PxOrAuto", "ok"),
+                    ("add_units", "Small", "ok"), ("add_units", "Small", InvalidStructureError),
+                    ("add_units", "CssUnit", InvalidStructureError),
+                    ("add_units", "CssUnit", ErrorKind.INCOMPATIBLE),
+                    ("add_units", "CssUnit", ErrorKind.CLOSURE)]:
+            assert seen.get(key, 0) >= 3, (key, seen)
+
+
+class TestOperandTypes:
+    """Each op takes values of the builtin type it declares, or of a subtype."""
+
+    def test_another_type_over_the_same_structure_is_refused(self, reg):
+        other = build_registry()
+        other.register(StringType("Paint", _COLOUR, cast_colour))
+        paint = ok(other, "Paint", "#102030")
+        with pytest.raises(TypeError, match="blend needs a CssColour value, got Paint"):
+            blend(paint, ok(other, "CssColour", "#000"))
+        with pytest.raises(TypeError):
+            blend(ok(other, "CssColour", "#000"), paint)
+
+    def test_a_registry_whose_type_is_not_the_builtin_one_is_refused(self):
+        reg = TypeRegistry()
+        reg.register(StringType("Email", _EMAIL, lambda e: f"{e.name}@{e.domain_left}"))
+        e = ok(reg, "Email", "a@b.c")
+        for op in (concat_names, lambda a, b: append_to_name(a, "x")):
+            with pytest.raises(TypeError):
+                op(e, e)
+
+    def test_a_subtype_that_a_result_leaves_raises(self):
+        reg = build_registry()
+        reg.register(subtype(reg.get("Email"), "ShortName", name=pattern("[a-z]{1,3}")))
+        a, b = ok(reg, "ShortName", "abc@x.yz"), ok(reg, "ShortName", "def@x.yz")
+        with pytest.raises(InvalidStructureError, match="field 'name' expected"):
+            concat_names(a, b)
+        with pytest.raises(InvalidStructureError):
+            from_structure(reg, "ShortName", joined_names(a.structure, b.structure))
+
+
 class TestProjectField:
     def test_email_name(self, reg):
         got = project_field(ok(reg, "Email", "someone@email.com"), "name")
@@ -355,6 +512,11 @@ class TestSubExpressions:
     def test_rejects_non_trees(self):
         with pytest.raises(TypeError):
             sub_expressions("3 + 4")
+
+    @pytest.mark.parametrize("tree", ["3 + 4", 7, None])
+    def test_rendering_rejects_non_trees(self, tree):
+        with pytest.raises(TypeError, match="not an expression tree"):
+            expr_text(tree)
 
     def test_long_flat_sum(self):
         # Left-deep, as chain_left builds "0 + 1 + ... + 4999".

@@ -4,14 +4,15 @@ Every root type here follows the same recipe. A grammar built from the
 combinator kernel parses the whole raw string into a small structure, a
 frozen slotted ``patterns.Structure`` record, recording the span each named
 field consumed (``record`` does both for a fixed sequence of fields, and
-its named parts are the type's fields and field recognizers), and a cast
-function renders the canonical surface form of that structure. Three root
-types have hand-written parse functions instead, and name their fields
-themselves; each agrees with a kernel grammar that the tests keep as its
-oracle: ``FilePath``, ``str`` scans whose first separator fixes the rest
-and whose rejections a kernel ``alt`` reports, ``EqualAandB``, which
-counts, and ``Expr``, which nests without bound over tokens that ``str``
-methods cut; only ``EqualAandB`` compiles regexes, at its first parse.
+its named parts are the type's fields and field recognizers), and prints
+its canonical surface form (``record`` derives the cast from its parts).
+Three root types have hand-written parse and cast functions instead, and
+name their fields themselves; each agrees with a kernel grammar that the
+tests keep as its oracle: ``FilePath``, ``str`` scans whose first
+separator fixes the rest and whose rejections a kernel ``alt`` reports,
+``EqualAandB``, which counts, and ``Expr``, which nests without bound over
+tokens that ``str`` methods cut; only ``EqualAandB`` compiles regexes, at
+its first parse.
 A subtype is declared once, by ``subtype``, as its parent plus a
 recognizer for each field it overrides: it parses with its parent's
 grammar and then checks those fields' spans, exactly as narrowing from
@@ -59,16 +60,12 @@ class CssColour(Structure):
 
 _set_red, _set_green, _set_blue = _setters(CssColour)
 
-_HEX_PAIR = pattern("[0-9a-fA-F]{2}").map(lambda t: int(t, 16)).desc("a hex digit")
+_HEX_PAIR = pattern("[0-9a-fA-F]{2}").map(lambda t: int(t, 16), "02x").desc("a hex digit")
 _HEX_SHORT = pattern("[0-9a-fA-F]").map(lambda c: int(c + c, 16)).desc("a hex digit")
 
 _COLOUR = alt(*(
     record(CssColour, lit("#"), ("red", hex_), ("green", hex_), ("blue", hex_))
     for hex_ in (_HEX_PAIR, _HEX_SHORT)))
-
-
-def cast_colour(c: CssColour) -> str:
-    return f"#{c.red:02x}{c.green:02x}{c.blue:02x}"
 
 
 # ------------------------------------------------------------------ units
@@ -113,17 +110,12 @@ def _finite_number(text, pos):
 
 
 _NUMBER = Parser(_finite_number, "a number")
+_NUMBER.conv, _NUMBER.render = float, _format_number  # its value from its text, and back
 # Centimetres per unit: the unit suffixes, in the order they are tried.
 _CM_PER_UNIT = {"px": 2.54 / 96, "pt": 2.54 / 72, "pc": 2.54 / 6, "cm": 1.0}
 _UNIT_SUFFIX = alt(*map(lit, _CM_PER_UNIT)).desc("a unit")
 _UNIT = alt(record(CssUnit, ("value", _NUMBER), ("unit", _UNIT_SUFFIX)),
             record(partial(CssUnit, value=None), ("unit", lit("auto"))))
-
-
-def cast_unit(u: CssUnit) -> str:
-    if u.unit == "auto":
-        return "auto"
-    return _format_number(u.value) + u.unit
 
 
 # ----------------------------------------------------------------- emails
@@ -144,10 +136,6 @@ _DOMAIN = pattern("[0-9a-zA-Z-]+").desc("a domain name")
 _TLD = pattern("[0-9a-zA-Z-.]+").desc("a top-level domain")
 _EMAIL = record(Email, ("name", _EMAIL_NAME), lit("@"), ("domain_left", _DOMAIN),
                 lit("."), ("domain_right", _TLD))
-
-
-def cast_email(e: Email) -> str:
-    return f"{e.name}@{e.domain_left}.{e.domain_right}"
 
 
 # ------------------------------------------------------------- file paths
@@ -246,17 +234,14 @@ class USPhone(Structure):
 
 _set_area, _set_office, _set_uniq = _setters(USPhone)
 
-_PHONE_SEP = one_of(" ./-").fallback("")
-_AREA = pattern("[2-9][0-9]{2}").map(int).desc("a valid area code")
-_OFFICE = pattern("[2-9][0-9]{2}").map(int).desc("a valid office code")
-_UNIQ = pattern("[0-9]{4}").map(int).desc("a valid identifier")
+# Its first choice, "-", is the one it prints.
+_PHONE_SEP = (lit("-") | one_of(" ./")).fallback("")
+_AREA = pattern("[2-9][0-9]{2}").map(int, "").desc("a valid area code")
+_OFFICE = pattern("[2-9][0-9]{2}").map(int, "").desc("a valid office code")
+_UNIQ = pattern("[0-9]{4}").map(int, "04d").desc("a valid identifier")
 
 _PHONE = record(USPhone, ("area", _AREA), _PHONE_SEP, ("office", _OFFICE), _PHONE_SEP,
                 ("uniq", _UNIQ))
-
-
-def cast_phone(p: USPhone) -> str:
-    return f"{p.area}-{p.office}-{p.uniq:04d}"
 
 
 # ------------------------------------------------- counted a's and b's
@@ -313,10 +298,6 @@ _set_left, _set_right = _setters(InnerR)
 # The first "r" is the pivot: everything before it is r-free, everything
 # after it is kept verbatim.
 _INNER_R = record(InnerR, ("left", pattern("[^r]*")), lit("r"), ("right", pattern(".*")))
-
-
-def cast_inner_r(v: InnerR) -> str:
-    return f"{v.left}r{v.right}"
 
 
 # ------------------------------------------------------------ expressions
@@ -536,9 +517,9 @@ def expr_text(e: Expr) -> str:
 
 _SANITISED_PATTERN = "[0-9a-zA-Z _.-]+"
 # Roots whose canonical forms strtype.ops renders: shared, so known by identity.
-_COLOUR_TYPE = StringType("CssColour", _COLOUR, cast_colour)
-_UNIT_TYPE = StringType("CssUnit", _UNIT, cast_unit)
-_EMAIL_TYPE = StringType("Email", _EMAIL, cast_email)
+_COLOUR_TYPE = StringType("CssColour", _COLOUR)
+_UNIT_TYPE = StringType("CssUnit", _UNIT)
+_EMAIL_TYPE = StringType("Email", _EMAIL)
 
 
 def register_builtins(reg: TypeRegistry) -> TypeRegistry:
@@ -555,9 +536,9 @@ def register_builtins(reg: TypeRegistry) -> TypeRegistry:
     reg.register(subtype(path, "WindowsPath", separator=lit("\\")))
     reg.register(subtype(unix, "HomeDotFile",
                          dirs=lit("home"), file_name=pattern(r"\.[^/\\]*")))
-    reg.register(StringType("USPhone", _PHONE, cast_phone))
+    reg.register(StringType("USPhone", _PHONE))
     reg.register(StringType("EqualAandB", _EQUAL_AB, cast_equal_ab, fields=("count",)))
-    reg.register(StringType("InnerR", _INNER_R, cast_inner_r))
+    reg.register(StringType("InnerR", _INNER_R))
     reg.register(StringType("Expr", _EXPR, expr_text))
     reg.register(opaque_type("Sanitised", _SANITISED_PATTERN))
     reg.register(opaque_type("UserName", _SANITISED_PATTERN))

@@ -40,11 +40,20 @@ record runs its parts' parse functions in turn. Both give the same
 outcome, since a token fails only at its start, with its label. Its
 whole-string entry, ``whole``, reads the pair off that match and checks
 the end itself, with no ``Success`` built.
+
+A token prints too: ``render``, a format spec (``""`` if it does not
+convert) or a function that ``map(f, render)`` declares, gives its text
+back; a hand-written parser may set its own, with a ``conv`` that reads
+its text back. A ``record`` of such parts prints: ``render`` gives a
+structure's text and ``layout`` the text and each field's span. So does
+an ``alt`` of records, with the first branch whose fields are all set.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from keyword import iskeyword
+from operator import attrgetter
 from typing import Callable, Generic, TypeVar
 
 from .patterns import PatternError, Record, TokenPattern, sequence_match
@@ -93,25 +102,27 @@ class Parser(Generic[A]):
     its longest match, and ``conv`` (see the module docstring), and a
     ``record`` its whole-string entry ``whole``, and an ``alt`` of tokens
     that convert its ``token`` (see ``alt``); any other parser has them None.
+    ``render`` and ``layout`` print (see the module docstring).
     """
 
-    __slots__ = ("fn", "label", "parts", "conv", "trees", "whole", "token")
+    __slots__ = ("fn", "label", "parts", "conv", "trees", "whole", "token", "render", "layout")
 
     def __init__(self, fn: Callable[[str, int], Success | Failure], label: str | None = None):
         self.fn = fn
         self.label = label
         self.parts = {}
-        self.conv = self.trees = self.whole = self.token = None
+        self.conv = self.trees = self.whole = self.token = self.render = self.layout = None
 
     def run(self, text: str, pos: int = 0) -> Success | Failure:
         return self.fn(text, pos)
 
-    def map(self, f: Callable[[A], B]) -> "Parser[B]":
-        """Apply ``f`` to the parsed value; acceptance is unchanged."""
+    def map(self, f: Callable[[A], B], render: str | Callable[[B], str] | None = None) -> "Parser[B]":
+        """Apply ``f`` to the parsed value; acceptance is unchanged. A token's
+        ``render``, if given, turns a value of the result back into its text."""
         if self.trees is not None:
             conv = self.conv
             return _token(self.trees, self.label,
-                          f if conv is None else lambda text: f(conv(text)))
+                          f if conv is None else lambda text: f(conv(text)), render)
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -136,7 +147,7 @@ class Parser(Generic[A]):
         if not label:
             raise ValueError("desc label must be non-empty")
         if self.trees is not None:
-            return _token(self.trees, label, self.conv)
+            return _token(self.trees, label, self.conv, self.render)
         def parse(text, pos):
             out = self.fn(text, pos)
             if isinstance(out, Failure):
@@ -163,9 +174,10 @@ class Parser(Generic[A]):
         return f"Parser({self.label})" if self.label else f"Parser at {id(self):#x}"
 
 
-def _token(trees: tuple, label: str, conv: Callable[[str], A] | None = None) -> Parser[A]:
-    """The token of ``label`` and ``conv`` whose choices, ``trees``, are
-    tried in order: the first that matches takes its longest match."""
+def _token(trees: tuple, label: str, conv: Callable[[str], A] | None = None,
+           render: str | Callable[[A], str] | None = None) -> Parser[A]:
+    """The token of ``label``, ``conv`` and ``render`` whose choices, ``trees``,
+    are tried in order: the first that matches takes its longest match."""
     def parse(text, pos):
         for tree in trees:
             # Looked up at each call, so a wrapper set on the class sees it.
@@ -177,7 +189,25 @@ def _token(trees: tuple, label: str, conv: Callable[[str], A] | None = None) -> 
     out = Parser(parse, label)
     out.conv = conv
     out.trees = trees
+    out.render = "" if conv is None else render
     return out
+
+
+_UNPRINTABLE = (AttributeError, TypeError, ValueError)  # from a value a printer cannot print
+
+
+def _first(printers: list, slot: str):
+    """The ``slot`` printer of the first of ``printers`` (records) whose fields
+    are all set (not None) in a structure, else of the last."""
+    # Each name twice, so that one field's attrgetter gives a tuple too.
+    tries = [(attrgetter(*p.parts, *p.parts), getattr(p, slot)) for p in printers[:-1]]
+    last = getattr(printers[-1], slot)
+    def first(structure):
+        for fields, printer in tries:
+            if None not in fields(structure):
+                return printer(structure)
+        return last(structure)
+    return first
 
 
 def _escaped(chars: str) -> str:
@@ -247,6 +277,8 @@ def alt(*parsers: Parser) -> Parser:
     An ``alt`` of tokens with no ``conv`` is the token of their choices in
     order, each still taking its longest match, labelled as it fails; one
     of tokens that convert keeps that token, for ``check_to_end``, as ``token``.
+    An ``alt`` of records prints with the first whose fields are all set
+    (not None) in the structure, else with the last.
     """
     if not parsers:
         raise ValueError("alt needs at least one parser")
@@ -275,6 +307,11 @@ def alt(*parsers: Parser) -> Parser:
     out = Parser(parse)
     out.parts = {name: ps[0] if len(ps) == 1 else alt(*ps) for name, ps in merged.items()}
     out.token = token
+    printers = [p for p in parsers if p.layout is not None]
+    if len(printers) == 1:
+        out.render, out.layout = printers[0].render, printers[0].layout
+    elif printers:
+        out.render, out.layout = _first(printers, "render"), _first(printers, "layout")
     return out
 
 
@@ -334,6 +371,8 @@ def record(cls: Callable[..., A], *parts) -> Parser[tuple[A, dict]]:
     DFA, the parse is one ``re`` match (see the module docstring). The
     returned parser's ``parts`` are the named pairs, and ``whole(text)``
     is ``run_to_end``'s value or failure, read off that match if any.
+    Its ``render`` and ``layout`` read each field off the structure by name,
+    and ``layout`` reads each field's text back with its part's ``conv``.
     """
     named = [(None, part) if isinstance(part, Parser) else part for part in parts]
     names = tuple(name for name, _ in named if name is not None)
@@ -395,7 +434,61 @@ def record(cls: Callable[..., A], *parts) -> Parser[tuple[A, dict]]:
     recognizer = Parser(parse)
     recognizer.parts = {name: p for name, p in named if name is not None}
     recognizer.whole = whole
+    recognizer.render, recognizer.layout = _printer(named)
     return recognizer
+
+
+def _printer(named: list) -> tuple:
+    """A record's ``render`` and ``layout``, or Nones if a part cannot print.
+    Both are compiled to f-strings at the first print, not at import, which
+    would slow every start."""
+    for name, p in named:
+        if name is None:  # a lit, or a token whose first choice is one
+            if not p.trees or p.trees[0].literal() is None:
+                return None, None
+        elif p.render is None or p.layout is not None or not name.isidentifier() or iskeyword(name):
+            return None, None  # a record's value is a pair, and a field an attribute
+    env = {}
+    def compiled(name):
+        def call(structure):
+            fn = env.get(name)
+            if fn is None:
+                exec(_source(named, env), env)
+                fn = env[name]
+            return fn(structure)
+        return call
+    return compiled("render"), compiled("layout")
+
+
+def _source(named: list, env: dict) -> str:
+    """The source of a printing record's ``render`` and ``layout``, over the
+    literals, renders and convs it puts in ``env``."""
+    pieces, body, reads, spans, end = [], [], [], [], "0"  # end: where the text so far ends
+    for i, (name, p) in enumerate(named):
+        if name is None:
+            env[f"r{i}"] = literal = p.trees[0].literal()
+            pieces.append((f"{{r{i}}}",) * 2)
+            end += f" + {len(literal)}"
+            continue
+        env[f"r{i}"], env[f"c{i}"] = p.render, p.conv
+        if callable(p.render):  # the f-string field that prints "{}"
+            field = "{{r%d({})}}" % i
+        else:  # a plain format spec is written in
+            spec = p.render.isalnum() and ":" + p.render or p.render and ":{{r%d}}" % i
+            field = "{{{}%s}}" % spec
+        pieces.append((field.format(f"s.{name}"), f"{{t{i}}}"))
+        body.append(f"v{i} = s.{name}; t{i} = f'{field.format(f'v{i}')}'; a{i} = {end}")
+        reads.append(f"c{i}(t{i}) != v{i}" if p.conv else f"t{i} != v{i}")
+        end = f"a{i} + len(t{i})"
+        spans.append(f"{name!r}: (a{i}, {end})")
+    render, texts = map("".join, zip(*pieces)) if pieces else ("", "")
+    return f"""def render(s):
+    return f'{render}'
+def layout(s):
+    {"; ".join(body)}
+    if {" or ".join(reads) or "False"}:
+        raise ValueError("a field prints as text that reads back as another value")
+    return f'{texts}', {{{", ".join(spans)}}}"""
 
 
 class _Forward(Parser):

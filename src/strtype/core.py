@@ -44,7 +44,8 @@ from enum import Enum
 from functools import partial
 from typing import Any, Callable, Mapping
 
-from .combinators import Failure, Parser, Success, check_to_end, pattern, record, run_to_end
+from .combinators import (_UNPRINTABLE, Failure, Parser, Success, check_to_end, pattern, record,
+                          run_to_end)
 from .patterns import FrozenRecord, Structure, _set, _setters
 
 __all__ = [
@@ -159,6 +160,8 @@ class StringType(FrozenRecord):
     :class:`UnknownFieldError`, since it could never run. Only
     :func:`subtype` sets ``parent_type``, the descriptor (named ``parent``)
     whose ``checks`` a subtype's begin with, then its own, by field name.
+    ``cast_fn`` defaults to a ``record`` recognizer's ``render``; with any
+    other recognizer (a hand-written parse function) it is required.
 
     A deep copy is the descriptor itself, whose parsers are functions.
     """
@@ -167,9 +170,11 @@ class StringType(FrozenRecord):
     __match_args__ = __slots__[:5]  # the constructor's arguments
     parent = property(lambda self: self.parent_type and self.parent_type.name)
 
-    def __init__(self, name: str, recognizer: Parser, cast_fn: Callable[[Any], str],
+    def __init__(self, name: str, recognizer: Parser, cast_fn: Callable[[Any], str] | None = None,
                  fields: tuple[str, ...] | None = None,
                  checks: tuple[tuple[str, Parser], ...] | None = None):
+        if cast_fn is None and recognizer.layout is None:
+            raise RegistryError(f"{name!r}: its recognizer does not print, so it needs a cast_fn")
         if fields is None:
             fields = tuple(recognizer.parts)
         if checks is None:
@@ -179,7 +184,7 @@ class StringType(FrozenRecord):
             raise UnknownFieldError(f"{name!r} checks {', '.join(unknown)}, not in {fields}")
         _set(self, "name", name)
         _set(self, "recognizer", recognizer)
-        _set(self, "cast_fn", cast_fn)
+        _set(self, "cast_fn", cast_fn or recognizer.render)
         _set(self, "fields", fields)
         _set(self, "checks", checks)
         _set(self, "parent_type", None)
@@ -457,7 +462,7 @@ def from_structure(registry: TypeRegistry, type_name: str, structure: Any) -> Pa
     """
     try:
         raw = registry.get(type_name).cast_fn(structure)
-    except (AttributeError, TypeError) as error:
+    except _UNPRINTABLE as error:
         raise InvalidStructureError(f"{structure!r} has no {type_name} rendering") from error
     result = registry.from_raw(type_name, raw)
     if isinstance(result, Err):
@@ -475,11 +480,7 @@ def opaque_type(name: str, pattern_source: str) -> StringType:
     The structure is :class:`Opaque` and the canonical form is the string
     itself. Unsupported pattern syntax raises at construction time.
     """
-    return StringType(
-        name=name,
-        recognizer=record(Opaque, ("raw", pattern(pattern_source))),
-        cast_fn=lambda opaque: opaque.raw,
-    )
+    return StringType(name, record(Opaque, ("raw", pattern(pattern_source))))
 
 
 def subtype(parent: StringType, name: str, /, **overrides: Parser) -> StringType:

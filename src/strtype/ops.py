@@ -3,11 +3,15 @@
 Each operation takes parsed values (or expression trees) and produces
 results that are guaranteed, or checked, to stay in their type's language.
 ``blend``, ``concat_names`` and ``add_units`` take values of the builtin
-type they declare (or a subtype) and render the result's canonical form,
-whose format fixes each field's span; each field there is checked as
-``append_to_name`` checks one, so a result is what their oracle
-:func:`~strtype.core.from_structure` gives, with no parse, or raises as it
-does. Appending arbitrary text re-checks the name and gives ``Err`` instead.
+type they declare (or a subtype), compute the result's structure, print
+it with that root's ``layout``, and check each field's text as
+``append_to_name`` checks one. In each of these roots no text a field
+accepts runs on into the part after it (two hex digits; a name without
+``@``; a left domain without ``.``; digits before a unit's letters), so
+the texts split back at the printed spans, and a result is what their
+oracle :func:`~strtype.core.from_structure` gives, with no parse, or
+raises as it does. Appending arbitrary text re-checks the name and gives
+``Err`` instead.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import math
 from typing import Any
 
 from .builtins import (_CM_PER_UNIT, _COLOUR_TYPE, _EMAIL_TYPE, _UNIT_TYPE, Add, Const,
-                       CssColour, CssUnit, Email, Expr, Mult, _format_number)
-from .combinators import check_to_end
+                       CssColour, CssUnit, Email, Expr, Mult)
+from .combinators import _UNPRINTABLE, check_to_end
 from .core import (
     Err,
     ErrorKind,
@@ -52,58 +56,45 @@ class Projection(FrozenRecord):
         _set(self, "field_name", field_name)
 
 
-def _expect(value: ParsedString, declared: StringType, op: str) -> None:
-    """Require a value of the type its registry registers as ``declared``."""
-    cls = value.registry._classes.get(declared.name)
-    if cls is None or cls._descriptor is not declared or not isinstance(value, cls):
-        raise TypeError(f"{op} needs a {declared.name} value, got {value.type_name}")
+def _expect(declared: StringType, op: str, *values: ParsedString) -> None:
+    """Require values of the type their registry registers as ``declared``."""
+    for value in values:
+        cls = value.registry._classes.get(declared.name)
+        if cls is None or cls._descriptor is not declared or not isinstance(value, cls):
+            raise TypeError(f"{op} needs a {declared.name} value, got {value.type_name}")
 
 
-def _check(a: ParsedString, spans: dict, raw: str) -> None:
-    """Require each field at its span of ``raw`` to pass each of its checks in
-    ``a``'s type, uncounted and ancestor end first."""
+def _build(a: ParsedString, root: StringType, structure: Any) -> Ok:
+    """``Ok`` of ``structure`` as a value of ``a``'s type, printed by ``root``,
+    which reads each field back, with each field checked in ``a``'s type,
+    uncounted and ancestor end first; else ``InvalidStructureError``."""
+    try:
+        raw, spans = root.recognizer.layout(structure)
+    except _UNPRINTABLE as error:
+        raise InvalidStructureError(f"{structure!r} has no {root.name} rendering") from error
     bad = _first_bad_field(a._descriptor.checks, raw, spans, check_to_end)
     if bad is not None:
         raise InvalidStructureError(f"{raw!r} is not a {a.type_name}: field {bad[0]!r} "
                                     f"expected {bad[1].expected} at {bad[1].pos}")
+    return _ok(type(a), structure, spans, raw)
 
 
 def blend(a: ParsedString, b: ParsedString) -> ParsedString:
-    """Additive blend of two colours, saturating each channel at 255.
-
-    The result is ``#`` and two hex digits per channel, at 1-3, 3-5 and 5-7:
-    a channel whose text there passes its check and reads back is two
-    digits wide, as is each channel before it."""
-    _expect(a, _COLOUR_TYPE, "blend")
-    _expect(b, _COLOUR_TYPE, "blend")
+    """Additive blend of two colours, saturating each channel at 255."""
+    _expect(_COLOUR_TYPE, "blend", a, b)
     ca, cb = a.structure, b.structure
-    channels = red, green, blue = (min(255, ca.red + cb.red), min(255, ca.green + cb.green),
-                                   min(255, ca.blue + cb.blue))
-    raw = f"#{red:02x}{green:02x}{blue:02x}"  # as cast_colour renders it
-    spans = {"red": (1, 3), "green": (3, 5), "blue": (5, 7)}
-    _check(a, spans, raw)
-    mixed = CssColour(int(raw[1:3], 16), int(raw[3:5], 16), int(raw[5:7], 16))
-    if mixed._fields != channels:
-        raise InvalidStructureError(f"{raw!r} reads back as {mixed!r}, not {channels}")
-    return _ok(type(a), mixed, spans, raw).value
+    return _build(a, _COLOUR_TYPE, CssColour(
+        min(255, ca.red + cb.red), min(255, ca.green + cb.green),
+        min(255, ca.blue + cb.blue))).value
 
 
 def concat_names(a: ParsedString, b: ParsedString) -> ParsedString:
     """Concatenate two email names; the domain comes from the left value.
-
-    The result is ``name@left.right``: a name that passes ``[0-9a-zA-Z]+``
-    cannot hold the ``@`` that ends it, nor a left domain that passes
-    ``[0-9a-zA-Z-]+`` the ``.``, so each field spans its own length. Email's
-    names are closed under concatenation; a subtype's need not be."""
-    _expect(a, _EMAIL_TYPE, "concat_names")
-    _expect(b, _EMAIL_TYPE, "concat_names")
+    Email's names are closed under concatenation; a subtype's need not be."""
+    _expect(_EMAIL_TYPE, "concat_names", a, b)
     left = a.structure
-    name, domain = left.name + b.structure.name, left.domain_left
-    raw = f"{name}@{domain}.{left.domain_right}"  # as cast_email renders it
-    at, dot = len(name), len(name) + 1 + len(domain)
-    spans = {"name": (0, at), "domain_left": (at + 1, dot), "domain_right": (dot + 1, len(raw))}
-    _check(a, spans, raw)
-    return _ok(type(a), Email(name, domain, left.domain_right), spans, raw).value
+    return _build(a, _EMAIL_TYPE, Email(left.name + b.structure.name, left.domain_left,
+                                        left.domain_right)).value
 
 
 def raw_concat(a: ParsedString, b: ParsedString) -> str:
@@ -120,7 +111,7 @@ def append_to_name(e: ParsedString, suffix: str) -> Ok | Err:
     rest of the value is untouched: the other spans shift. The value keeps its exact type, so appending to
     a Gmail yields a Gmail.
     """
-    _expect(e, _EMAIL_TYPE, "append_to_name")
+    _expect(_EMAIL_TYPE, "append_to_name", e)
     start, end = e.spans["name"]
     delta = len(suffix)
     raw = e.raw[:end] + suffix + e.raw[end:]
@@ -160,27 +151,21 @@ def add_units(a: ParsedString, b: ParsedString) -> Ok | Err:
 
     ``auto`` on either side has no numeric value to add and comes back as
     an incompatible-types error; a sum too large for a float comes back as
-    a closure violation. Else the result is the sum's digits, which must read
-    back as the sum and, passing ``[0-9]+(\\.[0-9]+)?``, cannot run on into
-    the unit (never ``auto`` here). A length in the left unit adds unscaled."""
-    _expect(a, _UNIT_TYPE, "add_units")
-    _expect(b, _UNIT_TYPE, "add_units")
+    a closure violation. A (hand-built) unit that is not a length's raises
+    ``InvalidStructureError``. A length in the left unit adds unscaled."""
+    _expect(_UNIT_TYPE, "add_units", a, b)
     ua, ub = a.structure, b.structure
     if ua.unit == "auto" or ub.unit == "auto":
         return Err(OpError(
             ErrorKind.INCOMPATIBLE, "auto has no numeric value to add"))
+    if ua.unit not in _CM_PER_UNIT or ub.unit not in _CM_PER_UNIT:
+        raise InvalidStructureError(f"{ua.unit!r} or {ub.unit!r} is not a unit of length")
     value = ua.value + ub.value * (
         1.0 if ub.unit == ua.unit else _CM_PER_UNIT[ub.unit] / _CM_PER_UNIT[ua.unit])
     if value == math.inf:
         return Err(OpError(
             ErrorKind.CLOSURE, f"the sum overflows a float in {ua.unit}"))
-    digits = _format_number(value)
-    raw = digits + ua.unit  # as cast_unit renders it
-    spans = {"value": (0, len(digits)), "unit": (len(digits), len(raw))}
-    _check(a, spans, raw)
-    if (length := float(digits)) != value:
-        raise InvalidStructureError(f"{raw!r}: field 'value' reads back as {length!r}, not {value!r}")
-    return _ok(type(a), CssUnit(length, ua.unit), spans, raw)
+    return _build(a, _UNIT_TYPE, CssUnit(value, ua.unit))
 
 
 def sub_expressions(e: Expr) -> list[Expr]:

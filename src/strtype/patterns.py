@@ -646,6 +646,14 @@ class TokenPattern:
                     self._is_plain = self._unambiguous()
         return self._tree if self._is_plain else None
 
+    def literal(self) -> str | None:
+        """The one text the pattern matches if it is a run of single
+        characters, as a ``lit``'s is, else None."""
+        nodes = self._tree.parts if isinstance(self._tree, _Seq) else (self._tree,)
+        points = [n.spans[0][0] for n in nodes if isinstance(n, _Cls) and len(n.spans) == 1
+                  and n.spans[0][0] == n.spans[0][1]]
+        return "".join(map(chr, points)) if len(points) == len(nodes) else None
+
     def _choose(self):
         """Choose the engine, once: ``re`` for an unambiguous pattern."""
         plain = self.plain_tree()

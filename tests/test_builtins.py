@@ -10,6 +10,7 @@ import pytest
 
 from generators import (ACCEPTED_GENERATORS, accepted_strings, gen_expr_tree,
                         render_expr_loose)
+from reference_casts import REFERENCE_CASTS
 from strtype.builtins import (
     Add,
     Const,
@@ -27,13 +28,16 @@ from strtype.builtins import (
     _SEGMENT,
     _split_segment,
     build_registry,
+    cast_equal_ab,
+    cast_path,
     expr_text,
 )
 from strtype.combinators import (Failure, Parser, Success, alt, chain_left, forward, lit,
                                  many, one_of, pattern, record, run_to_end, satisfy, seq,
                                  some, spanned, succeed, times)
-from strtype.core import (Err, Ok, Opaque, StringType, TypeRegistry, field_checks,
-                          from_structure, reset_field_checks, subtype)
+from strtype.core import (Err, Ok, Opaque, RegistryError, StringType, TypeRegistry,
+                          field_checks, from_structure, reset_field_checks, subtype)
+from strtype.patterns import Structure
 
 
 def recursive_expr_text(e):
@@ -1237,7 +1241,10 @@ def _registry_without_scans():
         return name, Parser(p.fn, p.label)
 
     def record_without_scans(cls, *parts):
-        return record(cls, *map(strip, parts))
+        out, printer = record(cls, *map(strip, parts)), record(cls, *parts)
+        # Stripped parts cannot print: the record prints as the unstripped one.
+        out.render, out.layout = printer.render, printer.layout
+        return out
 
     spec = importlib.util.find_spec("strtype.builtins")
     module = importlib.util.module_from_spec(spec)
@@ -1303,3 +1310,73 @@ class TestRecordPartsScan:
                 assert got.value.spans == want.value.spans, (type_name, raw)
                 assert got.value.cast() == want.value.cast(), (type_name, raw)
         assert accepted >= 200
+
+
+class Tally(Structure):
+    """A user structure whose record has a converting part."""
+
+    __slots__ = ("count", "label")
+
+    def __init__(self, count: int, label: str):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "label", label)
+
+
+def _tally_registry():
+    reg = build_registry()
+    reg.register(StringType("Tally", record(
+        Tally, ("count", pattern("[0-9]{1,4}").map(int, "d")), lit(" x "),
+        ("label", pattern("[a-z]+")))))
+    return reg
+
+
+class TestDerivedCasts:
+    """A record root's cast is the printer its grammar derives. Over generator
+    structures of every record root, both opaque types and a user record with
+    a converting part, it equals the hand-written reference cast, and parsing
+    it back gives an equal structure and the spans the printer's layout gives."""
+
+    CASES = {**REFERENCE_CASTS, "Tally": lambda t: f"{t.count} x {t.label}"}
+
+    @staticmethod
+    def samples(type_name):
+        if type_name != "Tally":
+            return accepted_strings(type_name, 300)
+        rng = random.Random("tally")
+        return [f"{rng.randrange(10000):0{rng.randint(1, 4)}d} x "
+                + "".join(rng.choice("abcxyz") for _ in range(rng.randint(1, 6)))
+                for _ in range(300)]
+
+    @pytest.mark.parametrize("type_name", sorted(CASES))
+    def test_derived_cast_is_the_reference_and_reparses(self, type_name):
+        reg = _tally_registry()
+        descriptor = reg.get(type_name)
+        for raw in self.samples(type_name):
+            structure = ok(reg, type_name, raw).structure
+            text = descriptor.cast_fn(structure)
+            assert text == self.CASES[type_name](structure), (type_name, raw)
+            again = ok(reg, type_name, text)
+            assert again.structure == structure, (type_name, raw)
+            assert descriptor.recognizer.layout(structure) == (text, again.spans), raw
+
+    def test_every_record_root_is_covered(self, reg):
+        roots = {name for name in reg.names() if not reg.ancestors(name)}
+        printed = {name for name in roots if reg.get(name).recognizer.layout is not None}
+        assert printed == set(REFERENCE_CASTS)
+
+
+class TestHandWrittenCasts:
+    def test_the_hand_written_roots_keep_their_casts(self, reg):
+        assert reg.get("FilePath").cast_fn is cast_path
+        assert reg.get("EqualAandB").cast_fn is cast_equal_ab
+        assert reg.get("Expr").cast_fn is expr_text
+        for name in ("UnixPath", "WindowsPath", "HomeDotFile"):
+            assert reg.get(name).cast_fn is cast_path
+
+    def test_a_recognizer_that_cannot_print_needs_a_cast(self):
+        with pytest.raises(RegistryError, match="cast_fn"):
+            StringType("Path", _PATH)
+        with pytest.raises(RegistryError, match="cast_fn"):
+            StringType("Dashed", record(Tally, ("count", pattern("[0-9]+").map(int)),
+                                        one_of("-/"), ("label", pattern("[a-z]+"))))
+        assert StringType("Path", _PATH, cast_path).cast_fn is cast_path

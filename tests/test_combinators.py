@@ -310,6 +310,78 @@ class TestParts:
                    record(partial(Pair, left=""), ("right", lit("auto"))))
 
 
+class TestPrinter:
+    """A record prints its structure from its parts: literals as themselves,
+    fields by their parts' renders; ``layout`` adds each field's span."""
+
+    NUMBER = pattern("[0-9]+").map(int, "d")
+    WORD = pattern("[a-z]+")
+
+    def test_literals_and_fields_print_in_order(self):
+        pair = record(Pair, ("left", self.WORD), lit("="), ("right", pattern("[0-9]*")))
+        assert pair.render(Pair("ab", "12")) == "ab=12"
+        assert pair.layout(Pair("ab", "")) == ("ab=", {"left": (0, 2), "right": (3, 3)})
+
+    def test_literals_print_verbatim(self):
+        odd = record(Pair, lit("{'\"\\\n"), ("left", self.WORD), lit("}"),
+                     ("right", self.WORD), lit("é"))
+        text = "{'\"\\\nab}cdé"
+        assert odd.run(text, 0).value[0] == Pair("ab", "cd")
+        assert odd.render(Pair("ab", "cd")) == text
+        assert odd.layout(Pair("ab", "cd")) == (text, {"left": (5, 7), "right": (8, 10)})
+
+    def test_a_converting_part_prints_by_its_render(self):
+        for render, text in [("03d", "007-x"), (lambda v: f"{v:03d}", "007-x"), ("d", "7-x")]:
+            coded = record(Pair, ("left", pattern("[0-9]+").map(int, render)), lit("-"),
+                           ("right", self.WORD))
+            assert coded.render(Pair(7, "x")) == text
+            assert coded.layout(Pair(7, "x")) == (text, {"left": (0, len(text) - 2),
+                                                         "right": (len(text) - 1, len(text))})
+            assert coded.run(text, 0).value[0] == Pair(7, "x")
+
+    def test_layout_reads_each_field_back(self):
+        # A render that is no inverse prints, but its field does not read back.
+        off = record(Pair, ("left", pattern("[0-9]+").map(int, lambda v: str(v + 1))),
+                     lit("-"), ("right", self.WORD))
+        assert off.render(Pair(7, "x")) == "8-x"
+        with pytest.raises(ValueError, match="reads back"):
+            off.layout(Pair(7, "x"))
+        with pytest.raises(ValueError, match="reads back"):
+            record(Pair, ("left", self.WORD), ("right", self.WORD)).layout(Pair(1, "x"))
+
+    def test_an_unnamed_part_prints_its_first_choice_if_a_literal(self):
+        sep = record(Pair, ("left", self.WORD), (lit("-") | one_of(" /")).fallback(""),
+                     ("right", self.WORD))
+        assert sep.run("ab/cd", 0).value[0] == Pair("ab", "cd")
+        assert sep.render(Pair("ab", "cd")) == "ab-cd"
+        for unnamed in [one_of("-/"), pattern("[0-9]"), pattern(r"\d"), one_of(" /") | lit("-"),
+                        seq(lit("-"))]:
+            bare = record(Pair, ("left", self.WORD), unnamed, ("right", self.WORD))
+            assert bare.render is None and bare.layout is None, unnamed
+
+    def test_parts_that_do_not_print(self):
+        nested = record(Pair, ("left", self.WORD), lit("="), ("right", self.WORD))
+        for part in [pattern("[0-9]+").map(int), nested, seq(self.WORD), self.WORD | self.NUMBER]:
+            p = record(Pair, ("left", part), lit(":"), ("right", self.WORD))
+            assert p.render is None and p.layout is None, part
+        assert record(dict, ("class", self.WORD)).render is None
+
+    def test_alt_prints_with_the_first_branch_whose_fields_are_set(self):
+        number = record(Pair, ("left", self.NUMBER), lit("="), ("right", self.WORD))
+        auto = record(partial(Pair, left=None), ("right", lit("auto")))
+        p = alt(number, auto, record(Pair, ("left", pattern("[0-9]")), ("right", self.WORD)))
+        assert p.render(Pair(3, "x")) == "3=x"
+        assert p.render(Pair(None, "auto")) == "auto"
+        assert p.layout(Pair(None, "auto")) == ("auto", {"right": (0, 4)})
+        assert p.layout(Pair(3, "x")) == ("3=x", {"left": (0, 1), "right": (2, 3)})
+        assert alt(number, auto).render(Pair(None, None)) == "None"  # the last branch
+        with pytest.raises(ValueError, match="reads back"):
+            p.layout(Pair(None, 5))  # the auto branch, whose one field is set
+        only = alt(number, record(Pair, ("left", self.WORD), one_of("-/"), ("right", self.WORD)))
+        assert only.render is number.render and only.layout is number.layout
+        assert alt(lit("a"), lit("b")).render == "" and alt(self.NUMBER, lit("b")).render is None
+
+
 class TestForward:
     def test_recursive_grammar(self):
         nest = forward()

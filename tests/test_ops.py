@@ -4,6 +4,7 @@ import random
 import pytest
 
 from generators import accepted_strings, gen_expr_tree
+from reference_casts import cast_colour, cast_email, cast_unit
 from strtype.builtins import (
     _CM_PER_UNIT,
     _COLOUR,
@@ -15,7 +16,6 @@ from strtype.builtins import (
     Email,
     Mult,
     build_registry,
-    cast_colour,
     expr_text,
 )
 from strtype.combinators import pattern
@@ -235,9 +235,25 @@ def unit_sum(a, b):
     """The structure ``add_units`` builds, or the kind of its ``Err``."""
     if "auto" in (a.unit, b.unit):
         return ErrorKind.INCOMPATIBLE
+    if a.unit not in _CM_PER_UNIT or b.unit not in _CM_PER_UNIT:
+        raise InvalidStructureError(f"{a.unit!r} or {b.unit!r} is not a unit of length")
     scale = 1.0 if a.unit == b.unit else _CM_PER_UNIT[b.unit] / _CM_PER_UNIT[a.unit]
     value = a.value + b.value * scale
     return ErrorKind.CLOSURE if value == math.inf else CssUnit(value, a.unit)
+
+
+def built(reg, type_name, structure, cast):
+    """What ``from_structure`` gives, with the reference ``cast`` in place
+    of the type's printer: the value parsed from the cast, if it gives back
+    ``structure``."""
+    try:
+        raw = cast(structure)
+    except (AttributeError, TypeError, ValueError) as error:
+        raise InvalidStructureError(f"{structure!r} has no rendering") from error
+    result = reg.from_raw(type_name, raw)
+    if isinstance(result, Err) or result.value.structure != structure:
+        raise InvalidStructureError(f"{raw!r} is not {structure!r} as a {type_name}")
+    return result.value
 
 
 def raised(f):
@@ -252,7 +268,8 @@ class TestAgainstFromStructure:
     """Each op that builds a value gives what ``from_structure`` gives for the
     structure it computes, spans in the same order, or raises what it
     raises: on subtypes that restrict a rewritten field, and on hand-built
-    operands whose fields leave the language."""
+    operands whose fields leave the language. The expected value comes from
+    the root's reference cast (``built``), not from the printer the ops use."""
 
     @pytest.fixture(scope="class")
     def sub_reg(self):
@@ -292,17 +309,19 @@ class TestAgainstFromStructure:
         email_pool = self.values(reg, "Email", emails) + odd_emails
         unit_pool = self.values(reg, "CssUnit", units) + odd_units
         return {
-            blend: (colour_pool + self.values(reg, "DimRed", colours), colour_pool, colour_mix),
+            blend: (colour_pool + self.values(reg, "DimRed", colours), colour_pool, colour_mix,
+                    cast_colour),
             concat_names: (email_pool + self.values(reg, "Gmail", accepted_strings("Gmail", 100))
-                           + self.values(reg, "ShortName", short), email_pool, joined_names),
+                           + self.values(reg, "ShortName", short), email_pool, joined_names,
+                           cast_email),
             add_units: (unit_pool + self.values(reg, "PxOrAuto", units)
-                        + self.values(reg, "Small", small), unit_pool, unit_sum),
+                        + self.values(reg, "Small", small), unit_pool, unit_sum, cast_unit),
         }
 
     def test_each_result_is_what_from_structure_gives(self, sub_reg):
         rng = random.Random("ops-against-from-structure")
         seen = {}
-        for op, (lefts, rights, make) in self.pools(sub_reg, rng).items():
+        for op, (lefts, rights, make, cast) in self.pools(sub_reg, rng).items():
             for _ in range(3500):
                 a, b = rng.choice(lefts), rng.choice(rights)
                 got = raised(lambda: op(a, b))
@@ -312,7 +331,7 @@ class TestAgainstFromStructure:
                     outcome = want
                 else:
                     if not isinstance(want, type):
-                        want = raised(lambda: from_structure(sub_reg, a.type_name, want))
+                        want = raised(lambda: built(sub_reg, a.type_name, want, cast))
                     if isinstance(got, Ok):
                         got = got.value
                     if isinstance(want, type):
@@ -441,6 +460,13 @@ class TestAddUnits:
         total = add_units(tiny, ok(reg, "CssUnit", "0px"))
         assert isinstance(total, Ok), total
         assert total.value.structure == CssUnit(1e-18, "px")
+
+    @pytest.mark.parametrize("left,right", [("em", "px"), ("px", "em"), ("em", "em")])
+    def test_a_hand_built_unit_that_is_no_length_raises(self, reg, left, right):
+        cls = reg.value_class("CssUnit")
+        a, b = cls(CssUnit(1.0, left), {}, ""), cls(CssUnit(2.0, right), {}, "")
+        with pytest.raises(InvalidStructureError):
+            add_units(a, b)
 
     def test_subtype_results_keep_their_type(self, reg):
         total = add_units(ok(reg, "PxOrAuto", "2px"), ok(reg, "CssUnit", "1pc"))

@@ -193,9 +193,6 @@ def _token(trees: tuple, label: str, conv: Callable[[str], A] | None = None,
     return out
 
 
-_UNPRINTABLE = (AttributeError, TypeError, ValueError)  # from a value a printer cannot print
-
-
 def _first(printers: list, slot: str):
     """The ``slot`` printer of the first of ``printers`` (records) whose fields
     are all set (not None) in a structure, else of the last."""

@@ -44,8 +44,7 @@ from enum import Enum
 from functools import partial
 from typing import Any, Callable, Mapping
 
-from .combinators import (_UNPRINTABLE, Failure, Parser, Success, check_to_end, pattern, record,
-                          run_to_end)
+from .combinators import Failure, Parser, Success, check_to_end, pattern, record, run_to_end
 from .patterns import FrozenRecord, Structure, _set, _setters
 
 __all__ = [
@@ -93,6 +92,9 @@ class RegistryFrozenError(RegistryError):
 
 class InvalidStructureError(ValueError):
     """A structure whose canonical rendering its own type does not accept."""
+
+
+_UNPRINTABLE = (AttributeError, TypeError, ValueError)  # from a value a cast cannot print
 
 
 class ErrorKind(Enum):

@@ -21,7 +21,7 @@ from typing import Any
 
 from .builtins import (_CM_PER_UNIT, _COLOUR_TYPE, _EMAIL_TYPE, _UNIT_TYPE, Add, Const,
                        CssColour, CssUnit, Email, Expr, Mult)
-from .combinators import _UNPRINTABLE, check_to_end
+from .combinators import check_to_end
 from .core import (
     Err,
     ErrorKind,
@@ -31,6 +31,7 @@ from .core import (
     ParsedString,
     StringType,
     UnknownFieldError,
+    _UNPRINTABLE,
     _first_bad_field,
     _ok,
     check_field,
